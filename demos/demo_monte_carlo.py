@@ -5,8 +5,8 @@ Monte Carlo comparison of the two estimators
 Repeated independent trials measure how often each estimator matches
 the hidden state path: the memoryless per-symbol test (HT) against the
 Viterbi sequence decoder (VA).  Trials draw from per-trial random
-streams, so the summary is reproducible and independent of the thread
-count.
+streams, so the summary is reproducible and independent of the order in
+which trials run.
 """
 import numpy as np
 
@@ -27,7 +27,7 @@ model = HmmModel(
     initial=np.array(params.priors),
 )
 
-summary = run_monte_carlo(model, length=100, trials=2000, base_seed=0, threads=4)
+summary = run_monte_carlo(model, length=100, trials=2000, base_seed=0)
 
 print(f"trials: {summary.trials}, path length: 100")
 print(f"per-symbol test: mean {summary.ht_mean:.2f}%  std {summary.ht_std:.2f}")

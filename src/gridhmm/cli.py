@@ -12,7 +12,7 @@ import argparse
 import csv
 import logging
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .detector import classify, compute_thresholds
 from .gaussian import RngStream
 from .model import build_emission_matrix
 from .simulate import (
+    _propagate,
     detection_sweep,
     run_monte_carlo,
     simulate_states,
@@ -53,13 +54,13 @@ def _fmt_index(value: float) -> str:
     return format(value, ".17g")
 
 
-@contextmanager
-def _open_output(target: str):
-    if target in ("-", "stdout"):
-        yield sys.stdout
-    else:
-        with open(target, "w", newline="") as fh:
-            yield fh
+def _write_csv(target: str, header: list[str], rows) -> None:
+    """Write ``header`` then ``rows`` as CSV to the path ``target`` ('-'/'stdout': stdout)."""
+    to_stdout = target in ("-", "stdout")
+    with nullcontext(sys.stdout) if to_stdout else open(target, "w", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _summary(command: str, **fields) -> None:
@@ -92,11 +93,8 @@ def _cmd_emission(args) -> int:
     cfg = parse_config(args.config)
     thresholds = compute_thresholds(cfg.params)
     r = build_emission_matrix(cfg.params)
-    with _open_output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["emitted", "given_neg", "given_zero", "given_pos"])
-        for i, symbol in enumerate((-1, 0, 1)):
-            writer.writerow([symbol] + [_fmt(float(r[i, j])) for j in range(3)])
+    rows = ([symbol] + [_fmt(float(v)) for v in r[i]] for i, symbol in enumerate((-1, 0, 1)))
+    _write_csv(args.output, ["emitted", "given_neg", "given_zero", "given_pos"], rows)
     _summary(
         "emission",
         delta_neg_zero=thresholds.delta_neg_zero,
@@ -110,11 +108,11 @@ def _cmd_detect(args) -> int:
     series = load_measurements(args.input)
     thresholds = compute_thresholds(cfg.params)
     symbols = classify(series.z_hz, thresholds)
-    with _open_output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([series.index_name, "z_hz", "x"])
-        for idx, z, x in zip(series.index, series.z_hz, symbols):
-            writer.writerow([_fmt_index(float(idx)), _fmt(float(z)), int(x)])
+    rows = (
+        [_fmt_index(float(idx)), _fmt(float(z)), int(x)]
+        for idx, z, x in zip(series.index, series.z_hz, symbols)
+    )
+    _write_csv(args.output, [series.index_name, "z_hz", "x"], rows)
     _summary("detect", rows=symbols.size)
     return 0
 
@@ -126,11 +124,11 @@ def _cmd_decode(args) -> int:
     thresholds = compute_thresholds(cfg.params)
     symbols = classify(series.z_hz, thresholds)
     states = viterbi_decode(symbols, model)
-    with _open_output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([series.index_name, "z_hz", "x", "s_star"])
-        for idx, z, x, s in zip(series.index, series.z_hz, symbols, states):
-            writer.writerow([_fmt_index(float(idx)), _fmt(float(z)), int(x), int(s)])
+    rows = (
+        [_fmt_index(float(idx)), _fmt(float(z)), int(x), int(s)]
+        for idx, z, x, s in zip(series.index, series.z_hz, symbols, states)
+    )
+    _write_csv(args.output, [series.index_name, "z_hz", "x", "s_star"], rows)
     _summary("decode", rows=symbols.size)
     return 0
 
@@ -143,11 +141,11 @@ def _cmd_simulate(args) -> int:
     hidden = simulate_states(model, cfg.length, rng)
     z = synthesize_measurements(hidden, cfg.params, rng)
     symbols = classify(z, compute_thresholds(cfg.params))
-    with _open_output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["k", "s", "z_hz", "x"])
-        for k in range(cfg.length):
-            writer.writerow([k + 1, int(hidden[k]), _fmt(float(z[k])), int(symbols[k])])
+    rows = (
+        [k, int(s), _fmt(float(v)), int(x)]
+        for k, s, v, x in zip(range(1, cfg.length + 1), hidden, z, symbols)
+    )
+    _write_csv(args.output, ["k", "s", "z_hz", "x"], rows)
     _summary("simulate", k=cfg.length, seed=seed)
     return 0
 
@@ -158,16 +156,14 @@ def _cmd_montecarlo(args) -> int:
     trials = args.trials if args.trials is not None else cfg.trials
     model = cfg.model()
     summary = run_monte_carlo(model, cfg.length, trials, seed, threads=args.threads)
-    with _open_output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["field", "bin", "ht", "va"])
-        writer.writerow(["trials", "", summary.trials, summary.trials])
-        writer.writerow(["mean_pct", "", _fmt(summary.ht_mean), _fmt(summary.va_mean)])
-        writer.writerow(["std_pct", "", _fmt(summary.ht_std), _fmt(summary.va_std)])
-        for b in range(summary.histogram_ht.size):
-            writer.writerow(
-                ["hist", b, int(summary.histogram_ht[b]), int(summary.histogram_va[b])]
-            )
+    rows = [
+        ["trials", "", summary.trials, summary.trials],
+        ["mean_pct", "", _fmt(summary.ht_mean), _fmt(summary.va_mean)],
+        ["std_pct", "", _fmt(summary.ht_std), _fmt(summary.va_std)],
+    ]
+    hist = zip(summary.histogram_ht, summary.histogram_va)
+    rows += [["hist", b, int(ht), int(va)] for b, (ht, va) in enumerate(hist)]
+    _write_csv(args.output, ["field", "bin", "ht", "va"], rows)
     _summary(
         "montecarlo",
         trials=summary.trials,
@@ -187,19 +183,18 @@ def _cmd_sweep(args) -> int:
     points = detection_sweep(
         cfg.params, snr_db_grid=cfg.snr_db_grid, sigma_grid=cfg.sigma_grid
     )
-    degenerate = 0
-    with _open_output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["snr_db", "sigma", "pd_neg", "pd_zero", "pd_pos"])
+
+    def rows():
+        # Notes go out as their rows are written, so none precede an unwritable --output.
         for pt in points:
             if pt.detection is None:
-                degenerate += 1
                 print(f"note: snr_db={_fmt(pt.snr_db)}: {pt.note}", file=sys.stderr)
-                row = [_fmt(pt.snr_db), _fmt(pt.sigma)] + ["nan"] * 3
+                yield [_fmt(pt.snr_db), _fmt(pt.sigma)] + ["nan"] * 3
             else:
-                row = [_fmt(pt.snr_db), _fmt(pt.sigma)] + [_fmt(v) for v in pt.detection]
-            writer.writerow(row)
-    _summary("sweep", points=len(points), degenerate=degenerate)
+                yield [_fmt(pt.snr_db), _fmt(pt.sigma)] + [_fmt(v) for v in pt.detection]
+
+    _write_csv(args.output, ["snr_db", "sigma", "pd_neg", "pd_zero", "pd_pos"], rows())
+    _summary("sweep", points=len(points), degenerate=sum(pt.detection is None for pt in points))
     return 0
 
 
@@ -212,13 +207,9 @@ def _cmd_predict(args) -> int:
         problems.append("'horizon' is required for predict")
     if problems:
         raise ConfigError(problems)
-    v = np.array(cfg.params.priors)
-    with _open_output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["m", "p_neg", "p_zero", "p_pos"])
-        for m in range(cfg.horizon + 1):
-            writer.writerow([m] + [_fmt(float(p)) for p in v])
-            v = v @ cfg.transitions
+    forecasts = _propagate(np.array(cfg.params.priors), cfg.transitions, cfg.horizon)
+    rows = ([m] + [_fmt(float(p)) for p in v] for m, v in enumerate(forecasts))
+    _write_csv(args.output, ["m", "p_neg", "p_zero", "p_pos"], rows)
     _summary("predict", horizon=cfg.horizon)
     return 0
 
@@ -245,7 +236,11 @@ def _build_parser() -> _Parser:
                 "--trials", type=_positive_int, default=None, help="override the config trial count"
             )
             p.add_argument(
-                "--threads", type=_positive_int, default=1, help="worker threads (default 1)"
+                "--threads",
+                type=_positive_int,
+                default=1,
+                help="validated (>= 1) but unused: trials run serially and the output"
+                " does not depend on it (default 1)",
             )
         p.set_defaults(handler=handler)
         return p

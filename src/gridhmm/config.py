@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .detector import DetectorParams
-from .model import SUM_TOL, HmmModel, _matrix_violation, build_emission_matrix
+from .gaussian import SUM_TOL, _matrix_violation
+from .model import HmmModel, build_emission_matrix
 
 __all__ = [
     "ConfigError",

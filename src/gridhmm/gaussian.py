@@ -24,7 +24,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-_WEIGHT_SUM_TOL = 1e-9
+# Tolerance for user-supplied probability vectors summing to 1.
+SUM_TOL = 1e-9
 
 
 def probability(value: float) -> float:
@@ -101,18 +102,61 @@ def sample_gaussian(mean, sigma: float, rng: RngStream, size=None):
     return out
 
 
+def _vector_violation(vec: np.ndarray, name: str, tol: float) -> str | None:
+    """First probability-vector violation in ``vec``, or None.
+
+    ``tol`` loosens the sum and the upper bound only: a negative entry,
+    however small, has a NaN logarithm and is always rejected.
+    """
+    if not np.all(np.isfinite(vec)):
+        return f"{name} has a non-finite entry"
+    low = np.flatnonzero(vec < 0.0)
+    if low.size:
+        i = int(low[0])
+        return f"{name}[{i}] = {float(vec[i]):.12g} is negative"
+    high = np.flatnonzero(vec > 1.0 + tol)
+    if high.size:
+        i = int(high[0])
+        return f"{name}[{i}] = {float(vec[i]):.12g} exceeds 1"
+    total = float(vec.sum())
+    if abs(total - 1.0) > tol:
+        return f"{name} sums to {total:.12g}, off by {abs(total - 1.0):.3e} (> {tol})"
+    return None
+
+
+def _matrix_violation(mat: np.ndarray, name: str, sum_axis: int, tol: float) -> str | None:
+    """First stochasticity violation in ``mat``, or None.
+
+    ``sum_axis=1`` checks row sums (transition matrices), ``sum_axis=0``
+    column sums (emission matrices).  Entry bounds are those of
+    :func:`_vector_violation`.
+    """
+    if not np.all(np.isfinite(mat)):
+        return f"{name} has a non-finite entry"
+    bad = np.argwhere((mat < 0.0) | (mat > 1.0 + tol))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        return f"{name}[{i}, {j}] = {float(mat[i, j]):.12g} is outside [0, 1]"
+    sums = mat.sum(axis=sum_axis)
+    off = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    if off.size:
+        i = int(off[0])
+        kind = "row" if sum_axis == 1 else "column"
+        return (
+            f"{name} {kind} {i} sums to {float(sums[i]):.12g},"
+            f" off by {abs(float(sums[i]) - 1.0):.3e} (> {tol})"
+        )
+    return None
+
+
 def _cumulative(weights) -> np.ndarray:
     """Validated cumulative weight vector with final entry exactly 1.0."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.any(w < 0.0):
-        raise ValueError(f"weights must be non-negative, got {w.tolist()}")
-    total = float(w.sum())
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got sum {total!r}")
+    problem = _vector_violation(w, "weights", SUM_TOL)
+    if problem is not None:
+        raise ValueError(problem)
     cum = np.cumsum(w)
     cum /= cum[-1]  # last entry becomes exactly 1.0, so u < 1 always lands in range
     return cum

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorParams, compute_thresholds, q_function
+from .gaussian import SUM_TOL, _matrix_violation, _vector_violation
 
 __all__ = [
     "HmmModel",
@@ -26,9 +27,6 @@ __all__ = [
 ]
 
 N_STATES = 3
-
-# Tolerance for user-supplied probability vectors summing to 1.
-SUM_TOL = 1e-9
 
 
 class InvalidModelError(ValueError):
@@ -92,47 +90,6 @@ def build_emission_matrix(params: DetectorParams) -> np.ndarray:
         out[1, j] = tail_nz - tail_zp
         out[2, j] = tail_zp
     return out
-
-
-def _vector_violation(vec: np.ndarray, name: str, tol: float) -> str | None:
-    if not np.all(np.isfinite(vec)):
-        return f"{name} has a non-finite entry"
-    low = np.flatnonzero(vec < -tol)
-    if low.size:
-        i = int(low[0])
-        return f"{name}[{i}] = {float(vec[i]):.12g} is negative"
-    high = np.flatnonzero(vec > 1.0 + tol)
-    if high.size:
-        i = int(high[0])
-        return f"{name}[{i}] = {float(vec[i]):.12g} exceeds 1"
-    total = float(vec.sum())
-    if abs(total - 1.0) > tol:
-        return f"{name} sums to {total:.12g}, off by {abs(total - 1.0):.3e} (> {tol})"
-    return None
-
-
-def _matrix_violation(mat: np.ndarray, name: str, sum_axis: int, tol: float) -> str | None:
-    """First stochasticity violation in ``mat``, or None.
-
-    ``sum_axis=1`` checks row sums (transition matrices), ``sum_axis=0``
-    column sums (emission matrices).
-    """
-    if not np.all(np.isfinite(mat)):
-        return f"{name} has a non-finite entry"
-    bad = np.argwhere((mat < -tol) | (mat > 1.0 + tol))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        return f"{name}[{i}, {j}] = {float(mat[i, j]):.12g} is outside [0, 1]"
-    sums = mat.sum(axis=sum_axis)
-    off = np.flatnonzero(np.abs(sums - 1.0) > tol)
-    if off.size:
-        i = int(off[0])
-        kind = "row" if sum_axis == 1 else "column"
-        return (
-            f"{name} {kind} {i} sums to {float(sums[i]):.12g},"
-            f" off by {abs(float(sums[i]) - 1.0):.3e} (> {tol})"
-        )
-    return None
 
 
 def validate(model: HmmModel, tol: float = SUM_TOL) -> str | None:

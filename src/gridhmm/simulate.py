@@ -4,13 +4,13 @@ Reproducibility convention: every function that draws randomness takes
 an :class:`~gridhmm.gaussian.RngStream` and consumes a documented
 number of variates from it, so callers can reason about stream state.
 The Monte Carlo driver derives one stream per trial index from a base
-seed, which makes results independent of execution order and thread
-count.
+seed, which makes results independent of execution order.  Trials run
+serially; the ``threads`` argument is validated but changes neither
+execution nor output.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,8 +21,9 @@ from .detector import (
     compute_thresholds,
     detection_probabilities,
 )
-from .gaussian import RngStream, _cumulative, _invert, sample_gaussian
-from .model import SUM_TOL, HmmModel, _matrix_violation, _vector_violation, require_valid
+from .gaussian import SUM_TOL, RngStream, _cumulative, _invert, sample_gaussian
+from .gaussian import _matrix_violation, _vector_violation
+from .model import HmmModel, require_valid
 from .viterbi import _symbol_indices, viterbi_decode
 
 __all__ = [
@@ -199,8 +200,9 @@ def run_monte_carlo(
     """Accuracy statistics of both estimators over independent trials.
 
     Trial t runs on ``RngStream(base_seed, stream_index=t)``, so the
-    result is a pure function of (model, length, trials, base_seed):
-    thread count affects wall time only.
+    result is a pure function of (model, length, trials, base_seed).
+    Trials run serially in index order; ``threads`` must be >= 1 but
+    changes neither execution nor the result.
     """
     require_valid(model)
     trials = int(trials)
@@ -217,14 +219,7 @@ def run_monte_carlo(
             int(np.count_nonzero(res.decoded == res.hidden)),
         )
 
-    if threads == 1:
-        pairs = [matches(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(matches, range(trials)))
-
-    ht_counts = np.array([p[0] for p in pairs], dtype=np.int64)
-    va_counts = np.array([p[1] for p in pairs], dtype=np.int64)
+    ht_counts, va_counts = np.array([matches(t) for t in range(trials)], dtype=np.int64).T
     ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, int(length))
     va_mean, va_std, va_hist = _percent_stats(va_counts, int(length))
     return MonteCarloSummary(
@@ -314,6 +309,14 @@ class PredictionVector:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
 
 
+def _propagate(v: np.ndarray, p: np.ndarray, steps: int):
+    """Yield ``v``, then each of ``steps`` forward steps ``v <- v P`` in turn."""
+    yield v
+    for _ in range(steps):
+        v = v @ p
+        yield v
+
+
 def predict(transitions, initial, horizon: int) -> PredictionVector:
     """Occupancy distribution after ``horizon`` steps of the chain.
 
@@ -337,9 +340,8 @@ def predict(transitions, initial, horizon: int) -> PredictionVector:
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    out = v.copy()
-    for _ in range(horizon):
-        out = out @ p
+    for out in _propagate(v.copy(), p, horizon):
+        pass
     return PredictionVector(probs=out, horizon=horizon)
 
 
@@ -357,10 +359,8 @@ def expected_ht_accuracy(model: HmmModel, length: int) -> float:
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     occupancy = np.zeros(3)
-    v = model.initial.copy()
-    for _ in range(length):
+    for v in _propagate(model.initial, model.transitions, length - 1):
         occupancy += v
-        v = v @ model.transitions
     occupancy /= length
     # Clamp away float drift from repeated propagation; the result is a probability.
     return float(min(max(occupancy @ np.diagonal(model.emissions), 0.0), 1.0))

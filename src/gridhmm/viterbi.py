@@ -116,16 +116,13 @@ def compute_trellis(symbols, model: HmmModel) -> Trellis:
     return Trellis(scores, back)
 
 
-def _first_dead_step(x: np.ndarray, log_init, log_trans, log_emit) -> int:
-    """0-based index of the first step whose trellis column is all -inf."""
-    reach = log_init + log_emit[x[0]]
-    if np.all(np.isneginf(reach)):
-        return 0
-    for k in range(1, x.size):
-        reach = (reach[:, None] + log_trans).max(axis=0) + log_emit[x[k]]
-        if np.all(np.isneginf(reach)):
-            return k
-    raise AssertionError("called on a feasible observation sequence")
+def _infeasible(symbols, model: HmmModel) -> InfeasibleObservationError:
+    """Error citing the first step whose forward-trellis row is all -inf."""
+    dead = np.all(np.isneginf(compute_trellis(symbols, model).log_scores), axis=1)
+    return InfeasibleObservationError(
+        "no state sequence has positive probability; every path dies at step"
+        f" {int(np.argmax(dead))}"
+    )
 
 
 def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
@@ -154,10 +151,7 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     head = log_init + log_emit[x[0]] + to_go[0]
     best = float(head.max())
     if not np.isfinite(best):
-        step = _first_dead_step(x, log_init, log_trans, log_emit)
-        raise InfeasibleObservationError(
-            f"no state sequence has positive probability; every path dies at step {step}"
-        )
+        raise _infeasible(symbols, model)
 
     out = np.empty(n, dtype=np.int64)
     out[0] = int(np.argmax(head >= best - TIE_EPS))
@@ -195,9 +189,6 @@ def brute_force_mlse(symbols, model: HmmModel) -> np.ndarray:
         scores = scores + log_trans[idx[:, k - 1], idx[:, k]] + log_emit[x[k], idx[:, k]]
     top = float(scores.max())
     if not np.isfinite(top):
-        step = _first_dead_step(x, log_init, log_trans, log_emit)
-        raise InfeasibleObservationError(
-            f"no state sequence has positive probability; every path dies at step {step}"
-        )
+        raise _infeasible(symbols, model)
     winner = int(np.argmax(scores >= top - TIE_EPS))
     return idx[winner] - 1

@@ -290,6 +290,23 @@ def test_infeasible_decode_exits_1(tmp_path, capsys):
     assert "step" in err
 
 
+def test_tiny_negative_transition_exits_1_without_traceback(tmp_path):
+    # -5e-10 is inside the sum tolerance; its log would be NaN in the decoder.
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CFG.replace("0.2 0.7 0.1", "1.0000000005 -0.0000000005 0"))
+    m = tmp_path / "m.csv"
+    m.write_text("k,z_hz\n1,50.0\n2,51.0\n")
+    for command in (["decode", "--input", str(m)], ["simulate"], ["montecarlo"], ["predict"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridhmm", *command, "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, command
+        assert "error:" in proc.stderr and "[transitions][0, 1]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_1(cfg, capsys):
     # Missing required option.
     code, _, err = run_cli(capsys, "detect", "--config", cfg)

@@ -143,6 +143,13 @@ def test_sample_categorical_degenerate():
     assert all(gh.sample_categorical([0.0, 1.0, 0.0], rng) == 1 for _ in range(200))
 
 
+def test_sample_categorical_rejects_tiny_negative_weight():
+    # The weights sum to 1 within tolerance, but no negative entry is a
+    # probability; the message is the shared probability-vector check's.
+    with pytest.raises(ValueError, match=r"weights\[1\] = -5e-10 is negative"):
+        gh.sample_categorical([1 + 5e-10, -5e-10, 0.0], gh.RngStream(0, 0))
+
+
 def test_sample_categorical_zero_weight_never_drawn():
     rng = gh.RngStream(9, 0)
     draws = gh.sample_categorical([0.5, 0.0, 0.5], rng, size=20_000)

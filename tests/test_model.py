@@ -97,6 +97,20 @@ def test_validate_reports_first_violation(ref_params):
         gh.require_valid(model)
 
 
+@pytest.mark.parametrize("slot", ["transitions", "emissions", "initial"])
+def test_validate_rejects_tiny_negative_entry(ref_params, slot):
+    # -5e-10 is inside the sum tolerance, but its log is NaN rather than -inf.
+    p = REFERENCE_P.copy()
+    r = gh.build_emission_matrix(ref_params)
+    pi = np.array([0.1, 0.8, 0.1])
+    {"transitions": p[0], "emissions": r[:, 0], "initial": pi}[slot][:] = [1 + 5e-10, -5e-10, 0]
+    model = gh.HmmModel(transitions=p, emissions=r, initial=pi)
+    report = gh.validate_model(model)
+    assert report is not None and slot in report and "-5e-10" in report
+    with pytest.raises(gh.InvalidModelError):
+        gh.require_valid(model)
+
+
 def test_validate_catches_emission_orientation_mixup(ref_params):
     # a row-stochastic matrix in the emission slot must be rejected
     r = gh.build_emission_matrix(ref_params)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
 from contextlib import nullcontext
 
@@ -23,6 +24,7 @@ from .model import build_emission_matrix
 from .simulate import (
     _propagate,
     detection_sweep,
+    expected_ht_accuracy,
     run_monte_carlo,
     simulate_states,
     synthesize_measurements,
@@ -164,6 +166,9 @@ def _cmd_montecarlo(args) -> int:
     hist = zip(summary.histogram_ht, summary.histogram_va)
     rows += [["hist", b, int(ht), int(va)] for b, (ht, va) in enumerate(hist)]
     _write_csv(args.output, ["field", "bin", "ht", "va"], rows)
+    # Analytic cross-check: the z-score of ht_mean against its expectation (nan if ht_std is 0).
+    ht_expected = 100.0 * expected_ht_accuracy(model, cfg.length)
+    ht_sem = summary.ht_std / math.sqrt(summary.trials)
     _summary(
         "montecarlo",
         trials=summary.trials,
@@ -172,6 +177,8 @@ def _cmd_montecarlo(args) -> int:
         threads=args.threads,
         ht_mean=summary.ht_mean,
         va_mean=summary.va_mean,
+        ht_expected=ht_expected,
+        ht_z=(summary.ht_mean - ht_expected) / ht_sem if ht_sem > 0.0 else math.nan,
     )
     return 0
 
@@ -239,7 +246,7 @@ def _build_parser() -> _Parser:
                 "--threads",
                 type=_positive_int,
                 default=1,
-                help="validated (>= 1) but unused: trials run serially and the output"
+                help="validated (>= 1) but unused: trials run in one process and the output"
                 " does not depend on it (default 1)",
             )
         p.set_defaults(handler=handler)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import probability, q_function
+from .gaussian import SUM_TOL, probability, q_function
 
 __all__ = [
     "STATES",
@@ -46,7 +46,7 @@ class DetectorParams:
 
     ``m_neg < m_zero < m_pos`` is required (strictly), sigma must be
     positive, and the three prior weights must be strictly positive and
-    sum to 1 within 1e-9.  Zero priors are rejected because the log
+    sum to 1 within ``SUM_TOL``.  Zero priors are rejected because the log
     prior ratio enters the thresholds.
     """
 
@@ -76,8 +76,8 @@ class DetectorParams:
             if not (math.isfinite(p) and p > 0.0):
                 raise ValueError(f"priors must be strictly positive, got {pri}")
         total = pri[0] + pri[1] + pri[2]
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"priors must sum to 1 within 1e-9, got sum {total!r}")
+        if abs(total - 1.0) > SUM_TOL:
+            raise ValueError(f"priors must sum to 1 within {SUM_TOL}, got sum {total!r}")
         object.__setattr__(self, "priors", pri)
 
     @property

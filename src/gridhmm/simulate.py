@@ -5,13 +5,19 @@ an :class:`~gridhmm.gaussian.RngStream` and consumes a documented
 number of variates from it, so callers can reason about stream state.
 The Monte Carlo driver derives one stream per trial index from a base
 seed, which makes results independent of execution order.  Trials run
-serially; the ``threads`` argument is validated but changes neither
+batched: one kernel samples, emits and decodes a chunk of trials as
+arrays, looping over the K steps with vector operations across the
+trials.  Each trial still reads its own stream in the order the
+single-sequence functions do, and every sum is formed in the same
+order, so the output is the same bit for bit as running the trials one
+by one.  The ``threads`` argument is validated but changes neither
 execution nor output.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from .detector import (
 from .gaussian import SUM_TOL, RngStream, _cumulative, _invert, sample_gaussian
 from .gaussian import _matrix_violation, _vector_violation
 from .model import HmmModel, require_valid
-from .viterbi import _symbol_indices, viterbi_decode
+from .viterbi import TIE_EPS, _infeasible, _log_params, _symbol_indices, viterbi_decode
 
 __all__ = [
     "HIST_BINS",
@@ -45,6 +51,13 @@ __all__ = [
 
 # Accuracy histograms bin whole percentage points: [0,1), [1,2), ..., plus {100}.
 HIST_BINS = 101
+
+# Steps (trials x K) per batch of the Monte Carlo kernel.  Its working
+# arrays peak at about 140 bytes per step, so a batch needs about half a
+# megabyte, while the vector operations across trials (40 of them at
+# K=100) still amortise the per-step interpreter overhead.  A batch
+# holds at least one trial, however long.
+_BATCH_STEPS = 2**12
 
 
 def simulate_states(model: HmmModel, length: int, rng: RngStream) -> np.ndarray:
@@ -86,12 +99,25 @@ def emit_symbols(hidden, emissions, rng: RngStream) -> np.ndarray:
     if problem is not None:
         raise ValueError(problem)
     hid = _symbol_indices(hidden, "hidden")
-    cum = np.cumsum(r, axis=0)
-    cum /= cum[-1:, :]
     u = rng.generator.random(hid.size)
-    picked = cum[:, hid]  # (3, K): cumulative column of each position's true state
-    out = (picked <= u[None, :]).sum(axis=0)
-    return out.astype(np.int64) - 1
+    return _emit(_emission_cdf(r), hid, u) - 1
+
+
+def _emission_cdf(emissions: np.ndarray) -> np.ndarray:
+    """Column-wise cumulative emission matrix with last row exactly 1.0."""
+    cum = np.cumsum(emissions, axis=0)
+    cum /= cum[-1:, :]
+    return cum
+
+
+def _emit(cum: np.ndarray, hid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symbol indices by inversion of the emission column of each true state.
+
+    ``hid`` holds true state indices and ``u`` one uniform per entry, in
+    any shape; the result has that shape.
+    """
+    picked = cum[:, hid]  # picked[:, ...]: cumulative column of each entry's true state
+    return (picked <= u[None]).sum(axis=0).astype(np.int64)
 
 
 def synthesize_measurements(hidden, params: DetectorParams, rng: RngStream) -> np.ndarray:
@@ -131,11 +157,113 @@ class TrialResult:
     va_accuracy: float
 
 
+class _Tables(NamedTuple):
+    """Sampling and decoding tables of a model, built once per run."""
+
+    cum_init: np.ndarray  # (3,) cumulative initial law
+    cum_trans: np.ndarray  # (3, 3) cumulative transition rows
+    cum_emit: np.ndarray  # (3, 3) cumulative emission columns
+    log_init: np.ndarray
+    log_trans: np.ndarray
+    log_emit: np.ndarray
+
+    @classmethod
+    def of(cls, model: HmmModel) -> "_Tables":
+        return cls(
+            _cumulative(model.initial),
+            np.array([_cumulative(row) for row in model.transitions]),
+            _emission_cdf(model.emissions),
+            *_log_params(model),
+        )
+
+
+def _follow(table: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Paths through per-step state maps, one per trial, as a (K, T) array.
+
+    ``path[0] = first`` and ``path[k] = table[k, path[k - 1], t]`` for
+    trial t, where ``table`` is (K, 3, T).
+    """
+    path = np.empty((table.shape[0], first.size), dtype=np.int64)
+    path[0] = first
+    trial = np.arange(first.size)
+    for k in range(1, table.shape[0]):
+        path[k] = table[k, path[k - 1], trial]
+    return path
+
+
+def _run_batch(
+    model: HmmModel, tables: _Tables, length: int, streams: list[RngStream]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hidden, emitted and decoded state indices (0..2) of one trial per stream.
+
+    Row t of each ``(T, K)`` result is what :func:`simulate_states`,
+    :func:`emit_symbols` and :func:`~gridhmm.viterbi.viterbi_decode`
+    give for ``streams[t]``, bit for bit.  Each stream supplies K
+    uniforms for the states, then K for the emissions.  State inversion
+    counts cumulative entries <= u, as ``searchsorted(side="right")``
+    does.  Both Viterbi passes add the same terms in the same order and
+    apply the same ``TIE_EPS`` rule.  Work runs step-major, (K, ., T),
+    so that the only Python loops, over K, act on whole trial vectors.
+    Each step's successor of every state is computed up front, for the
+    sampled chain and for the decoded path alike, which leaves
+    :func:`_follow` a table lookup per step.  The model is not
+    validated here.
+    """
+    n_trials = len(streams)
+    u_state = np.empty((n_trials, length))
+    u_emit = np.empty((n_trials, length))
+    for t, rng in enumerate(streams):
+        rng.generator.random(out=u_state[t])
+        rng.generator.random(out=u_emit[t])
+    u_state, u_emit = u_state.T, u_emit.T
+
+    # nxt[k, i, t]: the state at step k of trial t when step k-1 is in state i.
+    below = tables.cum_trans[None, :, :, None] <= u_state[:, None, None, :]
+    nxt = below.sum(axis=2, dtype=np.int8)
+    hidden = _follow(nxt, (tables.cum_init[:, None] <= u_state[0]).sum(axis=0))
+    emitted = _emit(tables.cum_emit, hidden, u_emit)
+
+    log_init, log_trans, log_emit = tables.log_init, tables.log_trans, tables.log_emit
+    le = log_emit.T[:, emitted].transpose(1, 0, 2)  # le[k, j, t] = log_emit[emitted[k, t], j]
+    # to_go[k, j, t]: best log score of the path suffix after step k, given state j at k.
+    to_go = np.zeros((length, 3, n_trials))
+    trans_ji = log_trans.T[:, :, None]
+    for k in range(length - 2, -1, -1):
+        cand = trans_ji + (le[k + 1] + to_go[k + 1])[:, None, :]  # cand[j, i, t]: from i into j
+        cand.max(axis=0, out=to_go[k])
+
+    head = log_init[:, None] + le[0] + to_go[0]
+    best = head.max(axis=0)
+    dead = np.flatnonzero(~np.isfinite(best))
+    if dead.size:
+        raise _infeasible(emitted[:, dead[0]] - 1, model)
+    # choice[k, i, t]: the decoded state at step k of trial t when step k-1 is in state i.
+    choice = np.zeros((length, 3, n_trials), dtype=np.int8)
+    for i in range(3):
+        cand = log_trans[i][None, :, None] + le[1:] + to_go[1:]  # cand[k-1, j, t]: i into j
+        choice[1:, i] = np.argmax(cand >= cand.max(axis=1, keepdims=True) - TIE_EPS, axis=1)
+    decoded = _follow(choice, np.argmax(head >= best - TIE_EPS, axis=0))
+    return hidden.T, emitted.T, decoded.T
+
+
+def _check_length(length) -> int:
+    length = int(length)
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    return length
+
+
 def run_trial(model: HmmModel, length: int, rng: RngStream) -> TrialResult:
-    """Simulate one hidden path, emit symbols, decode, and score both ways."""
-    hidden = simulate_states(model, length, rng)
-    emitted = emit_symbols(hidden, model.emissions, rng)
-    decoded = viterbi_decode(emitted, model)
+    """Simulate one hidden path, emit symbols, decode, and score both ways.
+
+    Equals :func:`simulate_states`, then :func:`emit_symbols`, then
+    :func:`~gridhmm.viterbi.viterbi_decode` on ``rng``, and consumes the
+    same ``2 * length`` uniforms from it.
+    """
+    require_valid(model)
+    length = _check_length(length)
+    batch = _run_batch(model, _Tables.of(model), length, [rng])
+    hidden, emitted, decoded = (a[0] - 1 for a in batch)
     return TrialResult(
         hidden=hidden,
         emitted=emitted,
@@ -201,8 +329,11 @@ def run_monte_carlo(
 
     Trial t runs on ``RngStream(base_seed, stream_index=t)``, so the
     result is a pure function of (model, length, trials, base_seed).
-    Trials run serially in index order; ``threads`` must be >= 1 but
-    changes neither execution nor the result.
+    Trials go through one batched kernel, about ``_BATCH_STEPS`` steps
+    (trials x length) at a time, and each trial's result equals
+    :func:`run_trial` on its stream.  The model is validated once per
+    call.  ``threads`` must be >= 1 but changes neither execution nor
+    the result.
     """
     require_valid(model)
     trials = int(trials)
@@ -211,17 +342,20 @@ def run_monte_carlo(
     threads = int(threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    length = _check_length(length)
 
-    def matches(t: int) -> tuple[int, int]:
-        res = run_trial(model, length, RngStream(base_seed, stream_index=t))
-        return (
-            int(np.count_nonzero(res.emitted == res.hidden)),
-            int(np.count_nonzero(res.decoded == res.hidden)),
-        )
-
-    ht_counts, va_counts = np.array([matches(t) for t in range(trials)], dtype=np.int64).T
-    ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, int(length))
-    va_mean, va_std, va_hist = _percent_stats(va_counts, int(length))
+    tables = _Tables.of(model)
+    batch = max(1, _BATCH_STEPS // length)
+    ht_counts = np.empty(trials, dtype=np.int64)
+    va_counts = np.empty(trials, dtype=np.int64)
+    for first in range(0, trials, batch):
+        last = min(first + batch, trials)
+        streams = [RngStream(base_seed, stream_index=t) for t in range(first, last)]
+        hidden, emitted, decoded = _run_batch(model, tables, length, streams)
+        ht_counts[first:last] = np.count_nonzero(emitted == hidden, axis=1)
+        va_counts[first:last] = np.count_nonzero(decoded == hidden, axis=1)
+    ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, length)
+    va_mean, va_std, va_hist = _percent_stats(va_counts, length)
     return MonteCarloSummary(
         trials=trials,
         ht_mean=ht_mean,
@@ -355,9 +489,7 @@ def expected_ht_accuracy(model: HmmModel, length: int) -> float:
     independent check on Monte Carlo estimates.
     """
     require_valid(model)
-    length = int(length)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    length = _check_length(length)
     occupancy = np.zeros(3)
     for v in _propagate(model.initial, model.transitions, length - 1):
         occupancy += v

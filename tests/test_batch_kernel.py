@@ -1,0 +1,93 @@
+"""The trial-batched Monte Carlo kernel against the single-sequence functions.
+
+For every trial of a batch, the kernel's hidden, emitted and decoded
+rows must equal ``simulate_states``, ``emit_symbols`` and
+``viterbi_decode`` run one after the other on the same stream, bit for
+bit, and the stream must be left where those calls leave it.
+"""
+import numpy as np
+import pytest
+
+import gridhmm as gh
+from gridhmm import simulate
+
+STICKY_P = np.array([[0.9, 0.1, 0.0], [0.05, 0.9, 0.05], [0.0, 0.1, 0.9]])
+STICKY_PARAMS = gh.DetectorParams(
+    m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.35, priors=(0.1, 0.8, 0.1)
+)
+
+MODELS = {
+    "sticky": gh.HmmModel(
+        transitions=STICKY_P,
+        emissions=gh.build_emission_matrix(STICKY_PARAMS),
+        initial=np.array([0.1, 0.8, 0.1]),
+    ),
+    "identity": gh.HmmModel(
+        transitions=STICKY_P, emissions=np.eye(3), initial=np.array([0.1, 0.8, 0.1])
+    ),
+    # Records sampled from this model have steps where two successors
+    # score equally (18 such steps in the 11 x 37 batch below), so the
+    # TIE_EPS rule decides them.
+    "tie": gh.HmmModel(
+        transitions=np.array([[0.2, 0.5, 0.3], [0.05, 0.9, 0.05], [0.5, 0.5, 0.0]]),
+        emissions=np.array([[0.5, 0.0, 0.5], [0.5, 0.9, 0.5], [0.0, 0.1, 0.0]]),
+        initial=np.array([0.5, 0.2, 0.3]),
+    ),
+}
+
+
+def reference(model, length, rng):
+    hidden = gh.simulate_states(model, length, rng)
+    emitted = gh.emit_symbols(hidden, model.emissions, rng)
+    return hidden, emitted, gh.viterbi_decode(emitted, model)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("length", [1, 2, 37])
+def test_batch_rows_equal_single_sequence_functions(name, length):
+    model = MODELS[name]
+    trials = 11
+    streams = [gh.RngStream(5, stream_index=t) for t in range(trials)]
+    batch = simulate._run_batch(model, simulate._Tables.of(model), length, streams)
+    for t in range(trials):
+        rng = gh.RngStream(5, stream_index=t)
+        want = reference(model, length, rng)
+        for got, expected in zip(batch, want):
+            assert got.shape == (trials, length)
+            assert np.array_equal(got[t] - 1, expected)
+        assert streams[t].generator.random() == rng.generator.random()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_monte_carlo_batches_do_not_change_the_summary(name, monkeypatch):
+    model = MODELS[name]
+    length, trials = 20, 17
+    whole = gh.run_monte_carlo(model, length, trials, base_seed=4)
+    # 17 trials in batches of 5: the last batch is partial.
+    monkeypatch.setattr(simulate, "_BATCH_STEPS", 5 * length)
+    batched = gh.run_monte_carlo(model, length, trials, base_seed=4)
+    ht, va = [], []
+    for t in range(trials):
+        hidden, emitted, decoded = reference(model, length, gh.RngStream(4, stream_index=t))
+        ht.append(np.count_nonzero(emitted == hidden) * 100.0 / length)
+        va.append(np.count_nonzero(decoded == hidden) * 100.0 / length)
+    for summary in (whole, batched):
+        assert summary.ht_mean == float(np.mean(ht))
+        assert summary.va_mean == float(np.mean(va))
+        assert summary.ht_std == float(np.std(ht))
+        assert summary.va_std == float(np.std(va))
+    assert np.array_equal(whole.histogram_ht, batched.histogram_ht)
+    assert np.array_equal(whole.histogram_va, batched.histogram_va)
+
+
+def test_monte_carlo_validates_the_model_once(monkeypatch):
+    calls = []
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return gh.require_valid(model, *args, **kwargs)
+
+    for module in ("simulate", "viterbi"):
+        monkeypatch.setattr(f"gridhmm.{module}.require_valid", counting)
+    gh.run_monte_carlo(MODELS["sticky"], 20, 30, base_seed=1)
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, determinism, exit codes."""
 import csv
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -165,6 +166,30 @@ def test_montecarlo_csv_reparses(cfg, capsys):
     assert sum(int(r[2]) for r in hist) == 40
     assert sum(int(r[3]) for r in hist) == 40
     assert "command=montecarlo" in err and "trials=40" in err
+
+
+def test_montecarlo_status_reports_analytic_cross_check(cfg, capsys):
+    code, out, err = run_cli(capsys, "montecarlo", "--config", cfg)
+    assert code == 0
+    status = [line for line in err.splitlines() if line.startswith("status=ok")][-1]
+    fields = dict(part.split("=", 1) for part in status.split())
+    conf = gh.parse_config(cfg)
+    expected = 100.0 * gh.expected_ht_accuracy(conf.model(), conf.length)
+    assert float(fields["ht_expected"]) == expected
+    _, rows = parse_csv(out)
+    ht_mean, ht_std = float(rows[1][2]), float(rows[2][2])
+    assert float(fields["ht_z"]) == (ht_mean - expected) / (ht_std / math.sqrt(40))
+    assert abs(float(fields["ht_z"])) < 5.0
+
+
+def test_montecarlo_status_z_is_nan_without_spread(tmp_path, capsys):
+    # At this noise level every symbol is right, so ht_std is 0 and no z-score exists.
+    path = tmp_path / "exact.cfg"
+    path.write_text(BASE_CFG.replace("sigma = 0.2", "sigma = 0.001"))
+    code, out, err = run_cli(capsys, "montecarlo", "--config", str(path))
+    assert code == 0
+    assert parse_csv(out)[1][2][2] == "0"
+    assert "ht_z=nan" in err.split()
 
 
 def test_montecarlo_thread_count_invariant(cfg, capsys):

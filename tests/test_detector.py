@@ -111,6 +111,18 @@ def test_detector_params_validation():
         gh.DetectorParams(m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.1, priors=(0.0, 0.9, 0.1))
 
 
+def test_detector_priors_share_the_sum_tolerance():
+    from gridhmm.gaussian import SUM_TOL
+
+    with pytest.raises(ValueError, match=f"within {SUM_TOL}"):
+        gh.DetectorParams(
+            m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.1, priors=(0.1, 0.8, 0.1 + 2e-9)
+        )
+    near = (0.1, 0.8, 0.1 + SUM_TOL / 4)
+    params = gh.DetectorParams(m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.1, priors=near)
+    assert params.priors == near
+
+
 def test_classify_regions_and_boundaries():
     thr = gh.Thresholds(49.8, 50.2)
     assert gh.classify(50.0, thr) == 0

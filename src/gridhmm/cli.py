@@ -29,7 +29,7 @@ from .simulate import (
     simulate_states,
     synthesize_measurements,
 )
-from .viterbi import viterbi_decode
+from .viterbi import joint_log_prob, viterbi_decode
 
 __all__ = ["main"]
 
@@ -131,7 +131,12 @@ def _cmd_decode(args) -> int:
         for idx, z, x, s in zip(series.index, series.z_hz, symbols, states)
     )
     _write_csv(args.output, [series.index_name, "z_hz", "x", "s_star"], rows)
-    _summary("decode", rows=symbols.size)
+    _summary(
+        "decode",
+        rows=symbols.size,
+        log_prob=joint_log_prob(symbols, states, model),
+        corrected=int(np.count_nonzero(states != symbols)),
+    )
     return 0
 
 

@@ -33,6 +33,10 @@ logger = logging.getLogger(__name__)
 
 _SECTIONS = ("transitions", "emission_matrix")
 
+# Step indices are read as floats, which hold every integer of magnitude
+# below 2**53 exactly; larger ones would be rounded onto a neighbour.
+_K_LIMIT = 2.0**53
+
 _SCALAR_KEYS = {
     "means",
     "f0",
@@ -351,7 +355,9 @@ def load_measurements(path) -> MeasurementSeries:
     simulated ``k,s,z_hz,x`` trace, say) load too; only the index and
     ``z_hz`` columns are read.  Raises
     :class:`MeasurementFormatError` naming the offending row for
-    malformed, non-finite, or non-increasing input; propagates OSError
+    malformed, non-finite, or non-increasing input, and for a ``k``
+    index that is not an integer or whose magnitude reaches 2**53 (from
+    there on a float cannot hold every integer); propagates OSError
     when the file cannot be read.
     """
     with open(path, newline="") as fh:
@@ -389,10 +395,17 @@ def load_measurements(path) -> MeasurementSeries:
                 raise MeasurementFormatError(
                     f"{path}: row {rownum}: values must be finite, got {row!r}"
                 )
-            if index_name == "k" and idx != int(idx):
-                raise MeasurementFormatError(
-                    f"{path}: row {rownum}: step index must be an integer, got {row[idx_col]!r}"
-                )
+            if index_name == "k":
+                if idx != int(idx):
+                    raise MeasurementFormatError(
+                        f"{path}: row {rownum}: step index must be an integer, "
+                        f"got {row[idx_col]!r}"
+                    )
+                if not -_K_LIMIT < idx < _K_LIMIT:
+                    raise MeasurementFormatError(
+                        f"{path}: row {rownum}: step index {row[idx_col]!r} is out of range: "
+                        "its magnitude must be below 2**53"
+                    )
             if index and idx <= index[-1]:
                 raise MeasurementFormatError(
                     f"{path}: row {rownum}: index {row[idx_col]!r} does not increase "

@@ -479,20 +479,34 @@ def predict(transitions, initial, horizon: int) -> PredictionVector:
     return PredictionVector(probs=out, horizon=horizon)
 
 
+def _power_sum(p: np.ndarray, m: int) -> np.ndarray:
+    """``I + P + ... + P^(m-1)`` by binary powering, in O(log m) matrix products.
+
+    Reads the bits of m from the top, keeping ``(P^j, I + ... + P^(j-1))``
+    for the prefix j read so far: a bit doubles j, a set bit adds one.
+    """
+    power, total = np.eye(3), np.zeros((3, 3))
+    for bit in bin(m)[2:]:
+        total = total + total @ power
+        power = power @ power
+        if bit == "1":
+            total = total + power
+            power = power @ p
+    return total
+
+
 def expected_ht_accuracy(model: HmmModel, length: int) -> float:
     """Analytic mean matching fraction of the per-symbol test.
 
     The test is right at step k with probability equal to the
     occupancy-weighted diagonal of the emission matrix, so the expected
     accuracy over a length-K path averages the occupancy distribution
-    across steps and weights the diagonal with it.  Serves as an
+    ``v P^k`` across steps k < K and weights the diagonal with it.  The
+    sum of powers takes O(log K) matrix products.  Serves as an
     independent check on Monte Carlo estimates.
     """
     require_valid(model)
     length = _check_length(length)
-    occupancy = np.zeros(3)
-    for v in _propagate(model.initial, model.transitions, length - 1):
-        occupancy += v
-    occupancy /= length
-    # Clamp away float drift from repeated propagation; the result is a probability.
+    occupancy = model.initial @ _power_sum(model.transitions, length) / length
+    # Clamp away float drift from the matrix products; the result is a probability.
     return float(min(max(occupancy @ np.diagonal(model.emissions), 0.0), 1.0))

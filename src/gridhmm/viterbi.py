@@ -17,6 +17,7 @@ noise and far below any genuine score gap at these sequence lengths.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,18 @@ __all__ = [
 # Absolute log-domain window within which path scores count as tied.
 TIE_EPS = 1e-9
 
+# Steps per chunk of the decoder's vectorised choice table: the array
+# temporaries stay near 0.4 MB each, however long the record.
+_CHOICE_CHUNK = 2**14
+
 # Enumeration guard: 3^12 sequences is the most brute_force_mlse will score.
 BRUTE_FORCE_MAX_LEN = 12
+
+
+def _max3(a: float, b: float, c: float) -> float:
+    """The largest of three floats; log scores are never NaN, so numpy's max agrees."""
+    m = a if a >= b else b
+    return m if m >= c else c
 
 
 class InfeasibleObservationError(ValueError):
@@ -136,6 +147,18 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     that still achieves the optimum.  Raises
     :class:`InfeasibleObservationError` when no sequence has positive
     probability.
+
+    The backward pass is a loop over Python floats.  They are IEEE
+    doubles like numpy's float64, so each addition rounds exactly as in
+    the array form ``log_trans + (log_emit[x[k+1]] + to_go[k+1])`` and
+    each maximum picks the same value: the scores are the same bit for
+    bit, and only the per-step array dispatch is gone.  Its rows are
+    packed into one bytearray, never into lists of float objects.  The
+    reconstruction evaluates ``(log_trans[i] + log_emit[x]) + to_go``
+    with the ``TIE_EPS`` rule for every predecessor i as array
+    operations over chunks of ``_CHOICE_CHUNK`` steps.  That gives a
+    table of the successor chosen from each state, which the path then
+    follows from its first state.
     """
     x = _symbol_indices(symbols, "symbols")
     require_valid(model)
@@ -143,22 +166,44 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     n = x.size
 
     # to_go[k, j]: best log score of the path suffix after step k, given state j at k.
-    to_go = np.zeros((n, 3))
-    for k in range(n - 2, -1, -1):
-        cand = log_trans + (log_emit[x[k + 1]] + to_go[k + 1])[None, :]
-        to_go[k] = cand.max(axis=1)
+    # Rows are appended from step n-1 back to step 0.
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = log_trans.tolist()
+    emit = log_emit.tolist()
+    t0 = t1 = t2 = 0.0
+    pack = struct.Struct("3d").pack
+    rows = bytearray(pack(t0, t1, t2))
+    for e0, e1, e2 in map(emit.__getitem__, x[:0:-1].tolist()):
+        s0 = e0 + t0
+        s1 = e1 + t1
+        s2 = e2 + t2
+        t0 = _max3(a00 + s0, a01 + s1, a02 + s2)
+        t1 = _max3(a10 + s0, a11 + s1, a12 + s2)
+        t2 = _max3(a20 + s0, a21 + s1, a22 + s2)
+        rows += pack(t0, t1, t2)
+    to_go = np.frombuffer(rows).reshape(n, 3)[::-1]
 
     head = log_init + log_emit[x[0]] + to_go[0]
     best = float(head.max())
     if not np.isfinite(best):
         raise _infeasible(symbols, model)
 
-    out = np.empty(n, dtype=np.int64)
-    out[0] = int(np.argmax(head >= best - TIE_EPS))
-    for k in range(n - 1):
-        cand = log_trans[out[k]] + log_emit[x[k + 1]] + to_go[k + 1]
-        out[k + 1] = int(np.argmax(cand >= float(cand.max()) - TIE_EPS))
-    return out - 1
+    # choice[k, i]: the decoded state at step k when step k-1 is in state i.
+    table = bytearray(3 * n)
+    choice = np.frombuffer(table, dtype=np.int8).reshape(n, 3)
+    for start in range(1, n, _CHOICE_CHUNK):
+        stop = min(start + _CHOICE_CHUNK, n)
+        emit_k = log_emit[x[start:stop]]
+        for i in range(3):
+            cand = log_trans[i] + emit_k + to_go[start:stop]  # cand[k, j]: i into j
+            tied = cand >= cand.max(axis=1, keepdims=True) - TIE_EPS
+            choice[start:stop, i] = np.argmax(tied, axis=1)
+    path = bytearray(n)
+    j = int(np.argmax(head >= best - TIE_EPS))
+    path[0] = j
+    for k in range(1, n):
+        j = table[3 * k + j]
+        path[k] = j
+    return np.frombuffer(path, dtype=np.int8).astype(np.int64) - 1
 
 
 def brute_force_mlse(symbols, model: HmmModel) -> np.ndarray:

@@ -152,6 +152,51 @@ def test_simulate_trace_feeds_decode(cfg, capsys, tmp_path):
     assert [int(r[3]) for r in rows] == [int(v) for v in expect]
 
 
+def test_decode_status_reports_decoder_diagnostics(tmp_path, capsys):
+    # A sticky chain and a noisy record, so the decoder overrides some symbols.
+    path = tmp_path / "sticky.cfg"
+    path.write_text(
+        BASE_CFG.replace("sigma = 0.2", "sigma = 0.35")
+        .replace("k = 20", "k = 400")
+        .split("[transitions]")[0]
+        + "[transitions]\n0.9 0.1 0.0\n0.05 0.9 0.05\n0.0 0.1 0.9\n"
+    )
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", str(path), "--output", str(trace)]) == 0
+    capsys.readouterr()
+    _, detected, _ = run_cli(capsys, "detect", "--config", str(path), "--input", str(trace))
+    code, out, err = run_cli(capsys, "decode", "--config", str(path), "--input", str(trace))
+    assert code == 0
+    header, rows = parse_csv(out)
+    # stdout is the detect output plus the s_star column, nothing more.
+    assert out.splitlines() == [
+        f"{line},{s}" for line, s in zip(detected.splitlines(), ["s_star"] + [r[3] for r in rows])
+    ]
+    status = [line for line in err.splitlines() if line.startswith("status=ok")][-1]
+    fields = dict(part.split("=", 1) for part in status.split())
+    conf = gh.parse_config(str(path))
+    x = np.array([int(r[2]) for r in rows])
+    s_star = gh.viterbi_decode(x, conf.model())
+    assert fields["rows"] == "400"
+    assert float(fields["log_prob"]) == gh.joint_log_prob(x, s_star, conf.model())
+    assert int(fields["corrected"]) == np.count_nonzero(s_star != x) > 0
+
+
+def test_decode_rejects_step_index_beyond_float_precision(cfg, tmp_path):
+    # 2**53 + 1 parses to the float 2**53; the loader must refuse it, not round it.
+    m = tmp_path / "m.csv"
+    m.write_text("k,z_hz\n9007199254740991,50.0\n9007199254740993,50.1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridhmm", "decode", "--config", cfg, "--input", str(m)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "row 3" in proc.stderr and "2**53" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_montecarlo_csv_reparses(cfg, capsys):
     code, out, err = run_cli(capsys, "montecarlo", "--config", cfg)
     assert code == 0

@@ -296,6 +296,19 @@ def test_load_rejects_fractional_step_index(tmp_path):
         gh.load_measurements(path)
 
 
+@pytest.mark.parametrize("k", ["9007199254740992", "9007199254740993", "-9007199254740993", "1e300"])
+def test_load_rejects_step_index_at_or_beyond_2_53(tmp_path, k):
+    path = write(tmp_path, f"k,z_hz\n1,50.0\n{k},49.5\n", "m.csv")
+    with pytest.raises(gh.MeasurementFormatError, match=r"row 3: step index .* below 2\*\*53"):
+        gh.load_measurements(path)
+
+
+def test_load_keeps_largest_exact_step_index(tmp_path):
+    path = write(tmp_path, "k,z_hz\n-9007199254740991,50.0\n9007199254740991,49.5\n", "m.csv")
+    series = gh.load_measurements(path)
+    assert series.index.tolist() == [-(2**53 - 1), 2**53 - 1]
+
+
 def test_load_rejects_non_finite_measurement(tmp_path):
     path = write(tmp_path, "k,z_hz\n1,nan\n", "m.csv")
     with pytest.raises(gh.MeasurementFormatError, match="finite"):

@@ -1,13 +1,18 @@
-"""Golden outputs: the SHA-256 of ``gridhmm montecarlo`` stdout is pinned.
+"""Golden outputs: the SHA-256 of ``gridhmm montecarlo`` and ``decode`` stdout is pinned.
 
 The chain is the benchmark's "sticky" one (zero transitions, a noise
-level at which the decoder really corrects the detector).  One case has
-many short trials, the other a few trials long enough that each fills
-a batch of the Monte Carlo kernel on its own.  A change to sampling
-order, tie handling or summation order shows up here as a new digest.
+level at which the decoder really corrects the detector).  One
+``montecarlo`` case has many short trials, the other a few trials long
+enough that each fills a batch of the Monte Carlo kernel on its own.
+The ``decode`` cases read a 2e4-row ``k,z_hz`` file made with numpy
+alone: noisy measurements of the sticky chain, and symbols of the
+engineered-tie model (several hundred steps where two successors score
+equally, so ``TIE_EPS`` decides them).  A change to sampling order, tie
+handling or summation order shows up here as a new digest.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from gridhmm.cli import main
@@ -37,6 +42,94 @@ def test_montecarlo_stdout_digest(tmp_path, capsys, trials, length, seed, digest
     path = tmp_path / "sticky.cfg"
     path.write_text(STICKY_CFG.format(length=length, trials=trials, seed=seed))
     code = main(["montecarlo", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --- decode ---------------------------------------------------------------
+
+TIE_CFG = """\
+means = 49.0 50.0 51.0
+sigma = 0.35
+priors = 0.5 0.2 0.3
+
+[transitions]
+0.2 0.5 0.3
+0.05 0.9 0.05
+0.5 0.5 0.0
+
+[emission_matrix]
+0.5 0.0 0.5
+0.5 0.9 0.5
+0.0 0.1 0.0
+"""
+
+DECODE_ROWS = 20_000
+MEANS = np.array([49.0, 50.0, 51.0])
+
+
+def _chain(gen, initial, transitions, length):
+    """State indices 0..2 of a chain path drawn by inverse-CDF sampling."""
+    cum_init = np.cumsum(initial)
+    cum_rows = np.cumsum(transitions, axis=1)
+    u = gen.random(length)
+    out = np.empty(length, dtype=np.int64)
+    j = min(int(np.searchsorted(cum_init, u[0], side="right")), 2)
+    out[0] = j
+    for k in range(1, length):
+        j = min(int(np.searchsorted(cum_rows[j], u[k], side="right")), 2)
+        out[k] = j
+    return out
+
+
+def _sticky_measurements(seed):
+    """Measurements of the sticky chain: state means plus Gaussian noise."""
+    gen = np.random.default_rng(seed)
+    p = np.array([[0.9, 0.1, 0.0], [0.05, 0.9, 0.05], [0.0, 0.1, 0.9]])
+    hidden = _chain(gen, [0.1, 0.8, 0.1], p, DECODE_ROWS)
+    return MEANS[hidden] + 0.35 * gen.standard_normal(DECODE_ROWS)
+
+
+def _tie_measurements(seed):
+    """Measurements at the means of symbols emitted by the engineered-tie model."""
+    gen = np.random.default_rng(seed)
+    p = np.array([[0.2, 0.5, 0.3], [0.05, 0.9, 0.05], [0.5, 0.5, 0.0]])
+    r = np.array([[0.5, 0.0, 0.5], [0.5, 0.9, 0.5], [0.0, 0.1, 0.0]])
+    hidden = _chain(gen, [0.5, 0.2, 0.3], p, DECODE_ROWS)
+    cum = np.cumsum(r, axis=0)[:, hidden]  # cum[:, k]: emission CDF of state hidden[k]
+    symbols = np.minimum((cum <= gen.random(DECODE_ROWS)).sum(axis=0), 2)
+    return MEANS[symbols]
+
+
+DECODE_GOLDEN = [
+    (
+        "sticky",
+        STICKY_CFG.format(length=DECODE_ROWS, trials=1, seed=0),
+        _sticky_measurements,
+        20183,
+        "94ca63fa2a4999eefbfd38833d4a3d4345872e394ef474055476b69c3898ef5f",
+    ),
+    (
+        "tie",
+        TIE_CFG,
+        _tie_measurements,
+        20184,
+        "1057b8f339ad1eec5c198b693166223e7de5f7cc5c579990df015880c0fc0536",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,config,measurements,seed,digest", DECODE_GOLDEN, ids=[g[0] for g in DECODE_GOLDEN]
+)
+def test_decode_stdout_digest(tmp_path, capsys, name, config, measurements, seed, digest):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(config)
+    data = tmp_path / "m.csv"
+    z = measurements(seed).tolist()
+    data.write_text("k,z_hz\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(z, start=1)))
+    code = main(["decode", "--config", str(cfg), "--input", str(data)])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -192,6 +192,32 @@ def test_expected_ht_accuracy_matches_monte_carlo(ref_model):
     assert abs(summary.ht_mean - want) <= 4.0 * max(sem, 1e-6)
 
 
+def _expected_ht_accuracy_by_steps(model, length):
+    """The occupancy averaged one ``v <- v P`` step at a time."""
+    occupancy, v = np.zeros(3), model.initial
+    for _ in range(length):
+        occupancy += v
+        v = v @ model.transitions
+    occupancy /= length
+    return float(min(max(occupancy @ np.diagonal(model.emissions), 0.0), 1.0))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 100, 100_000])
+def test_expected_ht_accuracy_matches_step_loop(ref_model, length):
+    sticky = gh.HmmModel(
+        transitions=np.array([[0.9, 0.1, 0.0], [0.05, 0.9, 0.05], [0.0, 0.1, 0.9]]),
+        emissions=ref_model.emissions,
+        initial=ref_model.initial,
+    )
+    # Both forms round once per step or product, so they part by some
+    # ulp per step: up to 2.5e-12 at K = 1e5, where the step loop itself
+    # is 1.6e-12 away from the same loop in 80-bit arithmetic.
+    tol = max(1e-12, length * np.finfo(float).eps)
+    for model in (ref_model, sticky):
+        got = gh.expected_ht_accuracy(model, length)
+        assert abs(got - _expected_ht_accuracy_by_steps(model, length)) <= tol
+
+
 def test_expected_ht_accuracy_identity_channel(ref_model):
     model = gh.HmmModel(
         transitions=ref_model.transitions, emissions=np.eye(3), initial=ref_model.initial

@@ -163,12 +163,15 @@ def _cumulative(weights) -> np.ndarray:
 
 
 def _invert(cum: np.ndarray, u) -> np.ndarray:
-    """Index of the category containing uniform draw ``u``.
+    """Category index of each uniform draw.
 
-    Inversion counts cumulative entries <= u, which skips zero-width
-    (zero-probability) categories even when u hits a boundary exactly.
+    ``cum`` holds cumulative weights along its first axis, and its other
+    axes broadcast against ``u``.  Inversion counts cumulative entries
+    <= u, which skips zero-width (zero-probability) categories even when
+    u hits a boundary exactly; this is ``searchsorted(side="right")``.
+    The count is int8 whenever it fits, which keeps successor tables small.
     """
-    return np.searchsorted(cum, u, side="right")
+    return (cum <= u).sum(axis=0, dtype=np.int8 if len(cum) <= 128 else np.int64)
 
 
 def sample_categorical(weights, rng: RngStream, size=None):
@@ -181,7 +184,7 @@ def sample_categorical(weights, rng: RngStream, size=None):
     """
     cum = _cumulative(weights)
     u = rng.generator.random(size)
-    idx = _invert(cum, u)
+    idx = _invert(cum.reshape(cum.shape + (1,) * np.ndim(u)), u)
     if size is None:
         return int(idx)
     return idx.astype(np.int64)

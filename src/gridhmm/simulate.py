@@ -4,14 +4,17 @@ Reproducibility convention: every function that draws randomness takes
 an :class:`~gridhmm.gaussian.RngStream` and consumes a documented
 number of variates from it, so callers can reason about stream state.
 The Monte Carlo driver derives one stream per trial index from a base
-seed, which makes results independent of execution order.  Trials run
-batched: one kernel samples, emits and decodes a chunk of trials as
-arrays, looping over the K steps with vector operations across the
-trials.  Each trial still reads its own stream in the order the
-single-sequence functions do, and every sum is formed in the same
-order, so the output is the same bit for bit as running the trials one
-by one.  The ``threads`` argument is validated but changes neither
-execution nor output.
+seed, which makes results independent of execution order.
+
+One core serves a single record and a batch of trials alike: a uniform
+becomes a category only in :func:`~gridhmm.gaussian._invert`, and both
+the sampled chain and the Viterbi path are walked by
+:func:`~gridhmm.viterbi._follow` through a successor table (the state at
+each step given each state at the step before) built by array
+operations.  In a batch each trial reads its own stream in the order of
+:func:`simulate_states` and :func:`emit_symbols`, and every sum is
+formed in the same order, so the output equals running the trials one
+by one, bit for bit.  ``threads`` is validated but changes nothing.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .detector import (
 from .gaussian import SUM_TOL, RngStream, _cumulative, _invert, sample_gaussian
 from .gaussian import _matrix_violation, _vector_violation
 from .model import HmmModel, require_valid
-from .viterbi import TIE_EPS, _infeasible, _log_params, _symbol_indices, viterbi_decode
+from .viterbi import _decode_paths, _follow, _log_params, _symbol_indices
 
 __all__ = [
     "HIST_BINS",
@@ -67,20 +70,10 @@ def simulate_states(model: HmmModel, length: int, rng: RngStream) -> np.ndarray:
     from the transition row of its predecessor.  Consumes exactly
     ``length`` uniforms from the stream.  Returns symbols in {-1, 0, 1}.
     """
-    require_valid(model)
-    length = int(length)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    cum_init = _cumulative(model.initial)
-    cum_rows = [_cumulative(row) for row in model.transitions]
+    tables = _Tables.of(model)
+    length = _check_length(length)
     u = rng.generator.random(length)
-    idx = np.empty(length, dtype=np.int64)
-    j = int(_invert(cum_init, u[0]))
-    idx[0] = j
-    for k in range(1, length):
-        j = int(_invert(cum_rows[j], u[k]))
-        idx[k] = j
-    return idx - 1
+    return _sample_chain(tables, u[:, None])[0].astype(np.int64) - 1
 
 
 def emit_symbols(hidden, emissions, rng: RngStream) -> np.ndarray:
@@ -100,24 +93,12 @@ def emit_symbols(hidden, emissions, rng: RngStream) -> np.ndarray:
         raise ValueError(problem)
     hid = _symbol_indices(hidden, "hidden")
     u = rng.generator.random(hid.size)
-    return _emit(_emission_cdf(r), hid, u) - 1
+    return _invert(_cumulative_columns(r)[:, hid], u).astype(np.int64) - 1
 
 
-def _emission_cdf(emissions: np.ndarray) -> np.ndarray:
-    """Column-wise cumulative emission matrix with last row exactly 1.0."""
-    cum = np.cumsum(emissions, axis=0)
-    cum /= cum[-1:, :]
-    return cum
-
-
-def _emit(cum: np.ndarray, hid: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Symbol indices by inversion of the emission column of each true state.
-
-    ``hid`` holds true state indices and ``u`` one uniform per entry, in
-    any shape; the result has that shape.
-    """
-    picked = cum[:, hid]  # picked[:, ...]: cumulative column of each entry's true state
-    return (picked <= u[None]).sum(axis=0).astype(np.int64)
+def _cumulative_columns(emissions) -> np.ndarray:
+    """Cumulative emission matrix: ``cum[:, j]`` is :func:`_cumulative` of column j."""
+    return np.array([_cumulative(column) for column in np.transpose(emissions)]).T
 
 
 def synthesize_measurements(hidden, params: DetectorParams, rng: RngStream) -> np.ndarray:
@@ -158,7 +139,7 @@ class TrialResult:
 
 
 class _Tables(NamedTuple):
-    """Sampling and decoding tables of a model, built once per run."""
+    """Sampling and decoding tables of a validated model, built once per run."""
 
     cum_init: np.ndarray  # (3,) cumulative initial law
     cum_trans: np.ndarray  # (3, 3) cumulative transition rows
@@ -169,45 +150,36 @@ class _Tables(NamedTuple):
 
     @classmethod
     def of(cls, model: HmmModel) -> "_Tables":
+        require_valid(model)
         return cls(
             _cumulative(model.initial),
             np.array([_cumulative(row) for row in model.transitions]),
-            _emission_cdf(model.emissions),
+            _cumulative_columns(model.emissions),
             *_log_params(model),
         )
 
 
-def _follow(table: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Paths through per-step state maps, one per trial, as a (K, T) array.
-
-    ``path[0] = first`` and ``path[k] = table[k, path[k - 1], t]`` for
-    trial t, where ``table`` is (K, 3, T).
-    """
-    path = np.empty((table.shape[0], first.size), dtype=np.int64)
-    path[0] = first
-    trial = np.arange(first.size)
-    for k in range(1, table.shape[0]):
-        path[k] = table[k, path[k - 1], trial]
-    return path
+def _sample_chain(tables: _Tables, u: np.ndarray) -> np.ndarray:
+    """State paths (T, K) of the chain driven by the (K, T) uniforms ``u``."""
+    first = _invert(tables.cum_init[:, None], u[0])
+    # successor[k, i, t]: the state at step k of record t when step k-1 is in state i.
+    successor = _invert(tables.cum_trans.T[:, None, :, None], u[:, None, :])
+    return _follow(successor, first)
 
 
 def _run_batch(
-    model: HmmModel, tables: _Tables, length: int, streams: list[RngStream]
+    tables: _Tables, length: int, streams: list[RngStream]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hidden, emitted and decoded state indices (0..2) of one trial per stream.
+    """Hidden, emitted and decoded state indices (T, K) int8, one trial per stream.
 
-    Row t of each ``(T, K)`` result is what :func:`simulate_states`,
-    :func:`emit_symbols` and :func:`~gridhmm.viterbi.viterbi_decode`
-    give for ``streams[t]``, bit for bit.  Each stream supplies K
-    uniforms for the states, then K for the emissions.  State inversion
-    counts cumulative entries <= u, as ``searchsorted(side="right")``
-    does.  Both Viterbi passes add the same terms in the same order and
-    apply the same ``TIE_EPS`` rule.  Work runs step-major, (K, ., T),
-    so that the only Python loops, over K, act on whole trial vectors.
-    Each step's successor of every state is computed up front, for the
-    sampled chain and for the decoded path alike, which leaves
-    :func:`_follow` a table lookup per step.  The model is not
-    validated here.
+    Each stream supplies K uniforms for the states, then K for the
+    emissions, as :func:`simulate_states` and :func:`emit_symbols` draw
+    them, and sampling and decoding run through the same inversion,
+    successor tables and walk as those functions and
+    :func:`~gridhmm.viterbi.viterbi_decode`.  Only the backward pass is
+    the kernel's own: a loop over K on whole trial vectors that adds
+    ``log_trans + (log_emit[x] + to_go)`` in the scalar loop's order.
+    The model is not validated here.
     """
     n_trials = len(streams)
     u_state = np.empty((n_trials, length))
@@ -215,16 +187,13 @@ def _run_batch(
     for t, rng in enumerate(streams):
         rng.generator.random(out=u_state[t])
         rng.generator.random(out=u_emit[t])
-    u_state, u_emit = u_state.T, u_emit.T
 
-    # nxt[k, i, t]: the state at step k of trial t when step k-1 is in state i.
-    below = tables.cum_trans[None, :, :, None] <= u_state[:, None, None, :]
-    nxt = below.sum(axis=2, dtype=np.int8)
-    hidden = _follow(nxt, (tables.cum_init[:, None] <= u_state[0]).sum(axis=0))
-    emitted = _emit(tables.cum_emit, hidden, u_emit)
+    hidden = _sample_chain(tables, u_state.T)
+    emitted = _invert(tables.cum_emit[:, hidden], u_emit)
 
     log_init, log_trans, log_emit = tables.log_init, tables.log_trans, tables.log_emit
-    le = log_emit.T[:, emitted].transpose(1, 0, 2)  # le[k, j, t] = log_emit[emitted[k, t], j]
+    x = emitted.T
+    le = log_emit.T[:, x].transpose(1, 0, 2)  # le[k, j, t] = log_emit[x[k, t], j]
     # to_go[k, j, t]: best log score of the path suffix after step k, given state j at k.
     to_go = np.zeros((length, 3, n_trials))
     trans_ji = log_trans.T[:, :, None]
@@ -232,18 +201,7 @@ def _run_batch(
         cand = trans_ji + (le[k + 1] + to_go[k + 1])[:, None, :]  # cand[j, i, t]: from i into j
         cand.max(axis=0, out=to_go[k])
 
-    head = log_init[:, None] + le[0] + to_go[0]
-    best = head.max(axis=0)
-    dead = np.flatnonzero(~np.isfinite(best))
-    if dead.size:
-        raise _infeasible(emitted[:, dead[0]] - 1, model)
-    # choice[k, i, t]: the decoded state at step k of trial t when step k-1 is in state i.
-    choice = np.zeros((length, 3, n_trials), dtype=np.int8)
-    for i in range(3):
-        cand = log_trans[i][None, :, None] + le[1:] + to_go[1:]  # cand[k-1, j, t]: i into j
-        choice[1:, i] = np.argmax(cand >= cand.max(axis=1, keepdims=True) - TIE_EPS, axis=1)
-    decoded = _follow(choice, np.argmax(head >= best - TIE_EPS, axis=0))
-    return hidden.T, emitted.T, decoded.T
+    return hidden, emitted, _decode_paths(log_init, log_trans, log_emit, x, to_go)
 
 
 def _check_length(length) -> int:
@@ -260,10 +218,10 @@ def run_trial(model: HmmModel, length: int, rng: RngStream) -> TrialResult:
     :func:`~gridhmm.viterbi.viterbi_decode` on ``rng``, and consumes the
     same ``2 * length`` uniforms from it.
     """
-    require_valid(model)
+    tables = _Tables.of(model)
     length = _check_length(length)
-    batch = _run_batch(model, _Tables.of(model), length, [rng])
-    hidden, emitted, decoded = (a[0] - 1 for a in batch)
+    batch = _run_batch(tables, length, [rng])
+    hidden, emitted, decoded = (a[0].astype(np.int64) - 1 for a in batch)
     return TrialResult(
         hidden=hidden,
         emitted=emitted,
@@ -335,7 +293,7 @@ def run_monte_carlo(
     call.  ``threads`` must be >= 1 but changes neither execution nor
     the result.
     """
-    require_valid(model)
+    tables = _Tables.of(model)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -344,14 +302,13 @@ def run_monte_carlo(
         raise ValueError(f"threads must be >= 1, got {threads}")
     length = _check_length(length)
 
-    tables = _Tables.of(model)
     batch = max(1, _BATCH_STEPS // length)
     ht_counts = np.empty(trials, dtype=np.int64)
     va_counts = np.empty(trials, dtype=np.int64)
     for first in range(0, trials, batch):
         last = min(first + batch, trials)
         streams = [RngStream(base_seed, stream_index=t) for t in range(first, last)]
-        hidden, emitted, decoded = _run_batch(model, tables, length, streams)
+        hidden, emitted, decoded = _run_batch(tables, length, streams)
         ht_counts[first:last] = np.count_nonzero(emitted == hidden, axis=1)
         va_counts[first:last] = np.count_nonzero(decoded == hidden, axis=1)
     ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, length)

@@ -38,9 +38,9 @@ __all__ = [
 # Absolute log-domain window within which path scores count as tied.
 TIE_EPS = 1e-9
 
-# Steps per chunk of the decoder's vectorised choice table: the array
-# temporaries stay near 0.4 MB each, however long the record.
-_CHOICE_CHUNK = 2**14
+# Steps per chunk of the vectorised choice table: for one record the
+# array temporaries stay near 0.4 MB each, however long the record.
+_CHUNK = 2**14
 
 # Enumeration guard: 3^12 sequences is the most brute_force_mlse will score.
 BRUTE_FORCE_MAX_LEN = 12
@@ -127,13 +127,85 @@ def compute_trellis(symbols, model: HmmModel) -> Trellis:
     return Trellis(scores, back)
 
 
-def _infeasible(symbols, model: HmmModel) -> InfeasibleObservationError:
-    """Error citing the first step whose forward-trellis row is all -inf."""
-    dead = np.all(np.isneginf(compute_trellis(symbols, model).log_scores), axis=1)
+def _infeasible(x: np.ndarray, log_init, log_trans, log_emit) -> InfeasibleObservationError:
+    """Error citing the first step at which no state is reachable.
+
+    A scalar forward pass over the symbol indices ``x`` keeps the states
+    that some positive-probability prefix ends in as a 3-bit mask;
+    ``step[mask][s]`` is the mask one step later, at symbol index s.
+    The first empty mask is the first all -inf row of
+    :func:`compute_trellis`.
+    """
+    live_emit = np.isfinite(log_emit)  # live_emit[s, j]: state j can emit symbol s
+    bits = 1 << np.arange(3)
+    members = (np.arange(8)[:, None] & bits) > 0  # members[mask, i]: state i is in mask
+    reach = (members[:, :, None] & np.isfinite(log_trans)).any(axis=1)  # reach[mask, j]
+    step = ((reach[:, None, :] & live_emit) @ bits).tolist()
+    mask = int((np.isfinite(log_init) & live_emit[x[0]]) @ bits)
+    dead = 0
+    for s in x[1:].tolist():
+        if not mask:
+            break
+        mask = step[mask][s]
+        dead += 1
     return InfeasibleObservationError(
-        "no state sequence has positive probability; every path dies at step"
-        f" {int(np.argmax(dead))}"
+        f"no state sequence has positive probability; every path dies at step {dead}"
     )
+
+
+def _choices(log_trans, log_emit, x: np.ndarray, to_go: np.ndarray) -> np.ndarray:
+    """Successor table (K, 3, T) int8 of the decoded paths of T records.
+
+    ``choice[k, i, t]``, the state at step k when step k-1 is in state
+    i, is the smallest j within ``TIE_EPS`` of the best of
+    ``(log_trans[i, j] + log_emit[x[k, t], j]) + to_go[k, j, t]``.  Row
+    0 stays 0.  Chunks of ``_CHUNK`` steps keep the temporaries small.
+    """
+    n, records = x.shape
+    choice = np.zeros((n, 3, records), dtype=np.int8)
+    for start in range(1, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        le = log_emit.T[:, x[start:stop]].transpose(1, 0, 2)  # le[k, j, t] = log_emit[x[k, t], j]
+        for i in range(3):
+            cand = log_trans[i][:, None] + le + to_go[start:stop]  # cand[k, j, t]: i into j
+            tied = cand >= cand.max(axis=1, keepdims=True) - TIE_EPS
+            choice[start:stop, i] = np.argmax(tied, axis=1)
+    return choice
+
+
+def _follow(table: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Paths (T, K) int8 with ``path[t, k] = table[k, path[t, k-1], t]`` from ``first``.
+
+    Each record walks a ``bytes`` copy of its own (K, 3) slice of the
+    (K, 3, T) successor table.
+    """
+    n, _, records = table.shape
+    out = bytearray()
+    for t, j in enumerate(first.tolist()):
+        steps = table[:, :, t].tobytes()
+        path = bytearray((j,))
+        for k in range(3, 3 * n, 3):
+            j = steps[k + j]
+            path.append(j)
+        out += path
+    return np.frombuffer(out, dtype=np.int8).reshape(records, n)
+
+
+def _decode_paths(log_init, log_trans, log_emit, x: np.ndarray, to_go: np.ndarray) -> np.ndarray:
+    """Decoded paths (T, K) from symbol indices x (K, T) and to_go (K, 3, T).
+
+    The first state is the smallest within ``TIE_EPS`` of the best
+    total score; :func:`_choices` and :func:`_follow` give the rest.
+    Raises :class:`InfeasibleObservationError` for the first record that
+    no state sequence can produce.
+    """
+    head = log_init[:, None] + log_emit[x[0]].T + to_go[0]
+    best = head.max(axis=0)
+    dead = np.flatnonzero(~np.isfinite(best))
+    if dead.size:
+        raise _infeasible(x[:, dead[0]], log_init, log_trans, log_emit)
+    first = np.argmax(head >= best - TIE_EPS, axis=0)
+    return _follow(_choices(log_trans, log_emit, x, to_go), first)
 
 
 def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
@@ -154,11 +226,8 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     each maximum picks the same value: the scores are the same bit for
     bit, and only the per-step array dispatch is gone.  Its rows are
     packed into one bytearray, never into lists of float objects.  The
-    reconstruction evaluates ``(log_trans[i] + log_emit[x]) + to_go``
-    with the ``TIE_EPS`` rule for every predecessor i as array
-    operations over chunks of ``_CHOICE_CHUNK`` steps.  That gives a
-    table of the successor chosen from each state, which the path then
-    follows from its first state.
+    path is rebuilt by :func:`_decode_paths`, the Monte Carlo kernel's
+    reconstruction, for a batch of one record.
     """
     x = _symbol_indices(symbols, "symbols")
     require_valid(model)
@@ -180,30 +249,9 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
         t1 = _max3(a10 + s0, a11 + s1, a12 + s2)
         t2 = _max3(a20 + s0, a21 + s1, a22 + s2)
         rows += pack(t0, t1, t2)
-    to_go = np.frombuffer(rows).reshape(n, 3)[::-1]
-
-    head = log_init + log_emit[x[0]] + to_go[0]
-    best = float(head.max())
-    if not np.isfinite(best):
-        raise _infeasible(symbols, model)
-
-    # choice[k, i]: the decoded state at step k when step k-1 is in state i.
-    table = bytearray(3 * n)
-    choice = np.frombuffer(table, dtype=np.int8).reshape(n, 3)
-    for start in range(1, n, _CHOICE_CHUNK):
-        stop = min(start + _CHOICE_CHUNK, n)
-        emit_k = log_emit[x[start:stop]]
-        for i in range(3):
-            cand = log_trans[i] + emit_k + to_go[start:stop]  # cand[k, j]: i into j
-            tied = cand >= cand.max(axis=1, keepdims=True) - TIE_EPS
-            choice[start:stop, i] = np.argmax(tied, axis=1)
-    path = bytearray(n)
-    j = int(np.argmax(head >= best - TIE_EPS))
-    path[0] = j
-    for k in range(1, n):
-        j = table[3 * k + j]
-        path[k] = j
-    return np.frombuffer(path, dtype=np.int8).astype(np.int64) - 1
+    to_go = np.frombuffer(rows).reshape(n, 3, 1)[::-1]
+    path = _decode_paths(log_init, log_trans, log_emit, x[:, None], to_go)
+    return path[0].astype(np.int64) - 1
 
 
 def brute_force_mlse(symbols, model: HmmModel) -> np.ndarray:
@@ -234,6 +282,6 @@ def brute_force_mlse(symbols, model: HmmModel) -> np.ndarray:
         scores = scores + log_trans[idx[:, k - 1], idx[:, k]] + log_emit[x[k], idx[:, k]]
     top = float(scores.max())
     if not np.isfinite(top):
-        raise _infeasible(symbols, model)
+        raise _infeasible(x, log_init, log_trans, log_emit)
     winner = int(np.argmax(scores >= top - TIE_EPS))
     return idx[winner] - 1

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import gridhmm as gh
+from gridhmm.viterbi import TIE_EPS, _log_params, _symbol_indices
 
 # Reference detector configuration and the 4-decimal emission matrix it
 # must reproduce.
@@ -75,3 +76,55 @@ def feasible_observation(model: gh.HmmModel, length: int, gen: np.random.Generat
     stream = gh.RngStream(int(gen.integers(0, 2**63)), 0)
     hidden = gh.simulate_states(model, length, stream)
     return gh.emit_symbols(hidden, model.emissions, stream)
+
+
+# Models of the long-record and batch-kernel cross-checks.
+STICKY_P = np.array([[0.9, 0.1, 0.0], [0.05, 0.9, 0.05], [0.0, 0.1, 0.9]])
+STICKY_PARAMS = gh.DetectorParams(
+    m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.35, priors=(0.1, 0.8, 0.1)
+)
+
+MODELS = {
+    "sticky": gh.HmmModel(
+        transitions=STICKY_P,
+        emissions=gh.build_emission_matrix(STICKY_PARAMS),
+        initial=np.array([0.1, 0.8, 0.1]),
+    ),
+    "identity": gh.HmmModel(
+        transitions=STICKY_P, emissions=np.eye(3), initial=np.array([0.1, 0.8, 0.1])
+    ),
+    # Records sampled from this model have steps where two successors
+    # score equally (18 such steps in an 11 x 37 batch of trials), so the
+    # TIE_EPS rule decides them.
+    "tie": gh.HmmModel(
+        transitions=np.array([[0.2, 0.5, 0.3], [0.05, 0.9, 0.05], [0.5, 0.5, 0.0]]),
+        emissions=np.array([[0.5, 0.0, 0.5], [0.5, 0.9, 0.5], [0.0, 0.1, 0.0]]),
+        initial=np.array([0.5, 0.2, 0.3]),
+    ),
+}
+
+
+def reference_decode(symbols, model):
+    """The decoder written the plain way: one array operation per step.
+
+    One step per iteration of the backward pass, one per iteration of
+    the reconstruction, with the same additions in the same order and
+    the same ``TIE_EPS`` rule as ``viterbi_decode``.
+    """
+    x = _symbol_indices(symbols, "symbols")
+    log_init, log_trans, log_emit = _log_params(model)
+    n = x.size
+    to_go = np.zeros((n, 3))
+    for k in range(n - 2, -1, -1):
+        cand = log_trans + (log_emit[x[k + 1]] + to_go[k + 1])[None, :]
+        to_go[k] = cand.max(axis=1)
+    head = log_init + log_emit[x[0]] + to_go[0]
+    best = float(head.max())
+    if not np.isfinite(best):
+        raise gh.InfeasibleObservationError("infeasible")
+    out = np.empty(n, dtype=np.int64)
+    out[0] = int(np.argmax(head >= best - TIE_EPS))
+    for k in range(n - 1):
+        cand = log_trans[out[k]] + log_emit[x[k + 1]] + to_go[k + 1]
+        out[k + 1] = int(np.argmax(cand >= float(cand.max()) - TIE_EPS))
+    return out - 1

@@ -1,9 +1,12 @@
-"""The trial-batched Monte Carlo kernel against the single-sequence functions.
+"""The trial-batched Monte Carlo kernel against per-step references.
 
 For every trial of a batch, the kernel's hidden, emitted and decoded
-rows must equal ``simulate_states``, ``emit_symbols`` and
-``viterbi_decode`` run one after the other on the same stream, bit for
-bit, and the stream must be left where those calls leave it.
+rows must equal a test-local per-step reference run on the same stream,
+bit for bit, and the stream must be left where that reference leaves
+it.  The reference samples each state and each symbol with one
+``sample_categorical`` call and decodes with ``reference_decode``; it
+shares no code with the kernel, which ``simulate_states``,
+``emit_symbols`` and ``viterbi_decode`` now do.
 """
 import numpy as np
 import pytest
@@ -11,35 +14,19 @@ import pytest
 import gridhmm as gh
 from gridhmm import simulate
 
-STICKY_P = np.array([[0.9, 0.1, 0.0], [0.05, 0.9, 0.05], [0.0, 0.1, 0.9]])
-STICKY_PARAMS = gh.DetectorParams(
-    m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.35, priors=(0.1, 0.8, 0.1)
-)
-
-MODELS = {
-    "sticky": gh.HmmModel(
-        transitions=STICKY_P,
-        emissions=gh.build_emission_matrix(STICKY_PARAMS),
-        initial=np.array([0.1, 0.8, 0.1]),
-    ),
-    "identity": gh.HmmModel(
-        transitions=STICKY_P, emissions=np.eye(3), initial=np.array([0.1, 0.8, 0.1])
-    ),
-    # Records sampled from this model have steps where two successors
-    # score equally (18 such steps in the 11 x 37 batch below), so the
-    # TIE_EPS rule decides them.
-    "tie": gh.HmmModel(
-        transitions=np.array([[0.2, 0.5, 0.3], [0.05, 0.9, 0.05], [0.5, 0.5, 0.0]]),
-        emissions=np.array([[0.5, 0.0, 0.5], [0.5, 0.9, 0.5], [0.0, 0.1, 0.0]]),
-        initial=np.array([0.5, 0.2, 0.3]),
-    ),
-}
+from conftest import MODELS, reference_decode
 
 
 def reference(model, length, rng):
-    hidden = gh.simulate_states(model, length, rng)
-    emitted = gh.emit_symbols(hidden, model.emissions, rng)
-    return hidden, emitted, gh.viterbi_decode(emitted, model)
+    """Hidden and emitted symbols drawn one uniform at a time, then decoded."""
+    state = gh.sample_categorical(model.initial, rng)
+    hidden = [state]
+    for _ in range(length - 1):
+        state = gh.sample_categorical(model.transitions[state], rng)
+        hidden.append(state)
+    emitted = [gh.sample_categorical(model.emissions[:, s], rng) for s in hidden]
+    hidden, emitted = np.array(hidden) - 1, np.array(emitted) - 1
+    return hidden, emitted, reference_decode(emitted, model)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -48,7 +35,7 @@ def test_batch_rows_equal_single_sequence_functions(name, length):
     model = MODELS[name]
     trials = 11
     streams = [gh.RngStream(5, stream_index=t) for t in range(trials)]
-    batch = simulate._run_batch(model, simulate._Tables.of(model), length, streams)
+    batch = simulate._run_batch(simulate._Tables.of(model), length, streams)
     for t in range(trials):
         rng = gh.RngStream(5, stream_index=t)
         want = reference(model, length, rng)

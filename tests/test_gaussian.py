@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridhmm as gh
-from gridhmm.gaussian import probability
+from gridhmm.gaussian import _cumulative, _invert, probability
 
 # --- independent oracle: trapezoidal integration of the normal density ---
 
@@ -190,3 +190,29 @@ def test_sample_categorical_in_range(raw, seed):
     # renormalized weights satisfy the 1e-9 sum contract
     idx = gh.sample_categorical(weights, gh.RngStream(seed, 0), size=32)
     assert idx.min() >= 0 and idx.max() < len(weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=2, max_size=8).filter(
+        lambda w: 0.0 in w and sum(w) > 0.0
+    ),
+    st.data(),
+)
+def test_invert_counts_boundaries_like_searchsorted_right(raw, data):
+    # Every u sits on a cumulative boundary, where "<= u" and "< u" part:
+    # a zero-width category must be skipped, never drawn.
+    cum = _cumulative(np.array(raw) / sum(raw))
+    boundaries = [0.0, *cum[:-1].tolist()]
+    u = np.array(data.draw(st.lists(st.sampled_from(boundaries), min_size=1, max_size=16)))
+    want = np.searchsorted(cum, u, side="right")
+    assert np.array_equal(_invert(cum[:, None], u), want)
+    assert _invert(cum, u[0]) == want[0]
+
+
+def test_sample_categorical_many_categories():
+    # Past 127 categories the index no longer fits the int8 count.
+    weights = np.zeros(300)
+    weights[[5, 150, 299]] = 0.25, 0.25, 0.5
+    draws = gh.sample_categorical(weights, gh.RngStream(3, 0), size=1000)
+    assert set(np.unique(draws).tolist()) == {5, 150, 299}

@@ -1,4 +1,4 @@
-"""Golden outputs: the SHA-256 of ``gridhmm montecarlo`` and ``decode`` stdout is pinned.
+"""Golden outputs: the SHA-256 of ``montecarlo``, ``decode`` and ``simulate`` stdout is pinned.
 
 The chain is the benchmark's "sticky" one (zero transitions, a noise
 level at which the decoder really corrects the detector).  One
@@ -7,7 +7,9 @@ enough that each fills a batch of the Monte Carlo kernel on its own.
 The ``decode`` cases read a 2e4-row ``k,z_hz`` file made with numpy
 alone: noisy measurements of the sticky chain, and symbols of the
 engineered-tie model (several hundred steps where two successors score
-equally, so ``TIE_EPS`` decides them).  A change to sampling order, tie
+equally, so ``TIE_EPS`` decides them).  The ``simulate`` cases run the
+sticky chain and the engineered-tie chain for 2**14 + 5 steps, across
+the first chunk boundary of the decoder's choice table.  A change to sampling order, tie
 handling or summation order shows up here as a new digest.
 """
 import hashlib
@@ -132,4 +134,35 @@ def test_decode_stdout_digest(tmp_path, capsys, name, config, measurements, seed
     code = main(["decode", "--config", str(cfg), "--input", str(data)])
     out = capsys.readouterr().out
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --- simulate -------------------------------------------------------------
+
+SIMULATE_ROWS = 2**14 + 5
+
+SIMULATE_GOLDEN = [
+    (
+        "sticky",
+        STICKY_CFG.format(length=SIMULATE_ROWS, trials=1, seed=20185),
+        "a32da03f29147ab4cc2e370754f6c4e2cb9c67d20bcc13c8c2ac7d453ef0fdbe",
+    ),
+    (
+        "tie",
+        f"k = {SIMULATE_ROWS}\nseed = 20186\n" + TIE_CFG,
+        "ca9cb2c20e58c1fde67d0c0ab36b2c58ae0a70738d96f6071afe94a80677e028",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,config,digest", SIMULATE_GOLDEN, ids=[g[0] for g in SIMULATE_GOLDEN]
+)
+def test_simulate_stdout_digest(tmp_path, capsys, name, config, digest):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(config)
+    code = main(["simulate", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == SIMULATE_ROWS + 1
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,6 +7,7 @@ import pytest
 import gridhmm as gh
 from gridhmm.simulate import HIST_BINS
 from tests.conftest import (
+    MODELS,
     REFERENCE_P,
     REFERENCE_STATIONARY,
     STUDY_INITIAL,
@@ -40,17 +41,20 @@ def test_simulate_states_long_run_frequencies(ref_model):
     assert np.max(np.abs(freq - REFERENCE_P)) <= 0.005
 
 
-def test_simulate_states_matches_per_step_categorical(ref_model):
+@pytest.mark.parametrize("name", ["reference", *sorted(MODELS)])
+@pytest.mark.parametrize("length", [1, 2, 200, 2**14 + 1])
+def test_simulate_states_matches_per_step_categorical(ref_model, name, length):
     # the vectorized path consumes the stream exactly like per-step draws
-    length = 200
-    fast = gh.simulate_states(ref_model, length, gh.RngStream(8, 4))
+    model = ref_model if name == "reference" else MODELS[name]
+    fast = gh.simulate_states(model, length, gh.RngStream(8, 4))
     rng = gh.RngStream(8, 4)
-    state = gh.sample_categorical(ref_model.initial, rng)
+    state = gh.sample_categorical(model.initial, rng)
     slow = [state]
     for _ in range(length - 1):
-        state = gh.sample_categorical(ref_model.transitions[state], rng)
+        state = gh.sample_categorical(model.transitions[state], rng)
         slow.append(state)
     assert np.array_equal(fast, np.array(slow) - 1)
+    assert fast.dtype == np.int64
 
 
 def test_emit_symbols_reference_frequencies(ref_model):

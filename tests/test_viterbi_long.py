@@ -1,41 +1,24 @@
 """The decoder on long records, against a per-step numpy reference.
 
-``reference_decode`` is the decoder written the plain way: one array
-operation per step for the backward pass and one per step for the
-reconstruction.  ``viterbi_decode`` must return the same array on every
-record here, ties included, and report the same infeasible step.
+``reference_decode`` (in ``conftest.py``) is the decoder written the
+plain way: one array operation per step for the backward pass and one
+per step for the reconstruction.  ``viterbi_decode`` must return the
+same array on every record here, ties included, and report the same
+infeasible step, which a forward reachability pass finds without the
+trellis.  Lengths 2**14 and 2**14 + 1 end exactly at and just
+past the first chunk of the vectorised choice table.
 """
 import numpy as np
 import pytest
 
 import gridhmm as gh
-from gridhmm.viterbi import TIE_EPS, _log_params, _symbol_indices
+from gridhmm import simulate, viterbi
 
-from test_batch_kernel import MODELS
-
-
-def reference_decode(symbols, model):
-    x = _symbol_indices(symbols, "symbols")
-    log_init, log_trans, log_emit = _log_params(model)
-    n = x.size
-    to_go = np.zeros((n, 3))
-    for k in range(n - 2, -1, -1):
-        cand = log_trans + (log_emit[x[k + 1]] + to_go[k + 1])[None, :]
-        to_go[k] = cand.max(axis=1)
-    head = log_init + log_emit[x[0]] + to_go[0]
-    best = float(head.max())
-    if not np.isfinite(best):
-        raise gh.InfeasibleObservationError("infeasible")
-    out = np.empty(n, dtype=np.int64)
-    out[0] = int(np.argmax(head >= best - TIE_EPS))
-    for k in range(n - 1):
-        cand = log_trans[out[k]] + log_emit[x[k + 1]] + to_go[k + 1]
-        out[k + 1] = int(np.argmax(cand >= float(cand.max()) - TIE_EPS))
-    return out - 1
+from conftest import MODELS, reference_decode
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-@pytest.mark.parametrize("length", [1, 2, 3, 37, 50_000])
+@pytest.mark.parametrize("length", [1, 2, 3, 37, 2**14, 2**14 + 1, 50_000])
 def test_decode_equals_per_step_reference(name, length):
     model = MODELS[name]
     rng = gh.RngStream(11, stream_index=length)
@@ -67,3 +50,67 @@ def test_long_tie_resolves_lexicographically():
     decoded = gh.viterbi_decode(symbols, model)
     assert tuple(decoded[:2]) == (-1, 1)
     assert np.array_equal(decoded[2:], np.tile([0, 0, 1, -1], 50_000)[:-2])
+
+
+def _first_dead_row(symbols, model):
+    dead = np.all(np.isneginf(gh.compute_trellis(symbols, model).log_scores), axis=1)
+    return int(np.argmax(dead)) if dead.any() else None
+
+
+def _sparse_model(gen):
+    """Random model with about half of its entries zero."""
+
+    def sparse(shape):
+        w = gen.random(shape) * (gen.random(shape) < 0.5)
+        w[..., gen.integers(0, 3)] += 0.1  # no row is all zero
+        return w / w.sum(axis=-1, keepdims=True)
+
+    return gh.HmmModel(transitions=sparse((3, 3)), emissions=sparse((3, 3)).T, initial=sparse(3))
+
+
+@pytest.mark.parametrize("name", [*sorted(MODELS), "random"])
+def test_dead_step_is_the_first_dead_trellis_row(name):
+    # Every record of the sticky and tie models is feasible (some state
+    # emits each symbol and is reachable from every state); the identity
+    # model and random sparse models make many infeasible ones.
+    gen = np.random.default_rng(7)
+    infeasible = 0
+    for _ in range(300):
+        model = _sparse_model(gen) if name == "random" else MODELS[name]
+        symbols = gen.integers(-1, 2, size=int(gen.integers(1, 9)))
+        step = _first_dead_row(symbols, model)
+        if step is None:
+            assert gh.viterbi_decode(symbols, model).size == symbols.size
+            continue
+        infeasible += 1
+        with pytest.raises(gh.InfeasibleObservationError) as err:
+            gh.viterbi_decode(symbols, model)
+        assert str(err.value).endswith(f"every path dies at step {step}")
+    assert (infeasible > 0) == (name in ("identity", "random"))
+
+
+def test_dead_step_does_not_rebuild_the_trellis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_trellis called")
+
+    monkeypatch.setattr(viterbi, "compute_trellis", refuse)
+    model = MODELS["identity"]
+    # Under the identity channel the symbols are the states, and the
+    # sticky chain never moves from -1 to +1.
+    symbols = [0, 0, -1, 1, 0]
+    for decode in (gh.viterbi_decode, gh.brute_force_mlse):
+        with pytest.raises(gh.InfeasibleObservationError, match="every path dies at step 3$"):
+            decode(symbols, model)
+
+    # Monte Carlo records come from the model itself and are feasible.
+    # Decoding them as if the chain never moved makes the first state
+    # change of trial 0 the dead step.
+    hidden = gh.simulate_states(model, 100, gh.RngStream(3, stream_index=0))
+    change = int(np.argmax(hidden[1:] != hidden[:-1])) + 1
+    assert hidden[change] != hidden[0]
+    tables = simulate._Tables.of
+    with np.errstate(divide="ignore"):
+        frozen = np.log(np.eye(3))
+    monkeypatch.setattr(simulate._Tables, "of", lambda m: tables(m)._replace(log_trans=frozen))
+    with pytest.raises(gh.InfeasibleObservationError, match=f"every path dies at step {change}$"):
+        gh.run_monte_carlo(model, 100, 5, base_seed=3)

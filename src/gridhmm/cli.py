@@ -9,11 +9,11 @@ problem.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import sys
 from contextlib import nullcontext
+from itertools import chain, islice
 
 import numpy as np
 
@@ -56,13 +56,42 @@ def _fmt_index(value: float) -> str:
     return format(value, ".17g")
 
 
-def _write_csv(target: str, header: list[str], rows) -> None:
-    """Write ``header`` then ``rows`` as CSV to the path ``target`` ('-'/'stdout': stdout)."""
+# Rows per write.  Larger chunks save no time and raise peak RSS.
+_ROWS = 2**12
+
+
+def _index_column(index: np.ndarray):
+    """``(cell format, column)`` printing each index value like :func:`_fmt_index`.
+
+    Integral indices (every ``k``) print through ``%d``; an index with
+    another value is formatted up front, one string per row.
+    """
+    if np.all(np.trunc(index) == index) and np.all(np.abs(index) < 2.0**63):
+        return "%d", index.astype(np.int64)
+    return "%s", np.array([_fmt_index(v) for v in index.tolist()], dtype=object)
+
+
+def _columns(*columns):
+    """Rows of equal-length array columns as tuples of Python scalars, converted _ROWS at a time."""
+    return chain.from_iterable(
+        zip(*(c[lo : lo + _ROWS].tolist() for c in columns))
+        for lo in range(0, len(columns[0]), _ROWS)
+    )
+
+
+def _write_csv(target: str, header: list[str], fmt: str, rows) -> None:
+    """Write ``header``, then each row tuple through the %-format ``fmt``, as CSV lines.
+
+    ``target`` is a path, or '-'/'stdout' for stdout.  Rows are taken
+    from ``rows`` and written _ROWS at a time, one string per write.
+    """
+    line = fmt + "\n"
+    rows = iter(rows)
     to_stdout = target in ("-", "stdout")
     with nullcontext(sys.stdout) if to_stdout else open(target, "w", newline="") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        out.write(",".join(header) + "\n")
+        while text := "".join(map(line.__mod__, islice(rows, _ROWS))):
+            out.write(text)
 
 
 def _summary(command: str, **fields) -> None:
@@ -95,8 +124,9 @@ def _cmd_emission(args) -> int:
     cfg = parse_config(args.config)
     thresholds = compute_thresholds(cfg.params)
     r = build_emission_matrix(cfg.params)
-    rows = ([symbol] + [_fmt(float(v)) for v in r[i]] for i, symbol in enumerate((-1, 0, 1)))
-    _write_csv(args.output, ["emitted", "given_neg", "given_zero", "given_pos"], rows)
+    rows = ((symbol, *r[i].tolist()) for i, symbol in enumerate((-1, 0, 1)))
+    header = ["emitted", "given_neg", "given_zero", "given_pos"]
+    _write_csv(args.output, header, "%d,%.17g,%.17g,%.17g", rows)
     _summary(
         "emission",
         delta_neg_zero=thresholds.delta_neg_zero,
@@ -110,11 +140,9 @@ def _cmd_detect(args) -> int:
     series = load_measurements(args.input)
     thresholds = compute_thresholds(cfg.params)
     symbols = classify(series.z_hz, thresholds)
-    rows = (
-        [_fmt_index(float(idx)), _fmt(float(z)), int(x)]
-        for idx, z, x in zip(series.index, series.z_hz, symbols)
-    )
-    _write_csv(args.output, [series.index_name, "z_hz", "x"], rows)
+    cell, index = _index_column(series.index)
+    rows = _columns(index, series.z_hz, symbols)
+    _write_csv(args.output, [series.index_name, "z_hz", "x"], f"{cell},%.17g,%d", rows)
     _summary("detect", rows=symbols.size)
     return 0
 
@@ -126,11 +154,10 @@ def _cmd_decode(args) -> int:
     thresholds = compute_thresholds(cfg.params)
     symbols = classify(series.z_hz, thresholds)
     states = viterbi_decode(symbols, model)
-    rows = (
-        [_fmt_index(float(idx)), _fmt(float(z)), int(x), int(s)]
-        for idx, z, x, s in zip(series.index, series.z_hz, symbols, states)
-    )
-    _write_csv(args.output, [series.index_name, "z_hz", "x", "s_star"], rows)
+    cell, index = _index_column(series.index)
+    rows = _columns(index, series.z_hz, symbols, states)
+    header = [series.index_name, "z_hz", "x", "s_star"]
+    _write_csv(args.output, header, f"{cell},%.17g,%d,%d", rows)
     _summary(
         "decode",
         rows=symbols.size,
@@ -148,11 +175,8 @@ def _cmd_simulate(args) -> int:
     hidden = simulate_states(model, cfg.length, rng)
     z = synthesize_measurements(hidden, cfg.params, rng)
     symbols = classify(z, compute_thresholds(cfg.params))
-    rows = (
-        [k, int(s), _fmt(float(v)), int(x)]
-        for k, s, v, x in zip(range(1, cfg.length + 1), hidden, z, symbols)
-    )
-    _write_csv(args.output, ["k", "s", "z_hz", "x"], rows)
+    rows = _columns(np.arange(1, cfg.length + 1), hidden, z, symbols)
+    _write_csv(args.output, ["k", "s", "z_hz", "x"], "%d,%d,%.17g,%d", rows)
     _summary("simulate", k=cfg.length, seed=seed)
     return 0
 
@@ -164,13 +188,13 @@ def _cmd_montecarlo(args) -> int:
     model = cfg.model()
     summary = run_monte_carlo(model, cfg.length, trials, seed, threads=args.threads)
     rows = [
-        ["trials", "", summary.trials, summary.trials],
-        ["mean_pct", "", _fmt(summary.ht_mean), _fmt(summary.va_mean)],
-        ["std_pct", "", _fmt(summary.ht_std), _fmt(summary.va_std)],
+        ("trials", "", summary.trials, summary.trials),
+        ("mean_pct", "", _fmt(summary.ht_mean), _fmt(summary.va_mean)),
+        ("std_pct", "", _fmt(summary.ht_std), _fmt(summary.va_std)),
     ]
     hist = zip(summary.histogram_ht, summary.histogram_va)
-    rows += [["hist", b, int(ht), int(va)] for b, (ht, va) in enumerate(hist)]
-    _write_csv(args.output, ["field", "bin", "ht", "va"], rows)
+    rows += [("hist", b, int(ht), int(va)) for b, (ht, va) in enumerate(hist)]
+    _write_csv(args.output, ["field", "bin", "ht", "va"], "%s,%s,%s,%s", rows)
     # Analytic cross-check: the z-score of ht_mean against its expectation (nan if ht_std is 0).
     ht_expected = 100.0 * expected_ht_accuracy(model, cfg.length)
     ht_sem = summary.ht_std / math.sqrt(summary.trials)
@@ -201,11 +225,12 @@ def _cmd_sweep(args) -> int:
         for pt in points:
             if pt.detection is None:
                 print(f"note: snr_db={_fmt(pt.snr_db)}: {pt.note}", file=sys.stderr)
-                yield [_fmt(pt.snr_db), _fmt(pt.sigma)] + ["nan"] * 3
+                yield (pt.snr_db, pt.sigma, math.nan, math.nan, math.nan)
             else:
-                yield [_fmt(pt.snr_db), _fmt(pt.sigma)] + [_fmt(v) for v in pt.detection]
+                yield (pt.snr_db, pt.sigma, *pt.detection)
 
-    _write_csv(args.output, ["snr_db", "sigma", "pd_neg", "pd_zero", "pd_pos"], rows())
+    header = ["snr_db", "sigma", "pd_neg", "pd_zero", "pd_pos"]
+    _write_csv(args.output, header, ",".join(["%.17g"] * 5), rows())
     _summary("sweep", points=len(points), degenerate=sum(pt.detection is None for pt in points))
     return 0
 
@@ -220,8 +245,8 @@ def _cmd_predict(args) -> int:
     if problems:
         raise ConfigError(problems)
     forecasts = _propagate(np.array(cfg.params.priors), cfg.transitions, cfg.horizon)
-    rows = ([m] + [_fmt(float(p)) for p in v] for m, v in enumerate(forecasts))
-    _write_csv(args.output, ["m", "p_neg", "p_zero", "p_pos"], rows)
+    rows = ((m, *v.tolist()) for m, v in enumerate(forecasts))
+    _write_csv(args.output, ["m", "p_neg", "p_zero", "p_pos"], "%d,%.17g,%.17g,%.17g", rows)
     _summary("predict", horizon=cfg.horizon)
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,10 @@ _SECTIONS = ("transitions", "emission_matrix")
 # Step indices are read as floats, which hold every integer of magnitude
 # below 2**53 exactly; larger ones would be rounded onto a neighbour.
 _K_LIMIT = 2.0**53
+
+# Information separators: numpy strips them from a field as whitespace,
+# ``float`` rejects them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 _SCALAR_KEYS = {
     "means",
@@ -348,6 +353,39 @@ class MeasurementSeries:
     z_hz: np.ndarray
 
 
+def _read_columns(fh, width: int, idx_col: int, z_col: int, integer_index: bool):
+    """The index and ``z_hz`` columns of the rest of ``fh``, read in one call; or None.
+
+    None means this reader cannot vouch for the body, and the row loop
+    of :func:`load_measurements` must read it: numpy rejected a field
+    (it takes fewer spellings than ``float``: no ``1_0``, no non-ASCII
+    digits, no quoted fields), the rows are ragged or of the wrong
+    width, a value fails a check, or the file holds a character of
+    ``_SEPARATORS``.  Without ``usecols``, loadtxt rejects ragged rows
+    instead of ignoring their extra fields.  ``fh`` must be seekable:
+    the separator scan reads the file again from the start.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty body only warns
+            table = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2, comments=None)
+    except (ValueError, UserWarning):  # a field numpy cannot parse, a ragged row, no rows
+        return None
+    if table.shape[0] == 0 or table.shape[1] != width:
+        return None
+    idx, z = table[:, idx_col], table[:, z_col]
+    ok = np.isfinite(idx).all() and np.isfinite(z).all() and (idx[1:] > idx[:-1]).all()
+    if ok and integer_index:
+        ok = (np.trunc(idx) == idx).all() and (np.abs(idx) < _K_LIMIT).all()
+    if not ok:
+        return None
+    fh.seek(0)
+    while block := fh.read(1 << 20):
+        if any(c in block for c in _SEPARATORS):
+            return None
+    return idx.copy(), z.copy()
+
+
 def load_measurements(path) -> MeasurementSeries:
     """Read a measurement CSV with header ``k,z_hz`` or ``timestamp,z_hz``.
 
@@ -359,6 +397,13 @@ def load_measurements(path) -> MeasurementSeries:
     index that is not an integer or whose magnitude reaches 2**53 (from
     there on a float cannot hold every integer); propagates OSError
     when the file cannot be read.
+
+    The body is read with one ``np.loadtxt`` call and checked as
+    arrays.  When that reader cannot vouch for it, the file is read
+    again row by row: that loop also takes what ``float`` takes and
+    numpy does not (``1_0``, full-width digits, quoted fields), and it
+    words every error.  Both give the same arrays for any input both
+    accept.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -375,6 +420,13 @@ def load_measurements(path) -> MeasurementSeries:
         index_name = index_candidates[0]
         idx_col = header.index(index_name)
         z_col = header.index("z_hz")
+        if fh.seekable():  # a pipe is read once, by the row loop
+            columns = _read_columns(fh, len(header), idx_col, z_col, index_name == "k")
+            if columns is not None:
+                return MeasurementSeries(index_name=index_name, index=columns[0], z_hz=columns[1])
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
         index: list[float] = []
         values: list[float] = []
         for rownum, row in enumerate(reader, start=2):

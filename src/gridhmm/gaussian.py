@@ -170,8 +170,13 @@ def _invert(cum: np.ndarray, u) -> np.ndarray:
     <= u, which skips zero-width (zero-probability) categories even when
     u hits a boundary exactly; this is ``searchsorted(side="right")``.
     The count is int8 whenever it fits, which keeps successor tables small.
+    Past 128 categories ``cum`` must be one vector (its other axes of
+    length 1); it is then searched instead of compared with every draw,
+    which gives the same count without a ``len(cum)``-fold temporary.
     """
-    return (cum <= u).sum(axis=0, dtype=np.int8 if len(cum) <= 128 else np.int64)
+    if len(cum) <= 128:
+        return (cum <= u).sum(axis=0, dtype=np.int8)
+    return np.searchsorted(cum.reshape(len(cum)), u, side="right").astype(np.int64)
 
 
 def sample_categorical(weights, rng: RngStream, size=None):

@@ -1,8 +1,12 @@
 """Shared fixtures: the reference configuration used across the suite."""
+import csv
+import math
+
 import numpy as np
 import pytest
 
 import gridhmm as gh
+from gridhmm.config import _K_LIMIT, MeasurementFormatError, MeasurementSeries
 from gridhmm.viterbi import TIE_EPS, _log_params, _symbol_indices
 
 # Reference detector configuration and the 4-decimal emission matrix it
@@ -128,3 +132,68 @@ def reference_decode(symbols, model):
         cand = log_trans[out[k]] + log_emit[x[k + 1]] + to_go[k + 1]
         out[k + 1] = int(np.argmax(cand >= float(cand.max()) - TIE_EPS))
     return out - 1
+
+
+def reference_load(path):
+    """The measurement loader written the plain way: one ``float`` call per field.
+
+    The row loop that ``load_measurements`` falls back to, run on every
+    input: same header rule, same checks in the same order, same
+    messages.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [cell.strip() for cell in next(reader)]
+        except StopIteration:
+            raise MeasurementFormatError(f"{path}: empty file") from None
+        index_candidates = [name for name in ("k", "timestamp") if name in header]
+        if len(index_candidates) != 1 or "z_hz" not in header:
+            raise MeasurementFormatError(
+                f"{path}: header must name 'z_hz' and exactly one of 'k' or 'timestamp', "
+                f"got {','.join(header)!r}"
+            )
+        index_name = index_candidates[0]
+        idx_col = header.index(index_name)
+        z_col = header.index("z_hz")
+        index: list[float] = []
+        values: list[float] = []
+        for rownum, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise MeasurementFormatError(
+                    f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                idx = float(row[idx_col])
+                z = float(row[z_col])
+            except ValueError:
+                raise MeasurementFormatError(
+                    f"{path}: row {rownum}: fields must be numbers, got {row!r}"
+                ) from None
+            if not (math.isfinite(idx) and math.isfinite(z)):
+                raise MeasurementFormatError(
+                    f"{path}: row {rownum}: values must be finite, got {row!r}"
+                )
+            if index_name == "k":
+                if idx != int(idx):
+                    raise MeasurementFormatError(
+                        f"{path}: row {rownum}: step index must be an integer, "
+                        f"got {row[idx_col]!r}"
+                    )
+                if not -_K_LIMIT < idx < _K_LIMIT:
+                    raise MeasurementFormatError(
+                        f"{path}: row {rownum}: step index {row[idx_col]!r} is out of range: "
+                        "its magnitude must be below 2**53"
+                    )
+            if index and idx <= index[-1]:
+                raise MeasurementFormatError(
+                    f"{path}: row {rownum}: index {row[idx_col]!r} does not increase "
+                    f"(previous {index[-1]!r})"
+                )
+            index.append(idx)
+            values.append(z)
+    if not index:
+        raise MeasurementFormatError(f"{path}: no data rows")
+    return MeasurementSeries(index_name=index_name, index=np.array(index), z_hz=np.array(values))

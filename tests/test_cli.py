@@ -80,6 +80,71 @@ def test_output_file_matches_stdout(cfg, capsys, tmp_path):
     assert b"\r" not in dest.read_bytes()
 
 
+COMMANDS = ["emission", "detect", "decode", "simulate", "montecarlo", "sweep", "predict"]
+
+
+def _argv(command, tmp_path):
+    """Arguments that run ``command`` on a config every subcommand accepts."""
+    path = tmp_path / "all.cfg"
+    path.write_text(BASE_CFG + "snr_db = 4 12.6\n")
+    argv = [command, "--config", str(path)]
+    if command in ("detect", "decode"):
+        m = tmp_path / "m.csv"
+        m.write_text("k,z_hz\n1,48.9\n2,50.02\n3,50.61\n4,49.401\n")
+        argv += ["--input", str(m)]
+    return argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_output_file_matches_stdout(capsys, tmp_path, command):
+    argv = _argv(command, tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    dest = tmp_path / "r.csv"
+    code2, out2, _ = run_cli(capsys, *argv, "--output", str(dest))
+    assert code2 == 0
+    assert out2 == ""
+    assert dest.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_unwritable_output_exits_2(capsys, tmp_path, command):
+    dest = tmp_path / "missing-dir" / "out.csv"
+    code, out, err = run_cli(capsys, *_argv(command, tmp_path), "--output", str(dest))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "status=ok" not in err
+
+
+def test_sweep_notes_wait_for_a_writable_output(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(
+        "means = 49.99 50 50.01\nsigma = 0.2\npriors = 0.499 0.002 0.499\nsigma_grid = 5 0.001\n"
+    )
+    dest = tmp_path / "missing-dir" / "out.csv"
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path), "--output", str(dest))
+    assert code == 2
+    assert out == "" and "note:" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("body", ["1,48.9\n2,50.02\n3,50.61\n", "1_0,48.9\n2_0,50.02\n"])
+def test_decode_reads_measurements_from_a_pipe(cfg, tmp_path, capsys, body):
+    # A pipe cannot be read twice, so it goes to the row loop; the output is the file's.
+    m = tmp_path / "m.csv"
+    m.write_text("k,z_hz\n" + body)
+    code, want, _ = run_cli(capsys, "decode", "--config", cfg, "--input", str(m))
+    assert code == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridhmm", "decode", "--config", cfg, "--input", "/dev/stdin"],
+        input="k,z_hz\n" + body,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+
+
 def test_detect_schema_and_classification(cfg, capsys, tmp_path):
     m = tmp_path / "m.csv"
     m.write_text("k,z_hz\n1,48.9\n2,50.02\n3,50.61\n4,49.401\n")

@@ -327,6 +327,30 @@ def test_load_rejects_short_row(tmp_path):
         gh.load_measurements(path)
 
 
+@pytest.mark.parametrize("body", ["1,50.0,7\n2,49.5,8\n", "1,50.0\n2,49.5,8\n3,50.1\n"])
+def test_load_rejects_long_row(tmp_path, body):
+    # Every row long, or one: the error names the first long row either way.
+    path = write(tmp_path, "k,z_hz\n" + body, "m.csv")
+    row = 2 if body.startswith("1,50.0,") else 3
+    with pytest.raises(gh.MeasurementFormatError, match=f"row {row}: expected 2 fields, got 3"):
+        gh.load_measurements(path)
+
+
+def test_load_accepts_what_float_accepts(tmp_path):
+    # numpy's reader refuses these spellings; the row loop reads them as float does.
+    path = write(tmp_path, "k,z_hz\r1_0,5_0.5\r\uff11\uff11,\"49.5\"\r\u0663\u0669,50\r", "m.csv")
+    series = gh.load_measurements(path)
+    assert series.index.tolist() == [10.0, 11.0, 39.0]
+    assert series.z_hz.tolist() == [50.5, 49.5, 50.0]
+
+
+def test_load_rejects_separator_padding(tmp_path):
+    # numpy would strip the \x1f as whitespace; float, and so the loader, does not.
+    path = write(tmp_path, "k,z_hz\n1,50.0\n2,49.5\x1f\n", "m.csv")
+    with pytest.raises(gh.MeasurementFormatError, match="row 3: fields must be numbers"):
+        gh.load_measurements(path)
+
+
 def test_load_rejects_bad_header(tmp_path):
     path = write(tmp_path, "step,freq\n1,50.0\n", "m.csv")
     with pytest.raises(gh.MeasurementFormatError, match="header"):

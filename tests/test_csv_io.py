@@ -1,0 +1,224 @@
+"""CSV input and output: the whole-file loader against the row loop, and the row writer.
+
+``load_measurements`` reads a body with one ``np.loadtxt`` call and
+falls back to the row loop of ``conftest.reference_load`` when that
+reader cannot vouch for it.  Either both give bitwise-equal arrays, or
+both raise the same error.  The writer formats rows with ``%``-format
+strings; its bytes must be those of the ``format``-per-cell path it
+replaced.
+"""
+import csv
+import io
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import gridhmm as gh
+from gridhmm.cli import _fmt, _fmt_index, main
+from gridhmm.config import _read_columns
+
+from conftest import reference_load
+
+# --- loader equivalence ---------------------------------------------------
+
+# Headers with the position of their index column.
+HEADERS = [
+    ("k,z_hz", 0), ("timestamp,z_hz", 0), ("k,s,z_hz,x", 0), ("z_hz, timestamp ", 1), ('"k",z_hz', 0)
+]
+
+# Spellings ``float`` takes and numpy does not, spellings both take, and
+# ones neither takes.
+ODD_TOKENS = [
+    "1_0", "1_0.5", "\uff11", "\u0663", "\u0663.\u0665", "\u20032", "nan", "-nan", "Infinity",
+    "-inf", "1e500", "-0", "-0.0", "2**53", "9007199254740991", "9007199254740992",
+    "-9007199254740993", "1e16", "+.5", "5.", " 7 ", "\t8", "0x10", "1d5", "", " ", "fifty",
+    '"3"', '"4,5"', "1\x00", "\x1c4", "5\x1f",
+]
+
+
+def _token(draw, base, noisy):
+    """One cell near ``base``; the odd spellings only in a noisy body."""
+    kind = draw(st.integers(0 if noisy else 1, 9))
+    if kind == 0:
+        return draw(st.sampled_from(ODD_TOKENS))
+    if kind == 1:
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind == 2:
+        return repr(base + draw(st.sampled_from([0.5, 0.25, 1e-9, 0.0, -0.0])))
+    if kind == 3:  # padding numpy strips; float rejects the separators
+        return str(base) + draw(st.sampled_from([" ", "\t", "\x1c", "\x1f"]))
+    return str(base)
+
+
+@st.composite
+def csv_bodies(draw):
+    """CSV text: a header, then rows of mostly increasing indices.
+
+    A noisy body also has odd spellings, blank and ragged rows, and
+    quoted fields; a clean one only has rows that numpy can parse.
+    Some bodies start next to 2**53, and in some every row has one
+    field more or fewer than the header.
+    """
+    header, index_at = draw(st.sampled_from(HEADERS))
+    width = len(header.split(","))
+    noisy = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [header]
+    base = draw(st.integers(-5, 5) | st.sampled_from([2**53 - 4, -(2**53) - 1]))
+    spare = draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    for _ in range(draw(st.integers(0, 8))):
+        # 0: blank line, 1: one field more, 2: one fewer, 3: quoted first field.
+        shape = draw(st.integers(0, 19)) if noisy else 19
+        if shape == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        base += draw(st.sampled_from([1, 1, 1, 1, 2, 7, 0, -1]))
+        cells = [
+            _token(draw, base, noisy) if draw(st.booleans()) else repr(50.0 + base / 8)
+            for _ in range(width)
+        ]
+        cells[index_at] = _token(draw, base, noisy)
+        cells = cells[: width + spare] if spare < 0 else cells + ["7"] * spare
+        if shape == 1:
+            cells.append(draw(st.sampled_from(["3", "", "x"])))
+        elif shape == 2:
+            cells.pop()
+        elif shape == 3:
+            cells[0] = f'"{cells[0]}"'
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from([newline, "", "\r\n"]))
+    return newline.join(lines) + end
+
+
+def _outcome(load, path):
+    try:
+        series = load(path)
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+    return (
+        series.index_name,
+        series.index.dtype.str,
+        series.index.tobytes(),
+        series.z_hz.dtype.str,
+        series.z_hz.tobytes(),
+    )
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "m.csv"
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(csv_bodies())
+def test_loader_matches_row_loop(csv_path, body):
+    csv_path.write_bytes(body.encode())
+    assert _outcome(gh.load_measurements, csv_path) == _outcome(reference_load, csv_path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "k,z_hz\n1,50.0\n2,49.5\n",
+        "k,z_hz\r\n1,50.0\r\n\r\n2,49.5\r\n",
+        "k,z_hz\r1,50.0\r2,49.5",
+        "timestamp,z_hz\n-0.0,50.0\n0.5,49.5\n1e20,51.0\n",
+        "k,s,z_hz,x\n-0,1,50.0,0\n9007199254740991,0,49.5,1\n",
+    ],
+)
+def test_fast_reader_takes_plain_bodies(body):
+    # The vectorised reader is the one that loads well-formed files.
+    fh = io.StringIO(body, newline="")
+    header = next(csv.reader(fh))
+    name = "k" if "k" in header else "timestamp"
+    columns = _read_columns(fh, len(header), header.index(name), header.index("z_hz"), name == "k")
+    assert columns is not None
+    assert all(c.flags.c_contiguous for c in columns)
+
+
+# Characters of numbers, and any character but the ones that end a field.
+FIELD_CHARS = st.sampled_from(list("0123456789.eE+-_ \tnaifINF\x00\x1c\x1f")) | st.characters(
+    codec="utf-8", exclude_characters=',"\n\r'
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.sampled_from(ODD_TOKENS), st.text(FIELD_CHARS, max_size=8)))
+def test_fast_reader_never_accepts_what_float_rejects(field):
+    # A field the fast reader takes parses, under float, to the same bits.
+    field = field.replace(",", "").replace('"', "")
+    columns = _read_columns(io.StringIO(f"{field},{field}\n", newline=""), 2, 0, 1, False)
+    if columns is None:
+        return
+    want = float(field)
+    for column in columns:
+        assert struct.pack("<d", float(column[0])) == struct.pack("<d", want)
+
+
+# --- writer ---------------------------------------------------------------
+
+
+@given(st.floats())
+def test_percent_17g_matches_format(v):
+    assert "%.17g" % v == format(v, ".17g") == _fmt(v)
+
+
+CFG = """\
+means = 49 50 51
+sigma = 0.35
+priors = 0.1 0.8 0.1
+
+[transitions]
+0.9 0.1 0.0
+0.05 0.9 0.05
+0.0 0.1 0.9
+"""
+
+TIMESTAMPS = {
+    "mixed": [-5.5, -0.0, 0.5, 1.0, 2.25, 3.0, 1e15 + 0.5, 1e17, 1e20, 3e20],
+    "integral": [-7.0, -0.0, 1.0, 2.0, 5.0, 1e17, 1e18],
+}
+
+
+def _reference_rows(command, series, model, thresholds):
+    """Stdout as the csv.writer path wrote it: ``_fmt_index`` and ``_fmt`` per cell."""
+    symbols = gh.classify(series.z_hz, thresholds)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if command == "detect":
+        writer.writerow([series.index_name, "z_hz", "x"])
+        writer.writerows(
+            [_fmt_index(float(i)), _fmt(float(z)), int(x)]
+            for i, z, x in zip(series.index, series.z_hz, symbols)
+        )
+    else:
+        states = gh.viterbi_decode(symbols, model)
+        writer.writerow([series.index_name, "z_hz", "x", "s_star"])
+        writer.writerows(
+            [_fmt_index(float(i)), _fmt(float(z)), int(x), int(s)]
+            for i, z, x, s in zip(series.index, series.z_hz, symbols, states)
+        )
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", ["detect", "decode"])
+@pytest.mark.parametrize("kind", sorted(TIMESTAMPS))
+def test_timestamp_index_prints_like_fmt_index(tmp_path, capsys, command, kind):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG)
+    data = tmp_path / "m.csv"
+    stamps = TIMESTAMPS[kind]
+    z = np.random.default_rng(7).normal(50.0, 0.6, len(stamps)).tolist()
+    data.write_text("timestamp,z_hz\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(stamps, z)))
+    code = main([command, "--config", str(cfg_path), "--input", str(data)])
+    out = capsys.readouterr().out
+    assert code == 0
+    cfg = gh.parse_config(cfg_path)
+    want = _reference_rows(
+        command, gh.load_measurements(data), cfg.model(), gh.compute_thresholds(cfg.params)
+    )
+    assert out == want
+    assert out.splitlines()[2].startswith("0,")  # -0.0 prints as 0

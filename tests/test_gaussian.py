@@ -210,6 +210,22 @@ def test_invert_counts_boundaries_like_searchsorted_right(raw, data):
     assert _invert(cum, u[0]) == want[0]
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(129, 400), st.integers(0, 2**32 - 1), st.data())
+def test_invert_many_categories_counts_like_the_comparison(n, seed, data):
+    # Past 128 categories the count comes from a search; on boundary
+    # draws and zero-width categories it must equal the comparison count.
+    weights = np.random.default_rng(seed).random(n)
+    weights[weights < 0.3] = 0.0
+    weights[-1] += 1.0
+    cum = _cumulative(weights / weights.sum())
+    boundaries = [0.0, *cum[:-1].tolist()]
+    u = np.array(data.draw(st.lists(st.sampled_from(boundaries), min_size=1, max_size=16)))
+    want = (cum[:, None] <= u).sum(axis=0)
+    assert np.array_equal(_invert(cum[:, None], u), want)
+    assert _invert(cum, u[0]) == want[0]
+
+
 def test_sample_categorical_many_categories():
     # Past 127 categories the index no longer fits the int8 count.
     weights = np.zeros(300)

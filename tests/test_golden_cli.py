@@ -1,4 +1,4 @@
-"""Golden outputs: the SHA-256 of ``montecarlo``, ``decode`` and ``simulate`` stdout is pinned.
+"""Golden outputs: the SHA-256 of the CSV-writing subcommands' stdout is pinned.
 
 The chain is the benchmark's "sticky" one (zero transitions, a noise
 level at which the decoder really corrects the detector).  One
@@ -7,10 +7,12 @@ enough that each fills a batch of the Monte Carlo kernel on its own.
 The ``decode`` cases read a 2e4-row ``k,z_hz`` file made with numpy
 alone: noisy measurements of the sticky chain, and symbols of the
 engineered-tie model (several hundred steps where two successors score
-equally, so ``TIE_EPS`` decides them).  The ``simulate`` cases run the
-sticky chain and the engineered-tie chain for 2**14 + 5 steps, across
-the first chunk boundary of the decoder's choice table.  A change to sampling order, tie
-handling or summation order shows up here as a new digest.
+equally, so ``TIE_EPS`` decides them); ``detect`` reads the sticky
+file.  The ``simulate`` cases run the sticky chain and the
+engineered-tie chain for 2**14 + 5 steps, across the first chunk
+boundary of the decoder's choice table.  A change to sampling order,
+tie handling, summation order or output formatting shows up here as a
+new digest.
 """
 import hashlib
 
@@ -135,6 +137,21 @@ def test_decode_stdout_digest(tmp_path, capsys, name, config, measurements, seed
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+DETECT_DIGEST = "e09c03641e026afff2f3edc3d3eaf7f6f99541a82c96e48ed087d7502b15ddce"
+
+
+def test_detect_stdout_digest(tmp_path, capsys):
+    cfg = tmp_path / "sticky.cfg"
+    cfg.write_text(STICKY_CFG.format(length=DECODE_ROWS, trials=1, seed=0))
+    data = tmp_path / "m.csv"
+    z = _sticky_measurements(20183).tolist()
+    data.write_text("k,z_hz\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(z, start=1)))
+    code = main(["detect", "--config", str(cfg), "--input", str(data)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DETECT_DIGEST
 
 
 # --- simulate -------------------------------------------------------------

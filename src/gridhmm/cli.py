@@ -13,7 +13,6 @@ import logging
 import math
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice
 
 import numpy as np
 
@@ -22,9 +21,9 @@ from .detector import classify, compute_thresholds
 from .gaussian import RngStream
 from .model import build_emission_matrix
 from .simulate import (
+    _expected_ht_accuracy,
     _propagate,
     detection_sweep,
-    expected_ht_accuracy,
     run_monte_carlo,
     simulate_states,
     synthesize_measurements,
@@ -56,42 +55,182 @@ def _fmt_index(value: float) -> str:
     return format(value, ".17g")
 
 
-# Rows per write.  Larger chunks save no time and raise peak RSS.
+# Rows per chunk.  2**13 writes a little faster but adds about 1 MB to peak RSS.
 _ROWS = 2**12
 
+# A float cell in fixed notation is a sign and at most 22 characters
+# ("0.000" and 17 digits); any other '%.17g' cell has at most 24.
+_FLOAT_WIDTH = 24
+_POW5 = np.array([5**p for p in range(21)], dtype=np.uint64)
+# _ABOVE[-n:] are the bounds 10**(n-1), ..., 10, 0 a magnitude must reach
+# to have a digit in each of its last n places.
+_ABOVE = np.array([10**i for i in range(19, 0, -1)] + [0], dtype=np.uint64)
+# _PREFIX[n] marks the first n of the 22 places after a float cell's sign.
+_PREFIX = np.arange(22) < np.arange(23)[:, None]
+# The two digit characters of 0..99, as one uint16 each.
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
 
-def _index_column(index: np.ndarray):
-    """``(cell format, column)`` printing each index value like :func:`_fmt_index`.
 
-    Integral indices (every ``k``) print through ``%d``; an index with
+def _index_column(index: np.ndarray) -> np.ndarray:
+    """The index as it prints through :func:`_fmt_index`.
+
+    Integral indices (every ``k``) become an int64 column; an index with
     another value is formatted up front, one string per row.
     """
     if np.all(np.trunc(index) == index) and np.all(np.abs(index) < 2.0**63):
-        return "%d", index.astype(np.int64)
-    return "%s", np.array([_fmt_index(v) for v in index.tolist()], dtype=object)
+        return index.astype(np.int64)
+    return np.array([_fmt_index(v) for v in index.tolist()], dtype=object)
 
 
-def _columns(*columns):
-    """Rows of equal-length array columns as tuples of Python scalars, converted _ROWS at a time."""
-    return chain.from_iterable(
-        zip(*(c[lo : lo + _ROWS].tolist() for c in columns))
-        for lo in range(0, len(columns[0]), _ROWS)
-    )
+def _digits(magnitude: np.ndarray, pairs: int) -> np.ndarray:
+    """The last ``2 * pairs`` decimal digits of uint64 ``magnitude``, as (rows x 2 pairs) bytes."""
+    out = np.empty((magnitude.size, pairs), dtype=np.uint16)
+    for i in range(pairs - 1, -1, -1):
+        rest = magnitude // 100
+        out[:, i] = _PAIRS.take(magnitude - rest * 100)
+        magnitude = rest
+    return out.view(np.uint8)
 
 
-def _write_csv(target: str, header: list[str], fmt: str, rows) -> None:
-    """Write ``header``, then each row tuple through the %-format ``fmt``, as CSV lines.
+def _text_cells(strings: list, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (rows x width) uint8 and their mask: the encoded ``strings``, left-aligned."""
+    data = [s.encode() for s in strings]
+    cells = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
+    return cells, np.arange(width) < np.array([len(b) for b in data])[:, None]
 
-    ``target`` is a path, or '-'/'stdout' for stdout.  Rows are taken
-    from ``rows`` and written _ROWS at a time, one string per write.
+
+def _fill_ints(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
+    """int64 ``v`` as '%d' into ``cells`` and ``mask``: a sign, then right-aligned digits."""
+    negative = v < 0
+    u = v.view(np.uint64)
+    magnitude = np.where(negative, np.uint64(0) - u, u)  # exact for -2**63 too
+    cells[:, 0] = ord("-")
+    mask[:, 0] = negative
+    cells[:, 1:] = _digits(magnitude, cells.shape[1] // 2)
+    mask[:, 1:] = magnitude[:, None] >= _ABOVE[1 - cells.shape[1] :]
+
+
+def _round17(m: np.ndarray, e: np.ndarray, x: np.ndarray):
+    """Truncated and half-even rounded ``m * 2**e * 10**(16 - x)``, both uint64.
+
+    ``m`` < 2**53 and ``0 <= 16 - x <= 20``, so ``m * 5**(16 - x)`` fits in
+    two 64-bit limbs built from 32-bit partial products; it is then
+    shifted by ``e + 16 - x``, right by less than 64 bits or left.
     """
-    line = fmt + "\n"
-    rows = iter(rows)
+    p = 16 - x
+    f = _POW5[p]
+    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
+    f_lo, f_hi = f & 0xFFFFFFFF, f >> 32
+    low = m_lo * f_lo
+    mid = m_lo * f_hi + m_hi * f_lo
+    lo = low + (mid << 32)
+    hi = m_hi * f_hi + (mid >> 32) + (lo < low)
+    shift = e + p
+    right = np.maximum(-shift, 0).astype(np.uint64)
+    left = np.maximum(shift, 0).astype(np.uint64)
+    truncated = ((lo >> right) | (hi << (64 - right))) << left
+    rest = lo & ((np.uint64(1) << right) - 1)
+    half = np.uint64(1) << (np.maximum(right, 1) - 1)
+    up = (rest > half) | ((rest == half) & (truncated & 1).astype(bool))
+    return truncated, truncated + up
+
+
+def _fill_floats(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
+    """float64 ``v`` as '%.17g' into ``cells`` (rows x _FLOAT_WIDTH) and ``mask``.
+
+    A finite value of magnitude in [1e-4, 1e17) prints in fixed notation
+    from the 17 digits N = round(|v| * 10**(16 - X)), X its decimal
+    exponent taken from ``log10``.  Every other value, and any row whose
+    N does not check out, is formatted by '%.17g' itself.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)  # keeps the arithmetic of the other rows in range
+    bits = a.view(np.uint64)
+    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    e = (bits >> 52).astype(np.int64) - 1075
+    x = np.floor(np.log10(a)).astype(np.int64).clip(-4, 16)
+    truncated, n = _round17(m, e, x)
+    # N holds the 17 digits exactly when X is the exponent (N truncated has
+    # 17 digits) and rounding did not carry into an 18th.  Near a power of
+    # ten log10 can be off by one; such rows take the per-cell path.
+    fast &= (truncated >= 10**16) & (n < 10**17)
+
+    # The 17 digits of N, laid out for one value of X at a time: "ddd.dddd"
+    # for X >= 0, "0.000dddd" (-X-1 zeros) for X < 0.
+    digits = _digits(n, 9)[:, 1:]
+    zeros = np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # trailing zero digits
+    body = cells[:, 1:-1]
+    counts = np.bincount(x + 4, minlength=21)
+    for ex in np.flatnonzero(counts) - 4:
+        rows = slice(None) if counts[ex + 4] == x.size else x == ex
+        if ex >= 0:
+            body[rows, : ex + 1] = digits[rows, : ex + 1]
+            body[rows, ex + 1] = ord(".")
+            body[rows, ex + 2 : 18] = digits[rows, ex + 1 :]
+        else:
+            body[rows, :2] = np.frombuffer(b"0.", dtype=np.uint8)
+            body[rows, 2 : 1 - ex] = ord("0")
+            body[rows, 1 - ex : 18 - ex] = digits[rows]
+    fraction = 16 - x - zeros  # digits after the point that are kept
+    length = np.maximum(x, 0) + 1 + np.where(fraction > 0, fraction + 1, 0)
+    cells[:, 0] = ord("-")
+    mask[:, 0] = np.signbit(v)
+    mask[:, 1:-1] = _PREFIX.take(length, axis=0)
+    mask[:, -1] = False
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells[slow], mask[slow] = _text_cells(["%.17g" % f for f in v[slow].tolist()], _FLOAT_WIDTH)
+
+
+def _layout(column: np.ndarray):
+    """``(width, fill)`` for one column; ``fill(lo, hi, cells, mask)`` writes its rows lo:hi.
+
+    Floats print as '%.17g', integers as '%d', anything else through
+    ``str``.
+    """
+    if column.dtype.kind == "f":
+        column = np.ascontiguousarray(column, dtype=np.float64)
+        return _FLOAT_WIDTH, lambda lo, hi, *out: _fill_floats(column[lo:hi], *out)
+    if column.dtype.kind in "iu":
+        column = np.ascontiguousarray(column, dtype=np.int64)
+        digits = len(str(max(-int(column.min()), int(column.max()))))
+        return 1 + digits + digits % 2, lambda lo, hi, *out: _fill_ints(column[lo:hi], *out)
+    text = [str(c) for c in column.tolist()]
+    width = max(len(t.encode()) for t in text) or 1
+
+    def fill(lo, hi, cells, mask):
+        cells[:], mask[:] = _text_cells(text[lo:hi], width)
+
+    return width, fill
+
+
+def _write_csv(target: str, header: list[str], *columns: np.ndarray) -> None:
+    """Write ``header``, then the rows of equal-length ``columns``, as CSV lines.
+
+    ``target`` is a path, or '-'/'stdout' for stdout.  Each chunk of
+    _ROWS rows is laid out in one preallocated (rows x line width) byte
+    matrix: every cell in a fixed-width slot, then a comma, the last one
+    a newline.  A mask marks the bytes that belong to the line, so the
+    chunk's text is ``matrix[mask]``, written as one string.
+    """
+    slots = [_layout(c) for c in columns]
+    ends = np.cumsum([width + 1 for width, _ in slots])
+    total = len(columns[0])
+    chunk = np.empty((min(total, _ROWS), ends[-1]), dtype=np.uint8)
+    mask = np.empty(chunk.shape, dtype=bool)
+    chunk[:, ends - 1] = ord(",")
+    chunk[:, -1] = ord("\n")
+    mask[:, ends - 1] = True
     to_stdout = target in ("-", "stdout")
     with nullcontext(sys.stdout) if to_stdout else open(target, "w", newline="") as out:
         out.write(",".join(header) + "\n")
-        while text := "".join(map(line.__mod__, islice(rows, _ROWS))):
-            out.write(text)
+        for lo in range(0, total, _ROWS):
+            rows = min(_ROWS, total - lo)
+            for (width, fill), end in zip(slots, ends):
+                cell = np.s_[:rows, end - 1 - width : end - 1]
+                fill(lo, lo + rows, chunk[cell], mask[cell])
+            out.write(chunk[:rows][mask[:rows]].tobytes().decode())
 
 
 def _summary(command: str, **fields) -> None:
@@ -124,9 +263,8 @@ def _cmd_emission(args) -> int:
     cfg = parse_config(args.config)
     thresholds = compute_thresholds(cfg.params)
     r = build_emission_matrix(cfg.params)
-    rows = ((symbol, *r[i].tolist()) for i, symbol in enumerate((-1, 0, 1)))
     header = ["emitted", "given_neg", "given_zero", "given_pos"]
-    _write_csv(args.output, header, "%d,%.17g,%.17g,%.17g", rows)
+    _write_csv(args.output, header, np.arange(-1, 2), *r.T)
     _summary(
         "emission",
         delta_neg_zero=thresholds.delta_neg_zero,
@@ -140,9 +278,8 @@ def _cmd_detect(args) -> int:
     series = load_measurements(args.input)
     thresholds = compute_thresholds(cfg.params)
     symbols = classify(series.z_hz, thresholds)
-    cell, index = _index_column(series.index)
-    rows = _columns(index, series.z_hz, symbols)
-    _write_csv(args.output, [series.index_name, "z_hz", "x"], f"{cell},%.17g,%d", rows)
+    header = [series.index_name, "z_hz", "x"]
+    _write_csv(args.output, header, _index_column(series.index), series.z_hz, symbols)
     _summary("detect", rows=symbols.size)
     return 0
 
@@ -154,10 +291,8 @@ def _cmd_decode(args) -> int:
     thresholds = compute_thresholds(cfg.params)
     symbols = classify(series.z_hz, thresholds)
     states = viterbi_decode(symbols, model)
-    cell, index = _index_column(series.index)
-    rows = _columns(index, series.z_hz, symbols, states)
     header = [series.index_name, "z_hz", "x", "s_star"]
-    _write_csv(args.output, header, f"{cell},%.17g,%d,%d", rows)
+    _write_csv(args.output, header, _index_column(series.index), series.z_hz, symbols, states)
     _summary(
         "decode",
         rows=symbols.size,
@@ -175,8 +310,8 @@ def _cmd_simulate(args) -> int:
     hidden = simulate_states(model, cfg.length, rng)
     z = synthesize_measurements(hidden, cfg.params, rng)
     symbols = classify(z, compute_thresholds(cfg.params))
-    rows = _columns(np.arange(1, cfg.length + 1), hidden, z, symbols)
-    _write_csv(args.output, ["k", "s", "z_hz", "x"], "%d,%d,%.17g,%d", rows)
+    k = np.arange(1, cfg.length + 1)
+    _write_csv(args.output, ["k", "s", "z_hz", "x"], k, hidden, z, symbols)
     _summary("simulate", k=cfg.length, seed=seed)
     return 0
 
@@ -194,9 +329,10 @@ def _cmd_montecarlo(args) -> int:
     ]
     hist = zip(summary.histogram_ht, summary.histogram_va)
     rows += [("hist", b, int(ht), int(va)) for b, (ht, va) in enumerate(hist)]
-    _write_csv(args.output, ["field", "bin", "ht", "va"], "%s,%s,%s,%s", rows)
+    _write_csv(args.output, ["field", "bin", "ht", "va"], *np.array(rows, dtype=object).T)
     # Analytic cross-check: the z-score of ht_mean against its expectation (nan if ht_std is 0).
-    ht_expected = 100.0 * expected_ht_accuracy(model, cfg.length)
+    # run_monte_carlo has validated the model and length.
+    ht_expected = 100.0 * _expected_ht_accuracy(model, cfg.length)
     ht_sem = summary.ht_std / math.sqrt(summary.trials)
     _summary(
         "montecarlo",
@@ -219,18 +355,13 @@ def _cmd_sweep(args) -> int:
     points = detection_sweep(
         cfg.params, snr_db_grid=cfg.snr_db_grid, sigma_grid=cfg.sigma_grid
     )
-
-    def rows():
-        # Notes go out as their rows are written, so none precede an unwritable --output.
-        for pt in points:
-            if pt.detection is None:
-                print(f"note: snr_db={_fmt(pt.snr_db)}: {pt.note}", file=sys.stderr)
-                yield (pt.snr_db, pt.sigma, math.nan, math.nan, math.nan)
-            else:
-                yield (pt.snr_db, pt.sigma, *pt.detection)
-
+    rows = [(pt.snr_db, pt.sigma, *(pt.detection or [math.nan] * 3)) for pt in points]
     header = ["snr_db", "sigma", "pd_neg", "pd_zero", "pd_pos"]
-    _write_csv(args.output, header, ",".join(["%.17g"] * 5), rows())
+    _write_csv(args.output, header, *np.array(rows, dtype=np.float64).T)
+    # Notes follow the rows, so none precede an unwritable --output.
+    for pt in points:
+        if pt.detection is None:
+            print(f"note: snr_db={_fmt(pt.snr_db)}: {pt.note}", file=sys.stderr)
     _summary("sweep", points=len(points), degenerate=sum(pt.detection is None for pt in points))
     return 0
 
@@ -244,9 +375,9 @@ def _cmd_predict(args) -> int:
         problems.append("'horizon' is required for predict")
     if problems:
         raise ConfigError(problems)
-    forecasts = _propagate(np.array(cfg.params.priors), cfg.transitions, cfg.horizon)
-    rows = ((m, *v.tolist()) for m, v in enumerate(forecasts))
-    _write_csv(args.output, ["m", "p_neg", "p_zero", "p_pos"], "%d,%.17g,%.17g,%.17g", rows)
+    forecasts = np.array([*_propagate(np.array(cfg.params.priors), cfg.transitions, cfg.horizon)])
+    m = np.arange(cfg.horizon + 1)
+    _write_csv(args.output, ["m", "p_neg", "p_zero", "p_pos"], m, *forecasts.T)
     _summary("predict", horizon=cfg.horizon)
     return 0
 

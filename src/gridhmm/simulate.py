@@ -463,7 +463,11 @@ def expected_ht_accuracy(model: HmmModel, length: int) -> float:
     independent check on Monte Carlo estimates.
     """
     require_valid(model)
-    length = _check_length(length)
+    return _expected_ht_accuracy(model, _check_length(length))
+
+
+def _expected_ht_accuracy(model: HmmModel, length: int) -> float:
+    """:func:`expected_ht_accuracy` of a model and length already validated."""
     occupancy = model.initial @ _power_sum(model.transitions, length) / length
     # Clamp away float drift from the matrix products; the result is a probability.
     return float(min(max(occupancy @ np.diagonal(model.emissions), 0.0), 1.0))

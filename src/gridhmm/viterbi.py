@@ -235,20 +235,24 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     n = x.size
 
     # to_go[k, j]: best log score of the path suffix after step k, given state j at k.
-    # Rows are appended from step n-1 back to step 0.
+    # Rows are written from step n-1 (all zero) back to step 0, reading the
+    # symbols x[n-1], ..., x[1] in reversed slices of _CHUNK steps.
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = log_trans.tolist()
     emit = log_emit.tolist()
     t0 = t1 = t2 = 0.0
-    pack = struct.Struct("3d").pack
-    rows = bytearray(pack(t0, t1, t2))
-    for e0, e1, e2 in map(emit.__getitem__, x[:0:-1].tolist()):
-        s0 = e0 + t0
-        s1 = e1 + t1
-        s2 = e2 + t2
-        t0 = _max3(a00 + s0, a01 + s1, a02 + s2)
-        t1 = _max3(a10 + s0, a11 + s1, a12 + s2)
-        t2 = _max3(a20 + s0, a21 + s1, a22 + s2)
-        rows += pack(t0, t1, t2)
+    pack_into = struct.Struct("3d").pack_into
+    rows = bytearray(24 * n)
+    offset = 0
+    for stop in range(n - 1, 0, -_CHUNK):
+        for e0, e1, e2 in map(emit.__getitem__, x[stop : max(stop - _CHUNK, 0) : -1].tolist()):
+            s0 = e0 + t0
+            s1 = e1 + t1
+            s2 = e2 + t2
+            t0 = _max3(a00 + s0, a01 + s1, a02 + s2)
+            t1 = _max3(a10 + s0, a11 + s1, a12 + s2)
+            t2 = _max3(a20 + s0, a21 + s1, a22 + s2)
+            offset += 24
+            pack_into(rows, offset, t0, t1, t2)
     to_go = np.frombuffer(rows).reshape(n, 3, 1)[::-1]
     path = _decode_paths(log_init, log_trans, log_emit, x[:, None], to_go)
     return path[0].astype(np.int64) - 1

@@ -197,3 +197,17 @@ def reference_load(path):
     if not index:
         raise MeasurementFormatError(f"{path}: no data rows")
     return MeasurementSeries(index_name=index_name, index=np.array(index), z_hz=np.array(values))
+
+
+def reference_write(header, *columns):
+    """The CSV text of the writer written the plain way: one %-format line per row.
+
+    Float columns print through ``%.17g``, integer columns through
+    ``%d`` and any other column through ``%s``, row by row over the
+    columns' ``tolist()`` values.
+    """
+    cell = {"f": "%.17g", "i": "%d", "u": "%d"}
+    line = ",".join(cell.get(np.asarray(c).dtype.kind, "%s") for c in columns) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
+

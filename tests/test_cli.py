@@ -292,6 +292,21 @@ def test_montecarlo_status_reports_analytic_cross_check(cfg, capsys):
     assert abs(float(fields["ht_z"])) < 5.0
 
 
+def test_montecarlo_validates_the_model_once(cfg, capsys, monkeypatch):
+    # The status line's analytic cross-check reuses the run's validation.
+    calls = []
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return gh.require_valid(model, *args, **kwargs)
+
+    for module in ("simulate", "viterbi"):
+        monkeypatch.setattr(f"gridhmm.{module}.require_valid", counting)
+    code, _, err = run_cli(capsys, "montecarlo", "--config", cfg)
+    assert code == 0 and "ht_expected=" in err
+    assert len(calls) == 1
+
+
 def test_montecarlo_status_z_is_nan_without_spread(tmp_path, capsys):
     # At this noise level every symbol is right, so ht_std is 0 and no z-score exists.
     path = tmp_path / "exact.cfg"

@@ -3,13 +3,17 @@
 ``load_measurements`` reads a body with one ``np.loadtxt`` call and
 falls back to the row loop of ``conftest.reference_load`` when that
 reader cannot vouch for it.  Either both give bitwise-equal arrays, or
-both raise the same error.  The writer formats rows with ``%``-format
-strings; its bytes must be those of the ``format``-per-cell path it
-replaced.
+both raise the same error.  The writer lays out each chunk of rows as a
+byte matrix; every cell must read as ``format(v, ".17g")`` for floats
+and ``"%d"`` for integers, and every file as ``conftest.reference_write``,
+the ``%``-format row writer, writes it.
 """
+import contextlib
 import csv
 import io
+import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,10 +21,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gridhmm as gh
-from gridhmm.cli import _fmt, _fmt_index, main
+from gridhmm.cli import _ROWS, _fmt, _fmt_index, _write_csv, main
 from gridhmm.config import _read_columns
 
-from conftest import reference_load
+from conftest import reference_load, reference_write
 
 # --- loader equivalence ---------------------------------------------------
 
@@ -164,6 +168,88 @@ def test_fast_reader_never_accepts_what_float_rejects(field):
 @given(st.floats())
 def test_percent_17g_matches_format(v):
     assert "%.17g" % v == format(v, ".17g") == _fmt(v)
+
+
+def _written(header, *columns):
+    """What the writer prints to stdout for ``columns``."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _write_csv("-", header, *columns)
+    return out.getvalue()
+
+
+def _cells(values, dtype):
+    """The cells the writer prints for a one-column array of ``values``."""
+    return _written(["v"], np.array(values, dtype=dtype)).split("\n")[1:-1]
+
+
+def _assert_float_cells(values):
+    assert _cells(values, np.float64) == [format(v, ".17g") for v in values]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_cells_match_format(values):
+    _assert_float_cells(values)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_float_cells_of_any_bit_pattern(patterns):
+    _assert_float_cells(np.array(patterns, dtype=np.uint64).view(np.float64).tolist())
+
+
+@given(st.integers(-4, 15), st.data())
+def test_float_cells_round_ties_to_even(exponent, data):
+    # odd / 2**(17 - X) with X its decimal exponent lies exactly halfway
+    # between two 17-digit decimals; such a double exists for X <= 15.
+    scale = 2 ** (17 - exponent)
+    lo = math.ceil(Fraction(10) ** exponent * scale)
+    hi = min(math.floor(Fraction(10) ** (exponent + 1) * scale), 2**53)
+    odd = data.draw(st.lists(st.integers(lo // 2, (hi - 2) // 2), min_size=1, max_size=20))
+    values = [(2 * k + 1) / scale for k in odd]
+    assert all(lo <= Fraction(v) * scale < hi for v in values)
+    assert all((Fraction(v) * Fraction(10) ** (16 - exponent)).denominator == 2 for v in values)
+    _assert_float_cells(values + [-v for v in values])
+
+
+def test_float_cells_at_powers_of_ten_and_range_ends():
+    powers = [10.0**k for k in range(-25, 26)]
+    near = [math.nextafter(p, d) for p in powers for d in (0.0, math.inf)]
+    ends = [1e-4, 1e17, 9.9999999999999991e-05, 99999999999999984.0, 1.0000000000000001e-4]
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072009e-308]
+    special += [2.2250738585072014e-308, 1.7976931348623157e308, 0.5, 1.0, 2.0**53, 2.0**56]
+    values = powers + near + ends + special
+    _assert_float_cells(values + [-v for v in values])
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+def test_int_cells_match_percent_d(values):
+    values += [0, -1, 2**63 - 1, -(2**63)]
+    assert _cells(values, np.int64) == ["%d" % v for v in values]
+
+
+TEXT = ["trials", "", "hist", "1.5", "-0", "nan", "1e+20", "0.10000000000000001", "x" * 30]
+
+
+def _random_column(gen, kind, rows):
+    if kind == "int":
+        return gen.integers(-(10 ** gen.integers(1, 19)), 2**63, rows) // gen.integers(1, 10**6)
+    if kind == "float":
+        normal = 50.0 + gen.standard_normal(rows) * 10.0 ** gen.integers(-8, 20, rows)
+        bits = gen.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+        special = gen.choice([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-4, 1e17], rows)
+        return np.choose(gen.integers(0, 3, rows), [normal, bits, special])
+    return np.array(gen.choice(TEXT, rows).tolist(), dtype=object)
+
+
+@pytest.mark.parametrize("rows", [1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 3])
+def test_writer_matches_percent_format_rows(rows):
+    gen = np.random.default_rng(rows)
+    kinds = ["int", "float", "text", "float", "int"]
+    columns = [_random_column(gen, kind, rows) for kind in kinds]
+    columns.append(gen.integers(-1, 2, rows).astype(np.int8))
+    header = [f"c{i}" for i in range(len(columns))]
+    assert _written(header, *columns) == reference_write(header, *columns)
 
 
 CFG = """\

@@ -10,9 +10,11 @@ engineered-tie model (several hundred steps where two successors score
 equally, so ``TIE_EPS`` decides them); ``detect`` reads the sticky
 file.  The ``simulate`` cases run the sticky chain and the
 engineered-tie chain for 2**14 + 5 steps, across the first chunk
-boundary of the decoder's choice table.  A change to sampling order,
-tie handling, summation order or output formatting shows up here as a
-new digest.
+boundary of the decoder's choice table.  The ``emission``, ``predict``
+and ``sweep`` cases print cells that fixed notation does not cover:
+exact 0 and 1, subnormal and tiny probabilities, ``nan``.  A change to
+sampling order, tie handling, summation order or output formatting
+shows up here as a new digest.
 """
 import hashlib
 
@@ -182,4 +184,40 @@ def test_simulate_stdout_digest(tmp_path, capsys, name, config, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert len(out.splitlines()) == SIMULATE_ROWS + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --- emission, predict, sweep ---------------------------------------------
+
+SMALL_GOLDEN = [
+    (
+        "emission",
+        "means = 49.0 50.0 51.0\nsigma = 0.06\npriors = 0.1 0.8 0.1\n",
+        "211b1c125069042524fd4157d568e403e3de53df922bebee2cc79bfcd77b5a12",
+    ),
+    (
+        # A chain with zero transitions: p_neg falls through the
+        # subnormals to exact 0.
+        "predict",
+        "means = 49.0 50.0 51.0\nsigma = 0.35\npriors = 0.98 0.01 0.01\nhorizon = 120\n\n"
+        "[transitions]\n0.001 0.999 0.0\n0.0 0.5 0.5\n0.0 0.0 1.0\n",
+        "971c3d24e5978032de24380bd102adc8fd6dc1a80d3b30262ef038ca0c22a68f",
+    ),
+    (
+        # Two degenerate points (nan cells) and a negative snr_db.
+        "sweep",
+        "means = 49.99 50 50.01\nsigma = 0.2\npriors = 0.499 0.002 0.499\n"
+        "sigma_grid = 5 0.001 1e-5 0.004 1e-6\n",
+        "c3fe8cfa3f2bf51797ddd800e730e6ce232111bdee450e4bd03598cd7c6604ca",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,config,digest", SMALL_GOLDEN, ids=[g[0] for g in SMALL_GOLDEN])
+def test_small_output_stdout_digest(tmp_path, capsys, command, config, digest):
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(config)
+    code = main([command, "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -62,9 +62,10 @@ _ROWS = 2**12
 # ("0.000" and 17 digits); any other '%.17g' cell has at most 24.
 _FLOAT_WIDTH = 24
 _POW5 = np.array([5**p for p in range(21)], dtype=np.uint64)
-# _ABOVE[-n:] are the bounds 10**(n-1), ..., 10, 0 a magnitude must reach
-# to have a digit in each of its last n places.
-_ABOVE = np.array([10**i for i in range(19, 0, -1)] + [0], dtype=np.uint64)
+# A magnitude has 1 + (the number of _TENS it reaches) digits.
+_TENS = np.array([10**i for i in range(1, 20)], dtype=np.uint64)
+# _SUFFIX[n] marks the last n of 20 places: where an n-digit magnitude prints.
+_SUFFIX = np.arange(19, -1, -1) < np.arange(21)[:, None]
 # _PREFIX[n] marks the first n of the 22 places after a float cell's sign.
 _PREFIX = np.arange(22) < np.arange(23)[:, None]
 # The two digit characters of 0..99, as one uint16 each.
@@ -106,8 +107,10 @@ def _fill_ints(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
     magnitude = np.where(negative, np.uint64(0) - u, u)  # exact for -2**63 too
     cells[:, 0] = ord("-")
     mask[:, 0] = negative
-    cells[:, 1:] = _digits(magnitude, cells.shape[1] // 2)
-    mask[:, 1:] = magnitude[:, None] >= _ABOVE[1 - cells.shape[1] :]
+    places = cells.shape[1] - 1
+    cells[:, 1:] = _digits(magnitude, places // 2)
+    digits = 1 + _TENS[: places - 1].searchsorted(magnitude, side="right")
+    mask[:, 1:] = _SUFFIX[:, -places:].take(digits, axis=0)
 
 
 def _round17(m: np.ndarray, e: np.ndarray, x: np.ndarray):

@@ -8,10 +8,11 @@ seed, which makes results independent of execution order.
 
 One core serves a single record and a batch of trials alike: a uniform
 becomes a category only in :func:`~gridhmm.gaussian._invert`, and both
-the sampled chain and the Viterbi path are walked by
-:func:`~gridhmm.viterbi._follow` through a successor table (the state at
-each step given each state at the step before) built by array
-operations.  In a batch each trial reads its own stream in the order of
+the sampled chain and the Viterbi path come from a successor table (the
+state at each step given each state at the step before) built by array
+operations.  :func:`~gridhmm.viterbi._follow` turns a table into paths
+by a prefix scan over the composed successor maps, with no per-step
+Python loop.  In a batch each trial reads its own stream in the order of
 :func:`simulate_states` and :func:`emit_symbols`, and every sum is
 formed in the same order, so the output equals running the trials one
 by one, bit for bit.  ``threads`` is validated but changes nothing.
@@ -33,7 +34,7 @@ from .detector import (
 from .gaussian import SUM_TOL, RngStream, _cumulative, _invert, sample_gaussian
 from .gaussian import _matrix_violation, _vector_violation
 from .model import HmmModel, require_valid
-from .viterbi import _decode_paths, _follow, _log_params, _symbol_indices
+from .viterbi import _follow, _log_params, _successors, _symbol_indices
 
 __all__ = [
     "HIST_BINS",
@@ -175,7 +176,7 @@ def _run_batch(
     Each stream supplies K uniforms for the states, then K for the
     emissions, as :func:`simulate_states` and :func:`emit_symbols` draw
     them, and sampling and decoding run through the same inversion,
-    successor tables and walk as those functions and
+    successor tables and prefix scan as those functions and
     :func:`~gridhmm.viterbi.viterbi_decode`.  Only the backward pass is
     the kernel's own: a loop over K on whole trial vectors that adds
     ``log_trans + (log_emit[x] + to_go)`` in the scalar loop's order.
@@ -201,7 +202,7 @@ def _run_batch(
         cand = trans_ji + (le[k + 1] + to_go[k + 1])[:, None, :]  # cand[j, i, t]: from i into j
         cand.max(axis=0, out=to_go[k])
 
-    return hidden, emitted, _decode_paths(log_init, log_trans, log_emit, x, to_go)
+    return hidden, emitted, _follow(*_successors(log_init, log_trans, log_emit, x, to_go))
 
 
 def _check_length(length) -> int:

@@ -46,12 +46,6 @@ _CHUNK = 2**14
 BRUTE_FORCE_MAX_LEN = 12
 
 
-def _max3(a: float, b: float, c: float) -> float:
-    """The largest of three floats; log scores are never NaN, so numpy's max agrees."""
-    m = a if a >= b else b
-    return m if m >= c else c
-
-
 class InfeasibleObservationError(ValueError):
     """Every state sequence has probability zero for the observations."""
 
@@ -157,47 +151,75 @@ def _choices(log_trans, log_emit, x: np.ndarray, to_go: np.ndarray) -> np.ndarra
     """Successor table (K, 3, T) int8 of the decoded paths of T records.
 
     ``choice[k, i, t]``, the state at step k when step k-1 is in state
-    i, is the smallest j within ``TIE_EPS`` of the best of
-    ``(log_trans[i, j] + log_emit[x[k, t], j]) + to_go[k, j, t]``.  Row
-    0 stays 0.  Chunks of ``_CHUNK`` steps keep the temporaries small.
+    i, is the smallest j with ``c_j >= max(c_0, c_1, c_2) - TIE_EPS``,
+    where ``c_j = (log_trans[i, j] + log_emit[x[k, t], j]) + to_go[k, j, t]``.
+    The three columns are compared directly, in that order.  Row 0
+    stays 0.  Chunks of ``_CHUNK`` steps keep the temporaries small.
     """
     n, records = x.shape
     choice = np.zeros((n, 3, records), dtype=np.int8)
     for start in range(1, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        le = log_emit.T[:, x[start:stop]].transpose(1, 0, 2)  # le[k, j, t] = log_emit[x[k, t], j]
-        for i in range(3):
-            cand = log_trans[i][:, None] + le + to_go[start:stop]  # cand[k, j, t]: i into j
-            tied = cand >= cand.max(axis=1, keepdims=True) - TIE_EPS
-            choice[start:stop, i] = np.argmax(tied, axis=1)
+        le = log_emit.T[:, x[start:stop]]  # le[j, k, t] = log_emit[x[k, t], j]
+        tg = to_go[start:stop]
+        for i, row in enumerate(log_trans.tolist()):
+            c0, c1, c2 = ((row[j] + le[j]) + tg[:, j] for j in range(3))
+            top = np.maximum(np.maximum(c0, c1), c2)
+            top -= TIE_EPS
+            choice[start:stop, i] = np.where(c0 >= top, 0, np.where(c1 >= top, 1, 2))
     return choice
+
+
+# Successor maps of the three states are coded c = f(0) + 3 f(1) + 9 f(2);
+# _MAPS[c] is (f(0), f(1), f(2)).  _COMPOSE[27 * a + b] is the code of
+# i -> a(b(i)).  The constant map to state j has code 13 j, and
+# _STATE[13 * j] is j.  Built from Python ints: numpy's integer division
+# and matmul loops would add about 0.4 MB of code pages to every process.
+_MAPS = [[c // 3**i % 3 for i in range(3)] for c in range(27)]
+_COMPOSE = np.array(
+    [a[b[0]] + 3 * a[b[1]] + 9 * a[b[2]] for a in _MAPS for b in _MAPS], dtype=np.intp
+)
+_STATE = np.array([f[0] for f in _MAPS], dtype=np.int8)
 
 
 def _follow(table: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Paths (T, K) int8 with ``path[t, k] = table[k, path[t, k-1], t]`` from ``first``.
 
-    Each record walks a ``bytes`` copy of its own (K, 3) slice of the
-    (K, 3, T) successor table.
+    Step k's successor map ``i -> table[k, i, t]`` is coded as a number
+    in 0..26; composing maps is a lookup in ``_COMPOSE``.  Composition is
+    associative, so the maps from step 0 to every step come out of a
+    Hillis-Steele prefix scan: ceil(log2 m) rounds over a chunk of m
+    steps, each a few whole-array operations.  A chunk covers ``_CHUNK``
+    steps and starts with the constant map to the state the previous
+    chunk ended in (to ``first`` for the first chunk), so every prefix is
+    a constant map to the state at its step.
     """
     n, _, records = table.shape
-    out = bytearray()
-    for t, j in enumerate(first.tolist()):
-        steps = table[:, :, t].tobytes()
-        path = bytearray((j,))
-        for k in range(3, 3 * n, 3):
-            j = steps[k + j]
-            path.append(j)
-        out += path
-    return np.frombuffer(out, dtype=np.int8).reshape(records, n)
+    path = np.empty((records, n), dtype=np.int8)
+    path[:, 0] = first
+    for start in range(1, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        step = table[start:stop]
+        codes = np.empty((stop - start + 1, records), dtype=np.intp)
+        codes[0] = 13 * path[:, start - 1]
+        codes[1:] = step[:, 0] + 3 * step[:, 1] + 9 * step[:, 2]
+        shift = 1
+        while shift < len(codes):
+            codes[shift:] = _COMPOSE.take(codes[shift:] * 27 + codes[:-shift])
+            shift *= 2
+        path[:, start:stop] = _STATE.take(codes[1:]).T
+    return path
 
 
-def _decode_paths(log_init, log_trans, log_emit, x: np.ndarray, to_go: np.ndarray) -> np.ndarray:
-    """Decoded paths (T, K) from symbol indices x (K, T) and to_go (K, 3, T).
+def _successors(log_init, log_trans, log_emit, x: np.ndarray, to_go: np.ndarray):
+    """Successor table (K, 3, T) and first states (T,) of the decoded paths.
 
-    The first state is the smallest within ``TIE_EPS`` of the best
-    total score; :func:`_choices` and :func:`_follow` give the rest.
-    Raises :class:`InfeasibleObservationError` for the first record that
-    no state sequence can produce.
+    ``x`` holds the symbol indices (K, T) and ``to_go`` the scores to go
+    (K, 3, T) of T records.  The first state is the smallest within
+    ``TIE_EPS`` of the best total score; :func:`_choices` gives the
+    table, and :func:`_follow` turns both into the paths.  Raises
+    :class:`InfeasibleObservationError` for the first record that no
+    state sequence can produce.
     """
     head = log_init[:, None] + log_emit[x[0]].T + to_go[0]
     best = head.max(axis=0)
@@ -205,7 +227,7 @@ def _decode_paths(log_init, log_trans, log_emit, x: np.ndarray, to_go: np.ndarra
     if dead.size:
         raise _infeasible(x[:, dead[0]], log_init, log_trans, log_emit)
     first = np.argmax(head >= best - TIE_EPS, axis=0)
-    return _follow(_choices(log_trans, log_emit, x, to_go), first)
+    return _choices(log_trans, log_emit, x, to_go), first
 
 
 def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
@@ -223,13 +245,15 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     The backward pass is a loop over Python floats.  They are IEEE
     doubles like numpy's float64, so each addition rounds exactly as in
     the array form ``log_trans + (log_emit[x[k+1]] + to_go[k+1])`` and
-    each maximum picks the same value: the scores are the same bit for
-    bit, and only the per-step array dispatch is gone.  Its rows are
-    packed into one bytearray, never into lists of float objects.  The
-    path is rebuilt by :func:`_decode_paths`, the Monte Carlo kernel's
-    reconstruction, for a batch of one record.
+    each maximum, taken by two ``>=`` comparisons, picks the same value:
+    the scores are the same bit for bit, and only the per-step array
+    dispatch is gone.  Its rows are packed into one bytearray, never
+    into lists of float objects, and freed once :func:`_successors` has
+    built the successor table from them.  :func:`_follow` then walks the
+    table, as it does for the Monte Carlo kernel, for a batch of one
+    record.
     """
-    x = _symbol_indices(symbols, "symbols")
+    x = _symbol_indices(symbols, "symbols").astype(np.int8)
     require_valid(model)
     log_init, log_trans, log_emit = _log_params(model)
     n = x.size
@@ -248,14 +272,27 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
             s0 = e0 + t0
             s1 = e1 + t1
             s2 = e2 + t2
-            t0 = _max3(a00 + s0, a01 + s1, a02 + s2)
-            t1 = _max3(a10 + s0, a11 + s1, a12 + s2)
-            t2 = _max3(a20 + s0, a21 + s1, a22 + s2)
+            u0 = a00 + s0
+            u1 = a01 + s1
+            u2 = a02 + s2
+            t0 = u0 if u0 >= u1 else u1
+            t0 = t0 if t0 >= u2 else u2
+            u0 = a10 + s0
+            u1 = a11 + s1
+            u2 = a12 + s2
+            t1 = u0 if u0 >= u1 else u1
+            t1 = t1 if t1 >= u2 else u2
+            u0 = a20 + s0
+            u1 = a21 + s1
+            u2 = a22 + s2
+            t2 = u0 if u0 >= u1 else u1
+            t2 = t2 if t2 >= u2 else u2
             offset += 24
             pack_into(rows, offset, t0, t1, t2)
     to_go = np.frombuffer(rows).reshape(n, 3, 1)[::-1]
-    path = _decode_paths(log_init, log_trans, log_emit, x[:, None], to_go)
-    return path[0].astype(np.int64) - 1
+    table, first = _successors(log_init, log_trans, log_emit, x[:, None], to_go)
+    del to_go, rows
+    return np.subtract(_follow(table, first)[0], 1, dtype=np.int64)
 
 
 def brute_force_mlse(symbols, model: HmmModel) -> np.ndarray:

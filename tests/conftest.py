@@ -134,6 +134,41 @@ def reference_decode(symbols, model):
     return out - 1
 
 
+def reference_choices(log_trans, log_emit, x, to_go):
+    """The successor table built the plain way: one argmax over a stacked axis.
+
+    ``cand[k, j, t] = (log_trans[i, j] + log_emit[x[k, t], j]) + to_go[k, j, t]``
+    for each predecessor i, whole records at once; the first j within
+    ``TIE_EPS`` of the best wins.  Row 0 stays 0.
+    """
+    n, records = x.shape
+    choice = np.zeros((n, 3, records), dtype=np.int8)
+    le = log_emit.T[:, x[1:]].transpose(1, 0, 2)  # le[k, j, t] = log_emit[x[k + 1, t], j]
+    for i in range(3):
+        cand = log_trans[i][:, None] + le + to_go[1:]
+        tied = cand >= cand.max(axis=1, keepdims=True) - TIE_EPS
+        choice[1:, i] = np.argmax(tied, axis=1)
+    return choice
+
+
+def reference_follow(table, first):
+    """The successor walk written the plain way: one step at a time per record.
+
+    Each record walks a ``bytes`` copy of its own (K, 3) slice of the
+    (K, 3, T) table from its first state; returns paths (T, K) int8.
+    """
+    n, _, records = table.shape
+    out = bytearray()
+    for t, j in enumerate(np.asarray(first).tolist()):
+        steps = table[:, :, t].tobytes()
+        path = bytearray((j,))
+        for k in range(3, 3 * n, 3):
+            j = steps[k + j]
+            path.append(j)
+        out += path
+    return np.frombuffer(out, dtype=np.int8).reshape(records, n)
+
+
 def reference_load(path):
     """The measurement loader written the plain way: one ``float`` call per field.
 

@@ -6,7 +6,8 @@ per step for the reconstruction.  ``viterbi_decode`` must return the
 same array on every record here, ties included, and report the same
 infeasible step, which a forward reachability pass finds without the
 trellis.  Lengths 2**14 and 2**14 + 1 end exactly at and just
-past the first chunk of the vectorised choice table.
+past the first chunk of the choice table and of the walk; 3 * 2**14 + 5
+crosses two chunk carries of the walk.
 """
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conftest import MODELS, reference_decode
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-@pytest.mark.parametrize("length", [1, 2, 3, 37, 2**14, 2**14 + 1, 50_000])
+@pytest.mark.parametrize("length", [1, 2, 3, 37, 2**14, 2**14 + 1, 3 * 2**14 + 5, 50_000])
 def test_decode_equals_per_step_reference(name, length):
     model = MODELS[name]
     rng = gh.RngStream(11, stream_index=length)

@@ -33,7 +33,7 @@ from .viterbi import joint_log_prob, viterbi_decode
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -324,7 +324,7 @@ def _cmd_montecarlo(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     trials = args.trials if args.trials is not None else cfg.trials
     model = cfg.model()
-    summary = run_monte_carlo(model, cfg.length, trials, seed, threads=args.threads)
+    summary = run_monte_carlo(model, cfg.length, trials, seed)
     rows = [
         ("trials", "", summary.trials, summary.trials),
         ("mean_pct", "", _fmt(summary.ht_mean), _fmt(summary.va_mean)),
@@ -410,8 +410,8 @@ def _build_parser() -> _Parser:
                 "--threads",
                 type=_positive_int,
                 default=1,
-                help="validated (>= 1) but unused: trials run in one process and the output"
-                " does not depend on it (default 1)",
+                help="accepted but ignored (must be >= 1): trials run serially in one process"
+                " and the output does not depend on it (default 1)",
             )
         p.set_defaults(handler=handler)
         return p
@@ -443,11 +443,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
-        # ConfigError, model/measurement validation, infeasible observations.
+        # Usage errors, ConfigError, model/measurement validation, infeasible observations.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

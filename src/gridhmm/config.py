@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .detector import DetectorParams
-from .gaussian import SUM_TOL, _matrix_violation
+from .gaussian import _matrix_violation
 from .model import HmmModel, build_emission_matrix
 
 __all__ = [
@@ -309,7 +309,7 @@ def parse_config(path) -> RunConfig:
     transitions: np.ndarray | None = None
     if "transitions" in matrices and len(matrices["transitions"]) == 3:
         t = np.array(matrices["transitions"], dtype=float)
-        problem = _matrix_violation(t, "[transitions]", 1, SUM_TOL)
+        problem = _matrix_violation(t, "[transitions]", 1)
         if problem is None:
             transitions = t
         else:
@@ -318,7 +318,7 @@ def parse_config(path) -> RunConfig:
     emissions_override: np.ndarray | None = None
     if "emission_matrix" in matrices and len(matrices["emission_matrix"]) == 3:
         r = np.array(matrices["emission_matrix"], dtype=float)
-        problem = _matrix_violation(r, "[emission_matrix]", 0, SUM_TOL)
+        problem = _matrix_violation(r, "[emission_matrix]", 0)
         if problem is None:
             emissions_override = r
         else:
@@ -327,16 +327,16 @@ def parse_config(path) -> RunConfig:
     if violations:
         raise ConfigError(violations)
     assert params is not None
+    counts = {"length": length, "trials": trials, "seed": seed}
     return RunConfig(
         params=params,
         transitions=transitions,
         emissions_override=emissions_override,
-        length=length if length is not None else 100,
-        trials=trials if trials is not None else 10000,
-        seed=seed if seed is not None else 0,
         horizon=horizon,
         snr_db_grid=snr_db_grid,
         sigma_grid=sigma_grid,
+        # Unset counts take the dataclass defaults.
+        **{name: value for name, value in counts.items() if value is not None},
     )
 
 

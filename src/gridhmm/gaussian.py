@@ -102,11 +102,11 @@ def sample_gaussian(mean, sigma: float, rng: RngStream, size=None):
     return out
 
 
-def _vector_violation(vec: np.ndarray, name: str, tol: float) -> str | None:
+def _vector_violation(vec: np.ndarray, name: str) -> str | None:
     """First probability-vector violation in ``vec``, or None.
 
-    ``tol`` loosens the sum and the upper bound only: a negative entry,
-    however small, has a NaN logarithm and is always rejected.
+    ``SUM_TOL`` loosens the sum and the upper bound only: a negative
+    entry, however small, has a NaN logarithm and is always rejected.
     """
     if not np.all(np.isfinite(vec)):
         return f"{name} has a non-finite entry"
@@ -114,17 +114,17 @@ def _vector_violation(vec: np.ndarray, name: str, tol: float) -> str | None:
     if low.size:
         i = int(low[0])
         return f"{name}[{i}] = {float(vec[i]):.12g} is negative"
-    high = np.flatnonzero(vec > 1.0 + tol)
+    high = np.flatnonzero(vec > 1.0 + SUM_TOL)
     if high.size:
         i = int(high[0])
         return f"{name}[{i}] = {float(vec[i]):.12g} exceeds 1"
     total = float(vec.sum())
-    if abs(total - 1.0) > tol:
-        return f"{name} sums to {total:.12g}, off by {abs(total - 1.0):.3e} (> {tol})"
+    if abs(total - 1.0) > SUM_TOL:
+        return f"{name} sums to {total:.12g}, off by {abs(total - 1.0):.3e} (> {SUM_TOL})"
     return None
 
 
-def _matrix_violation(mat: np.ndarray, name: str, sum_axis: int, tol: float) -> str | None:
+def _matrix_violation(mat: np.ndarray, name: str, sum_axis: int) -> str | None:
     """First stochasticity violation in ``mat``, or None.
 
     ``sum_axis=1`` checks row sums (transition matrices), ``sum_axis=0``
@@ -133,32 +133,30 @@ def _matrix_violation(mat: np.ndarray, name: str, sum_axis: int, tol: float) -> 
     """
     if not np.all(np.isfinite(mat)):
         return f"{name} has a non-finite entry"
-    bad = np.argwhere((mat < 0.0) | (mat > 1.0 + tol))
+    bad = np.argwhere((mat < 0.0) | (mat > 1.0 + SUM_TOL))
     if bad.size:
         i, j = (int(v) for v in bad[0])
         return f"{name}[{i}, {j}] = {float(mat[i, j]):.12g} is outside [0, 1]"
     sums = mat.sum(axis=sum_axis)
-    off = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    off = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
     if off.size:
         i = int(off[0])
         kind = "row" if sum_axis == 1 else "column"
         return (
             f"{name} {kind} {i} sums to {float(sums[i]):.12g},"
-            f" off by {abs(float(sums[i]) - 1.0):.3e} (> {tol})"
+            f" off by {abs(float(sums[i]) - 1.0):.3e} (> {SUM_TOL})"
         )
     return None
 
 
-def _cumulative(weights) -> np.ndarray:
-    """Validated cumulative weight vector with final entry exactly 1.0."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-D vector")
-    problem = _vector_violation(w, "weights", SUM_TOL)
-    if problem is not None:
-        raise ValueError(problem)
-    cum = np.cumsum(w)
-    cum /= cum[-1]  # last entry becomes exactly 1.0, so u < 1 always lands in range
+def _cumulative(w: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Cumulative weights of checked probability vectors along ``axis``.
+
+    The last entry along ``axis`` is exactly 1.0, so u < 1 always lands
+    in range.  The sums run in index order, as for a 1-D vector.
+    """
+    cum = np.cumsum(w, axis=axis)
+    cum /= np.take(cum, [-1], axis=axis)
     return cum
 
 
@@ -187,7 +185,13 @@ def sample_categorical(weights, rng: RngStream, size=None):
     returned.  Returns an int for ``size=None``, an int64 ndarray
     otherwise.
     """
-    cum = _cumulative(weights)
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("weights must be a non-empty 1-D vector")
+    problem = _vector_violation(w, "weights")
+    if problem is not None:
+        raise ValueError(problem)
+    cum = _cumulative(w)
     u = rng.generator.random(size)
     idx = _invert(cum.reshape(cum.shape + (1,) * np.ndim(u)), u)
     if size is None:

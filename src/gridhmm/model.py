@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorParams, compute_thresholds, q_function
-from .gaussian import SUM_TOL, _matrix_violation, _vector_violation
+from .gaussian import _matrix_violation, _vector_violation
 
 __all__ = [
     "HmmModel",
@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 N_STATES = 3
+
+# Sup-norm change at which power iteration counts as converged.
+_CONVERGENCE_TOL = 1e-12
 
 
 class InvalidModelError(ValueError):
@@ -92,38 +95,36 @@ def build_emission_matrix(params: DetectorParams) -> np.ndarray:
     return out
 
 
-def validate(model: HmmModel, tol: float = SUM_TOL) -> str | None:
+def validate(model: HmmModel) -> str | None:
     """Describe the first stochasticity violation, or return None if valid."""
     return (
-        _matrix_violation(model.transitions, "transitions", 1, tol)
-        or _matrix_violation(model.emissions, "emissions", 0, tol)
-        or _vector_violation(model.initial, "initial", tol)
+        _matrix_violation(model.transitions, "transitions", 1)
+        or _matrix_violation(model.emissions, "emissions", 0)
+        or _vector_violation(model.initial, "initial")
     )
 
 
-def require_valid(model: HmmModel, tol: float = SUM_TOL) -> HmmModel:
+def require_valid(model: HmmModel) -> HmmModel:
     """Return the model unchanged or raise :class:`InvalidModelError`."""
-    problem = validate(model, tol)
+    problem = validate(model)
     if problem is not None:
         raise InvalidModelError(problem)
     return model
 
 
-def stationary_distribution(
-    transitions, tol: float = 1e-12, max_iter: int = 10**6
-) -> np.ndarray:
+def stationary_distribution(transitions, max_iter: int = 10**6) -> np.ndarray:
     """Stationary law of the chain by power iteration from uniform.
 
     Iterates ``v <- v P`` with renormalisation until the sup-norm change
-    drops to ``tol``.  Chains without a limit from the uniform start
-    (periodic ones, for instance) exhaust ``max_iter`` and raise
-    :class:`NonConvergenceError` rather than returning a spurious
+    drops to ``_CONVERGENCE_TOL``.  Chains without a limit from the
+    uniform start (periodic ones, for instance) exhaust ``max_iter`` and
+    raise :class:`NonConvergenceError` rather than returning a spurious
     vector.
     """
     p = np.asarray(transitions, dtype=float)
     if p.shape != (N_STATES, N_STATES):
         raise InvalidModelError(f"transitions must be 3x3, got shape {p.shape}")
-    problem = _matrix_violation(p, "transitions", 1, SUM_TOL)
+    problem = _matrix_violation(p, "transitions", 1)
     if problem is not None:
         raise InvalidModelError(problem)
     v = np.full(N_STATES, 1.0 / N_STATES)
@@ -132,7 +133,7 @@ def stationary_distribution(
         nxt = v @ p
         nxt /= nxt.sum()
         change = float(np.abs(nxt - v).max())
-        if change <= tol:
+        if change <= _CONVERGENCE_TOL:
             return nxt
         v = nxt
     raise NonConvergenceError(

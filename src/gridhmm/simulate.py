@@ -15,7 +15,7 @@ by a prefix scan over the composed successor maps, with no per-step
 Python loop.  In a batch each trial reads its own stream in the order of
 :func:`simulate_states` and :func:`emit_symbols`, and every sum is
 formed in the same order, so the output equals running the trials one
-by one, bit for bit.  ``threads`` is validated but changes nothing.
+by one, bit for bit.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ from .detector import (
     compute_thresholds,
     detection_probabilities,
 )
-from .gaussian import SUM_TOL, RngStream, _cumulative, _invert, sample_gaussian
-from .gaussian import _matrix_violation, _vector_violation
+from .gaussian import RngStream, _cumulative, _invert, _matrix_violation, _vector_violation
+from .gaussian import sample_gaussian
 from .model import HmmModel, require_valid
 from .viterbi import _follow, _log_params, _successors, _symbol_indices
 
@@ -89,17 +89,12 @@ def emit_symbols(hidden, emissions, rng: RngStream) -> np.ndarray:
     r = np.asarray(emissions, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"emissions must be 3x3, got shape {r.shape}")
-    problem = _matrix_violation(r, "emissions", 0, SUM_TOL)
+    problem = _matrix_violation(r, "emissions", 0)
     if problem is not None:
         raise ValueError(problem)
     hid = _symbol_indices(hidden, "hidden")
     u = rng.generator.random(hid.size)
-    return _invert(_cumulative_columns(r)[:, hid], u).astype(np.int64) - 1
-
-
-def _cumulative_columns(emissions) -> np.ndarray:
-    """Cumulative emission matrix: ``cum[:, j]`` is :func:`_cumulative` of column j."""
-    return np.array([_cumulative(column) for column in np.transpose(emissions)]).T
+    return _invert(_cumulative(r)[:, hid], u).astype(np.int64) - 1
 
 
 def synthesize_measurements(hidden, params: DetectorParams, rng: RngStream) -> np.ndarray:
@@ -154,8 +149,8 @@ class _Tables(NamedTuple):
         require_valid(model)
         return cls(
             _cumulative(model.initial),
-            np.array([_cumulative(row) for row in model.transitions]),
-            _cumulative_columns(model.emissions),
+            _cumulative(model.transitions, axis=1),
+            _cumulative(model.emissions),
             *_log_params(model),
         )
 
@@ -282,7 +277,6 @@ def run_monte_carlo(
     length: int,
     trials: int,
     base_seed: int,
-    threads: int = 1,
 ) -> MonteCarloSummary:
     """Accuracy statistics of both estimators over independent trials.
 
@@ -291,16 +285,12 @@ def run_monte_carlo(
     Trials go through one batched kernel, about ``_BATCH_STEPS`` steps
     (trials x length) at a time, and each trial's result equals
     :func:`run_trial` on its stream.  The model is validated once per
-    call.  ``threads`` must be >= 1 but changes neither execution nor
-    the result.
+    call.
     """
     tables = _Tables.of(model)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     length = _check_length(length)
 
     batch = max(1, _BATCH_STEPS // length)
@@ -392,7 +382,7 @@ class PredictionVector:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
-        problem = _vector_violation(p, "probs", SUM_TOL)
+        problem = _vector_violation(p, "probs")
         if problem is not None:
             raise ValueError(problem)
         p.flags.writeable = False
@@ -420,13 +410,13 @@ def predict(transitions, initial, horizon: int) -> PredictionVector:
     p = np.asarray(transitions, dtype=float)
     if p.shape != (3, 3):
         raise ValueError(f"transitions must be 3x3, got shape {p.shape}")
-    problem = _matrix_violation(p, "transitions", 1, SUM_TOL)
+    problem = _matrix_violation(p, "transitions", 1)
     if problem is not None:
         raise ValueError(problem)
     v = np.asarray(initial, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"initial must have 3 entries, got shape {v.shape}")
-    problem = _vector_violation(v, "initial", SUM_TOL)
+    problem = _vector_violation(v, "initial")
     if problem is not None:
         raise ValueError(problem)
     horizon = int(horizon)

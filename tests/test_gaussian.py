@@ -226,6 +226,24 @@ def test_invert_many_categories_counts_like_the_comparison(n, seed, data):
     assert _invert(cum, u[0]) == want[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_cumulative_along_an_axis_equals_one_vector_at_a_time(rows, cols, seed, zeros):
+    # A matrix is summed in the same order as each of its vectors on its own.
+    m = np.random.default_rng(seed).random((rows, cols))
+    if zeros:
+        m[m < 0.4] = 0.0
+        m[:, -1] += 1.0
+        m[-1, :] += 1.0
+    by_row = m / m.sum(axis=1, keepdims=True)
+    by_col = m / m.sum(axis=0, keepdims=True)
+    rows_cum = _cumulative(by_row, axis=1)
+    cols_cum = _cumulative(by_col, axis=0)
+    assert np.array_equal(rows_cum, [_cumulative(r) for r in by_row])
+    assert np.array_equal(cols_cum.T, [_cumulative(c) for c in by_col.T])
+    assert np.all(rows_cum[:, -1] == 1.0) and np.all(cols_cum[-1] == 1.0)
+
+
 def test_sample_categorical_many_categories():
     # Past 127 categories the index no longer fits the int8 count.
     weights = np.zeros(300)

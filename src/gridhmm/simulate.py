@@ -10,12 +10,12 @@ One core serves a single record and a batch of trials alike: a uniform
 becomes a category only in :func:`~gridhmm.gaussian._invert`, and both
 the sampled chain and the Viterbi path come from a successor table (the
 state at each step given each state at the step before) built by array
-operations.  :func:`~gridhmm.viterbi._follow` turns a table into paths
-by a prefix scan over the composed successor maps, with no per-step
-Python loop.  In a batch each trial reads its own stream in the order of
-:func:`simulate_states` and :func:`emit_symbols`, and every sum is
-formed in the same order, so the output equals running the trials one
-by one, bit for bit.
+operations.  :func:`~gridhmm.viterbi._follow` turns the coded maps of
+a table into paths by a prefix scan over their compositions, with no
+per-step Python loop.  In a batch each trial reads its own stream in
+the order of :func:`simulate_states` and :func:`emit_symbols`, and
+every sum is formed in the same order, so the output equals running
+the trials one by one, bit for bit.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .detector import (
 from .gaussian import RngStream, _cumulative, _invert, _matrix_violation, _vector_violation
 from .gaussian import sample_gaussian
 from .model import HmmModel, require_valid
-from .viterbi import _follow, _log_params, _successors, _symbol_indices
+from .viterbi import _choices, _code, _first_states, _follow, _log_params, _symbol_indices
 
 __all__ = [
     "HIST_BINS",
@@ -160,7 +160,7 @@ def _sample_chain(tables: _Tables, u: np.ndarray) -> np.ndarray:
     first = _invert(tables.cum_init[:, None], u[0])
     # successor[k, i, t]: the state at step k of record t when step k-1 is in state i.
     successor = _invert(tables.cum_trans.T[:, None, :, None], u[:, None, :])
-    return _follow(successor, first)
+    return _follow(_code(successor), first)
 
 
 def _run_batch(
@@ -174,7 +174,12 @@ def _run_batch(
     successor tables and prefix scan as those functions and
     :func:`~gridhmm.viterbi.viterbi_decode`.  Only the backward pass is
     the kernel's own: a loop over K on whole trial vectors that adds
-    ``log_trans + (log_emit[x] + to_go)`` in the scalar loop's order.
+    ``log_trans + (log_emit[x] + to_go)`` in the scalar step's order.
+    Unlike :func:`~gridhmm.viterbi.viterbi_decode` it does not subtract
+    each step's maximum from the score to go; at the short K of a Monte
+    Carlo trial the raw scores are small enough that the two decoders
+    agree, but they can part on long records.  The emission rows ``le``
+    gathered for this pass also feed :func:`~gridhmm.viterbi._choices`.
     The model is not validated here.
     """
     n_trials = len(streams)
@@ -197,7 +202,8 @@ def _run_batch(
         cand = trans_ji + (le[k + 1] + to_go[k + 1])[:, None, :]  # cand[j, i, t]: from i into j
         cand.max(axis=0, out=to_go[k])
 
-    return hidden, emitted, _follow(*_successors(log_init, log_trans, log_emit, x, to_go))
+    first = _first_states(log_init, log_trans, log_emit, x, to_go[0])
+    return hidden, emitted, _follow(_code(_choices(log_trans, le, to_go)), first)
 
 
 def _check_length(length) -> int:

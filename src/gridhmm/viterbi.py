@@ -12,12 +12,15 @@ distinct optimal sequences can have genuinely equal scores, e.g. when
 they use the same multiset of factors in a different order, but the two
 log-sums then typically differ by a few ulp because float addition is
 not associative.  Scores within ``TIE_EPS`` of the running optimum are
-therefore treated as ties; the window is far above accumulated rounding
-noise and far below any genuine score gap at these sequence lengths.
+therefore treated as ties.  The decoder subtracts the maximum of the
+score to go at every step, so the window compares normalised scores of
+O(1) size, whose float spacing stays far below it however long the
+record.  On raw sums, which grow linearly with K, it would not: past
+about 1e7 in magnitude their spacing exceeds ``TIE_EPS``.
 """
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,10 @@ TIE_EPS = 1e-9
 # Steps per chunk of the vectorised choice table: for one record the
 # array temporaries stay near 0.4 MB each, however long the record.
 _CHUNK = 2**14
+
+# Rows of normalised score to go that the decoder's memo holds before it
+# is cleared; sparse random models reach about 13,000 in 2e5 steps.
+_MEMO_ROWS = 2**16
 
 # Enumeration guard: 3^12 sequences is the most brute_force_mlse will score.
 BRUTE_FORCE_MAX_LEN = 12
@@ -147,23 +154,25 @@ def _infeasible(x: np.ndarray, log_init, log_trans, log_emit) -> InfeasibleObser
     )
 
 
-def _choices(log_trans, log_emit, x: np.ndarray, to_go: np.ndarray) -> np.ndarray:
+def _choices(log_trans, le: np.ndarray, to_go: np.ndarray) -> np.ndarray:
     """Successor table (K, 3, T) int8 of the decoded paths of T records.
 
-    ``choice[k, i, t]``, the state at step k when step k-1 is in state
-    i, is the smallest j with ``c_j >= max(c_0, c_1, c_2) - TIE_EPS``,
-    where ``c_j = (log_trans[i, j] + log_emit[x[k, t], j]) + to_go[k, j, t]``.
-    The three columns are compared directly, in that order.  Row 0
-    stays 0.  Chunks of ``_CHUNK`` steps keep the temporaries small.
+    ``le[k, j, t]`` is the log emission weight of state j for the symbol
+    of record t at step k, gathered by the caller, and ``to_go[k, j, t]``
+    the score to go from state j at that step.  ``choice[k, i, t]``, the
+    state at step k when step k-1 is in state i, is the smallest j with
+    ``c_j >= max(c_0, c_1, c_2) - TIE_EPS``, where
+    ``c_j = (log_trans[i, j] + le[k, j, t]) + to_go[k, j, t]``.  The three
+    columns are compared directly, in that order.  Row 0 stays 0.
+    Chunks of ``_CHUNK`` steps keep the temporaries small.
     """
-    n, records = x.shape
+    n, _, records = le.shape
     choice = np.zeros((n, 3, records), dtype=np.int8)
     for start in range(1, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        le = log_emit.T[:, x[start:stop]]  # le[j, k, t] = log_emit[x[k, t], j]
-        tg = to_go[start:stop]
+        e, tg = le[start:stop], to_go[start:stop]
         for i, row in enumerate(log_trans.tolist()):
-            c0, c1, c2 = ((row[j] + le[j]) + tg[:, j] for j in range(3))
+            c0, c1, c2 = ((row[j] + e[:, j]) + tg[:, j] for j in range(3))
             top = np.maximum(np.maximum(c0, c1), c2)
             top -= TIE_EPS
             choice[start:stop, i] = np.where(c0 >= top, 0, np.where(c1 >= top, 1, 2))
@@ -182,52 +191,130 @@ _COMPOSE = np.array(
 _STATE = np.array([f[0] for f in _MAPS], dtype=np.int8)
 
 
-def _follow(table: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Paths (T, K) int8 with ``path[t, k] = table[k, path[t, k-1], t]`` from ``first``.
+def _code(table: np.ndarray) -> np.ndarray:
+    """Codes (K, T) int8 of the successor maps ``i -> table[k, i, t]`` of a (K, 3, T) table."""
+    return table[:, 0] + 3 * table[:, 1] + 9 * table[:, 2]
 
-    Step k's successor map ``i -> table[k, i, t]`` is coded as a number
-    in 0..26; composing maps is a lookup in ``_COMPOSE``.  Composition is
+
+def _follow(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Paths (T, K) int8 from ``first``, each step applying the map coded ``codes[k, t]``.
+
+    Composing maps is a lookup in ``_COMPOSE``.  Composition is
     associative, so the maps from step 0 to every step come out of a
     Hillis-Steele prefix scan: ceil(log2 m) rounds over a chunk of m
     steps, each a few whole-array operations.  A chunk covers ``_CHUNK``
     steps and starts with the constant map to the state the previous
     chunk ended in (to ``first`` for the first chunk), so every prefix is
-    a constant map to the state at its step.
+    a constant map to the state at its step.  Row 0 of ``codes`` is not
+    read.
     """
-    n, _, records = table.shape
+    n, records = codes.shape
     path = np.empty((records, n), dtype=np.int8)
     path[:, 0] = first
     for start in range(1, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        step = table[start:stop]
-        codes = np.empty((stop - start + 1, records), dtype=np.intp)
-        codes[0] = 13 * path[:, start - 1]
-        codes[1:] = step[:, 0] + 3 * step[:, 1] + 9 * step[:, 2]
+        scan = np.empty((stop - start + 1, records), dtype=np.intp)
+        scan[0] = 13 * path[:, start - 1]
+        scan[1:] = codes[start:stop]
         shift = 1
-        while shift < len(codes):
-            codes[shift:] = _COMPOSE.take(codes[shift:] * 27 + codes[:-shift])
+        while shift < len(scan):
+            scan[shift:] = _COMPOSE.take(scan[shift:] * 27 + scan[:-shift])
             shift *= 2
-        path[:, start:stop] = _STATE.take(codes[1:]).T
+        path[:, start:stop] = _STATE.take(scan[1:]).T
     return path
 
 
-def _successors(log_init, log_trans, log_emit, x: np.ndarray, to_go: np.ndarray):
-    """Successor table (K, 3, T) and first states (T,) of the decoded paths.
+def _first_states(log_init, log_trans, log_emit, x: np.ndarray, to_go: np.ndarray):
+    """First states (T,) of the decoded paths of T records.
 
     ``x`` holds the symbol indices (K, T) and ``to_go`` the scores to go
-    (K, 3, T) of T records.  The first state is the smallest within
-    ``TIE_EPS`` of the best total score; :func:`_choices` gives the
-    table, and :func:`_follow` turns both into the paths.  Raises
+    (3, T) at step 0.  The first state is the smallest within
+    ``TIE_EPS`` of the best total score.  Raises
     :class:`InfeasibleObservationError` for the first record that no
     state sequence can produce.
     """
-    head = log_init[:, None] + log_emit[x[0]].T + to_go[0]
+    head = log_init[:, None] + log_emit[x[0]].T + to_go
     best = head.max(axis=0)
     dead = np.flatnonzero(~np.isfinite(best))
     if dead.size:
         raise _infeasible(x[:, dead[0]], log_init, log_trans, log_emit)
-    first = np.argmax(head >= best - TIE_EPS, axis=0)
-    return _choices(log_trans, log_emit, x, to_go), first
+    return np.argmax(head >= best - TIE_EPS, axis=0)
+
+
+def _step(trans: list, emit: list, to_go: tuple) -> tuple:
+    """Normalised score to go one step before ``to_go``, at a symbol of emission row ``emit``.
+
+    ``max_j (trans[i][j] + (emit[j] + to_go[j]))`` for each state i, the
+    additions in the order of ``log_trans + (log_emit[x] + to_go)``, then
+    minus the largest of the three when that is finite.
+    """
+    s = [e + t for e, t in zip(emit, to_go)]
+    u = [max([a + b for a, b in zip(row, s)]) for row in trans]
+    top = max(u)
+    return tuple(v - top for v in u) if top > -math.inf else tuple(u)
+
+
+def _pair_codes(log_trans, log_emit, rows: list[tuple]) -> np.ndarray:
+    """Successor-map codes (3R,) int8 of R score-to-go rows, each with each symbol.
+
+    Entry ``3 r + s`` is the code of step k's successor map when
+    ``rows[r]`` is the score to go at step k and s the symbol index
+    there, by the rule of :func:`_choices`, which builds it with the
+    3R pairs as its records.
+    """
+    to_go = np.zeros((2, 3, 3 * len(rows)))  # _choices skips step 0; the pairs are step 1
+    to_go[1] = np.repeat(np.array(rows).T, 3, axis=1)  # to_go[1, j, 3r + s] = rows[r][j]
+    le = np.zeros_like(to_go)
+    le[1] = np.tile(log_emit.T, len(rows))  # le[1, j, 3r + s] = log_emit[s, j]
+    return _code(_choices(log_trans, le, to_go))[1]
+
+
+def _backward(log_trans, log_emit, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Successor-map codes (K,) int8 of the decoded path, and its score to go at step 0.
+
+    A memoised automaton over the normalised score-to-go rows, run from
+    step K-1 (all zero) back to step 0.  Each distinct row gets an id r
+    and is carried as ``3 r``, so ``3 r + s`` names the pair of the row
+    and the symbol index s at its step.  ``nxt[3 r + s]`` is the carried
+    id of the row one step earlier: -1 until the pair first occurs, when
+    :func:`_step` computes it.  ``table[3 r + s]`` is the pair's
+    successor-map code, from :func:`_pair_codes` over the rows that are
+    new, once per chunk.  So a step costs one list lookup.  A memo of
+    more than ``_MEMO_ROWS`` rows is cleared at the next chunk boundary
+    and restarts from the current row, so it never holds more than
+    ``_MEMO_ROWS + _CHUNK`` rows; the codes are the same either way.
+    """
+    trans, emit = log_trans.tolist(), log_emit.tolist()
+    n = x.size
+    codes = np.zeros(n, dtype=np.int8)
+    row = (0.0, 0.0, 0.0)
+    rows: list[tuple] = []
+    for hi in range(n - 1, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        if not rows or len(rows) > _MEMO_ROWS:  # a new memo, holding the current row
+            rows, index, nxt, cur = [row], {row: 0}, [-1, -1, -1], 0
+            table = np.empty(0, dtype=np.int8)
+        symbols = x[hi:lo:-1]
+        ids = []  # the carried id of the row at each step of the chunk
+        append = ids.append
+        for s in symbols.tolist():
+            append(cur)
+            cur = nxt[cur + s]
+            if cur < 0:  # the pair's first occurrence
+                key = ids[-1] + s
+                row = _step(trans, emit[s], rows[key // 3])
+                cur = index.get(row)
+                if cur is None:
+                    cur = index[row] = len(nxt)
+                    rows.append(row)
+                    nxt += (-1, -1, -1)
+                nxt[key] = cur
+        if len(table) < len(nxt):
+            new = _pair_codes(log_trans, log_emit, rows[len(table) // 3 :])
+            table = np.concatenate([table, new])
+        codes[hi:lo:-1] = table.take(np.fromiter(ids, np.intp, len(ids)) + symbols)
+        row = rows[cur // 3]
+    return codes, row
 
 
 def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
@@ -242,57 +329,20 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     :class:`InfeasibleObservationError` when no sequence has positive
     probability.
 
-    The backward pass is a loop over Python floats.  They are IEEE
-    doubles like numpy's float64, so each addition rounds exactly as in
-    the array form ``log_trans + (log_emit[x[k+1]] + to_go[k+1])`` and
-    each maximum, taken by two ``>=`` comparisons, picks the same value:
-    the scores are the same bit for bit, and only the per-step array
-    dispatch is gone.  Its rows are packed into one bytearray, never
-    into lists of float objects, and freed once :func:`_successors` has
-    built the successor table from them.  :func:`_follow` then walks the
-    table, as it does for the Monte Carlo kernel, for a batch of one
-    record.
+    The score to go is normalised at every step: its largest entry is
+    subtracted, so the tie window compares O(1) values however long the
+    record.  Normalised rows take few distinct values, so the backward
+    pass is a memoised automaton over them (:func:`_backward`): a step
+    costs one list lookup and leaves one int8 successor-map code.
+    :func:`_follow` then walks the codes, as it does for the Monte Carlo
+    kernel, for a batch of one record.
     """
     x = _symbol_indices(symbols, "symbols").astype(np.int8)
     require_valid(model)
     log_init, log_trans, log_emit = _log_params(model)
-    n = x.size
-
-    # to_go[k, j]: best log score of the path suffix after step k, given state j at k.
-    # Rows are written from step n-1 (all zero) back to step 0, reading the
-    # symbols x[n-1], ..., x[1] in reversed slices of _CHUNK steps.
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = log_trans.tolist()
-    emit = log_emit.tolist()
-    t0 = t1 = t2 = 0.0
-    pack_into = struct.Struct("3d").pack_into
-    rows = bytearray(24 * n)
-    offset = 0
-    for stop in range(n - 1, 0, -_CHUNK):
-        for e0, e1, e2 in map(emit.__getitem__, x[stop : max(stop - _CHUNK, 0) : -1].tolist()):
-            s0 = e0 + t0
-            s1 = e1 + t1
-            s2 = e2 + t2
-            u0 = a00 + s0
-            u1 = a01 + s1
-            u2 = a02 + s2
-            t0 = u0 if u0 >= u1 else u1
-            t0 = t0 if t0 >= u2 else u2
-            u0 = a10 + s0
-            u1 = a11 + s1
-            u2 = a12 + s2
-            t1 = u0 if u0 >= u1 else u1
-            t1 = t1 if t1 >= u2 else u2
-            u0 = a20 + s0
-            u1 = a21 + s1
-            u2 = a22 + s2
-            t2 = u0 if u0 >= u1 else u1
-            t2 = t2 if t2 >= u2 else u2
-            offset += 24
-            pack_into(rows, offset, t0, t1, t2)
-    to_go = np.frombuffer(rows).reshape(n, 3, 1)[::-1]
-    table, first = _successors(log_init, log_trans, log_emit, x[:, None], to_go)
-    del to_go, rows
-    return np.subtract(_follow(table, first)[0], 1, dtype=np.int64)
+    codes, to_go = _backward(log_trans, log_emit, x)
+    first = _first_states(log_init, log_trans, log_emit, x[:, None], np.array(to_go)[:, None])
+    return np.subtract(_follow(codes[:, None], first)[0], 1, dtype=np.int64)
 
 
 def brute_force_mlse(symbols, model: HmmModel) -> np.ndarray:

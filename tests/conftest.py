@@ -9,6 +9,19 @@ import gridhmm as gh
 from gridhmm.config import _K_LIMIT, MeasurementFormatError, MeasurementSeries
 from gridhmm.viterbi import TIE_EPS, _log_params, _symbol_indices
 
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true", help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 # Reference detector configuration and the 4-decimal emission matrix it
 # must reproduce.
 REFERENCE_MEANS = (49.0, 50.0, 51.0)
@@ -112,8 +125,9 @@ def reference_decode(symbols, model):
     """The decoder written the plain way: one array operation per step.
 
     One step per iteration of the backward pass, one per iteration of
-    the reconstruction, with the same additions in the same order and
-    the same ``TIE_EPS`` rule as ``viterbi_decode``.
+    the reconstruction, with the same additions in the same order, the
+    same normalisation (each score-to-go row minus its maximum, when
+    that is finite) and the same ``TIE_EPS`` rule as ``viterbi_decode``.
     """
     x = _symbol_indices(symbols, "symbols")
     log_init, log_trans, log_emit = _log_params(model)
@@ -122,6 +136,9 @@ def reference_decode(symbols, model):
     for k in range(n - 2, -1, -1):
         cand = log_trans + (log_emit[x[k + 1]] + to_go[k + 1])[None, :]
         to_go[k] = cand.max(axis=1)
+        top = to_go[k].max()
+        if np.isfinite(top):
+            to_go[k] -= top
     head = log_init + log_emit[x[0]] + to_go[0]
     best = float(head.max())
     if not np.isfinite(best):

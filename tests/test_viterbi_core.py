@@ -9,7 +9,7 @@ choice builder and the per-record ``bytes`` walk.
 import numpy as np
 import pytest
 
-from gridhmm.viterbi import _CHUNK, TIE_EPS, _choices, _follow
+from gridhmm.viterbi import _CHUNK, TIE_EPS, _choices, _code, _follow
 
 from conftest import reference_choices, reference_follow
 
@@ -29,7 +29,7 @@ def test_follow_equals_per_record_walk(length, records):
     table = _table(gen, length, records)
     for offset in range(3):
         first = (np.arange(records) + offset) % 3  # every first state, in every record
-        got = _follow(table, first)
+        got = _follow(_code(table), first)
         assert got.dtype == np.int8 and got.shape == (records, length)
         assert np.array_equal(got, reference_follow(table, first))
 
@@ -71,7 +71,8 @@ def test_choices_equal_argmax_reference():
     assert np.any((gap > TIE_EPS) & (gap < 1.01 * TIE_EPS))
     assert np.any(cand == cand.max(axis=1, keepdims=True) - TIE_EPS)
 
-    got = _choices(log_trans, log_emit, x, to_go)
+    le = log_emit[x].transpose(0, 2, 1)  # le[k, j, t] = log_emit[x[k, t], j]
+    got = _choices(log_trans, le, to_go)
     want = reference_choices(log_trans, log_emit, x, to_go)
     assert got.dtype == np.int8
     assert np.array_equal(got, want)

@@ -7,7 +7,9 @@ same array on every record here, ties included, and report the same
 infeasible step, which a forward reachability pass finds without the
 trellis.  Lengths 2**14 and 2**14 + 1 end exactly at and just
 past the first chunk of the choice table and of the walk; 3 * 2**14 + 5
-crosses two chunk carries of the walk.
+crosses two chunk carries of the walk.  The tie records are checked
+against their known optimal paths, and a decoder whose memo of score
+rows is capped against the uncapped one.
 """
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 import gridhmm as gh
 from gridhmm import simulate, viterbi
 
-from conftest import MODELS, reference_decode
+from conftest import MODELS, feasible_observation, reference_decode
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -42,15 +44,51 @@ def test_long_infeasible_record_names_the_step():
         reference_decode(symbols, model)
 
 
-def test_long_tie_resolves_lexicographically():
+@pytest.mark.parametrize("length", [200_000, pytest.param(10_000_000, marks=pytest.mark.slow)])
+def test_long_tie_resolves_lexicographically(length):
     # The first pair of -1 symbols is emitted equally well by (-1, +1) and
     # (+1, -1); every later pair only by (+1, -1).  The two tied scores
-    # are sums over the whole record, formed in different orders.
+    # are sums over the whole record, formed in different orders.  Left
+    # unnormalised, the score to go reaches about 9e6 at K=1e7, where the
+    # float spacing is wider than TIE_EPS.
     model = MODELS["tie"]
-    symbols = np.tile([-1, -1, 1, 1], 50_000)
+    symbols = np.tile(np.array([-1, -1, 1, 1], dtype=np.int8), length // 4)
     decoded = gh.viterbi_decode(symbols, model)
     assert tuple(decoded[:2]) == (-1, 1)
-    assert np.array_equal(decoded[2:], np.tile([0, 0, 1, -1], 50_000)[:-2])
+    assert np.array_equal(decoded[2:], np.tile([0, 0, 1, -1], length // 4)[:-2])
+
+
+def test_tie_holds_where_unnormalised_scores_lose_it():
+    # As above, but the middle state emits +1 with probability 1e-300, so
+    # each +1 pair costs about 1382 in log score.  Unnormalised, the score
+    # to go passes 2e7 by K=60,000; the float spacing there, 2**-28, is
+    # wider than TIE_EPS, and the larger of the two tied paths won.
+    tie = MODELS["tie"]
+    emissions = tie.emissions.copy()
+    emissions[:, 1] = [0.0, 1.0, 1e-300]
+    model = gh.HmmModel(transitions=tie.transitions, emissions=emissions, initial=tie.initial)
+    decoded = gh.viterbi_decode(np.tile([-1, -1, 1, 1], 15_000), model)
+    assert tuple(decoded[:2]) == (-1, 1)
+    assert np.array_equal(decoded[2:], np.tile([0, 0, 1, -1], 15_000)[:-2])
+
+
+@pytest.mark.parametrize("name", ["sticky", "tie", "random"])
+def test_capped_memo_decodes_the_same(name, monkeypatch):
+    # A memo of more than 3 rows restarts at every boundary of 100 steps;
+    # the pairs it forgets are computed again, to the same rows.
+    gen = np.random.default_rng(3)
+    models = [_sparse_model(gen) for _ in range(8)] if name == "random" else [MODELS[name]]
+    records = [feasible_observation(model, 20_000, gen) for model in models]
+    steps = []
+    step = viterbi._step
+    monkeypatch.setattr(viterbi, "_step", lambda *args: steps.append(args) or step(*args))
+    want = [gh.viterbi_decode(symbols, model) for symbols, model in zip(records, models)]
+    uncapped = len(steps)
+    monkeypatch.setattr(viterbi, "_MEMO_ROWS", 3)
+    monkeypatch.setattr(viterbi, "_CHUNK", 100)
+    for symbols, model, path in zip(records, models, want):
+        assert np.array_equal(gh.viterbi_decode(symbols, model), path)
+    assert len(steps) - uncapped > uncapped > 3
 
 
 def _first_dead_row(symbols, model):

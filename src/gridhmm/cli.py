@@ -28,7 +28,7 @@ from .simulate import (
     simulate_states,
     synthesize_measurements,
 )
-from .viterbi import joint_log_prob, viterbi_decode
+from .viterbi import _decode, joint_log_prob
 
 __all__ = ["main"]
 
@@ -72,15 +72,19 @@ _PREFIX = np.arange(22) < np.arange(23)[:, None]
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
 
 
-def _index_column(index: np.ndarray) -> np.ndarray:
-    """The index as it prints through :func:`_fmt_index`.
+def _index_column(index: np.ndarray):
+    """The layout (see :func:`_layout`) of the index as it prints through :func:`_fmt_index`.
 
-    Integral indices (every ``k``) become an int64 column; an index with
-    another value is formatted up front, one string per row.
+    Integral indices (every ``k``) print as '%d', converted to int64 one
+    chunk at a time; an index with another value is formatted up front,
+    one string per row.  The test for integers runs a chunk at a time
+    too, so it makes no whole-column temporaries.
     """
-    if np.all(np.trunc(index) == index) and np.all(np.abs(index) < 2.0**63):
-        return index.astype(np.int64)
-    return np.array([_fmt_index(v) for v in index.tolist()], dtype=object)
+    chunks = (index[lo : lo + _ROWS] for lo in range(0, len(index), _ROWS))
+    integral = all((np.trunc(c) == c).all() for c in chunks)
+    if integral and -(2.0**63) < index.min() and index.max() < 2.0**63:
+        return _int_layout(index)
+    return _layout(np.array([_fmt_index(v) for v in index.tolist()], dtype=object))
 
 
 def _digits(magnitude: np.ndarray, pairs: int) -> np.ndarray:
@@ -186,40 +190,60 @@ def _fill_floats(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
         cells[slow], mask[slow] = _text_cells(["%.17g" % f for f in v[slow].tolist()], _FLOAT_WIDTH)
 
 
+def _int_layout(column: np.ndarray):
+    """The layout of a column of integers of magnitude below 2**63, of any real dtype.
+
+    Its cells print as '%d'; each chunk of rows becomes int64 as it is
+    written.
+    """
+    digits = len(str(max(-int(column.min()), int(column.max()))))
+
+    def fill(lo, hi, *out):
+        _fill_ints(np.ascontiguousarray(column[lo:hi], dtype=np.int64), *out)
+
+    return len(column), 1 + digits + digits % 2, fill
+
+
 def _layout(column: np.ndarray):
-    """``(width, fill)`` for one column; ``fill(lo, hi, cells, mask)`` writes its rows lo:hi.
+    """``(rows, width, fill)`` for one column; ``fill(lo, hi, cells, mask)`` writes its rows lo:hi.
 
     Floats print as '%.17g', integers as '%d', anything else through
-    ``str``.
+    ``str``.  Numeric chunks are converted to contiguous float64 or int64
+    as they are written, so no whole-column copy is made.
     """
     if column.dtype.kind == "f":
-        column = np.ascontiguousarray(column, dtype=np.float64)
-        return _FLOAT_WIDTH, lambda lo, hi, *out: _fill_floats(column[lo:hi], *out)
+
+        def fill(lo, hi, *out):
+            _fill_floats(np.ascontiguousarray(column[lo:hi], dtype=np.float64), *out)
+
+        return len(column), _FLOAT_WIDTH, fill
     if column.dtype.kind in "iu":
-        column = np.ascontiguousarray(column, dtype=np.int64)
-        digits = len(str(max(-int(column.min()), int(column.max()))))
-        return 1 + digits + digits % 2, lambda lo, hi, *out: _fill_ints(column[lo:hi], *out)
+        return _int_layout(column)
     text = [str(c) for c in column.tolist()]
     width = max(len(t.encode()) for t in text) or 1
 
     def fill(lo, hi, cells, mask):
         cells[:], mask[:] = _text_cells(text[lo:hi], width)
 
-    return width, fill
+    return len(text), width, fill
 
 
-def _write_csv(target: str, header: list[str], *columns: np.ndarray) -> None:
+def _write_csv(target: str, header: list[str], *columns) -> None:
     """Write ``header``, then the rows of equal-length ``columns``, as CSV lines.
 
-    ``target`` is a path, or '-'/'stdout' for stdout.  Each chunk of
-    _ROWS rows is laid out in one preallocated (rows x line width) byte
-    matrix: every cell in a fixed-width slot, then a comma, the last one
-    a newline.  A mask marks the bytes that belong to the line, so the
-    chunk's text is ``matrix[mask]``, written as one string.
+    A column is an array, or its layout as :func:`_layout` or
+    :func:`_index_column` builds it.  ``target`` is a path, or
+    '-'/'stdout' for stdout.  Each chunk of _ROWS rows is laid out in one
+    preallocated (rows x line width) byte matrix: every cell in a
+    fixed-width slot, then a comma, the last one a newline.  A mask marks
+    the bytes that belong to the line, so the chunk's text is
+    ``matrix[mask]``, written as one string.  Apart from the text of a
+    column of strings, what a write holds beside its columns is bounded
+    by the chunk, however many rows there are.
     """
-    slots = [_layout(c) for c in columns]
-    ends = np.cumsum([width + 1 for width, _ in slots])
-    total = len(columns[0])
+    slots = [c if isinstance(c, tuple) else _layout(c) for c in columns]
+    ends = np.cumsum([width + 1 for _, width, _ in slots])
+    total = slots[0][0]
     chunk = np.empty((min(total, _ROWS), ends[-1]), dtype=np.uint8)
     mask = np.empty(chunk.shape, dtype=bool)
     chunk[:, ends - 1] = ord(",")
@@ -230,7 +254,7 @@ def _write_csv(target: str, header: list[str], *columns: np.ndarray) -> None:
         out.write(",".join(header) + "\n")
         for lo in range(0, total, _ROWS):
             rows = min(_ROWS, total - lo)
-            for (width, fill), end in zip(slots, ends):
+            for (_, width, fill), end in zip(slots, ends):
                 cell = np.s_[:rows, end - 1 - width : end - 1]
                 fill(lo, lo + rows, chunk[cell], mask[cell])
             out.write(chunk[:rows][mask[:rows]].tobytes().decode())
@@ -292,10 +316,11 @@ def _cmd_decode(args) -> int:
     series = load_measurements(args.input)
     model = cfg.model()
     thresholds = compute_thresholds(cfg.params)
-    symbols = classify(series.z_hz, thresholds)
-    states = viterbi_decode(symbols, model)
+    symbols = classify(series.z_hz, thresholds).astype(np.int8)
+    states = _decode(symbols, model)
     header = [series.index_name, "z_hz", "x", "s_star"]
     _write_csv(args.output, header, _index_column(series.index), series.z_hz, symbols, states)
+    del series  # the status line needs only the symbols and the path
     _summary(
         "decode",
         rows=symbols.size,

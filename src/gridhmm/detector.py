@@ -135,10 +135,11 @@ def classify(z, thresholds: Thresholds):
     if not np.all(np.isfinite(arr)):
         raise ValueError("measurements must be finite")
     edges = (thresholds.delta_neg_zero, thresholds.delta_zero_pos)
-    symbols = np.digitize(arr, edges) - 1
+    symbols = np.digitize(arr, edges)
+    symbols -= 1
     if arr.ndim == 0:
         return int(symbols)
-    return symbols.astype(np.int64)
+    return symbols.astype(np.int64, copy=False)
 
 
 def error_probabilities(params: DetectorParams, thresholds: Thresholds) -> np.ndarray:

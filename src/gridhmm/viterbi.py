@@ -58,6 +58,7 @@ class InfeasibleObservationError(ValueError):
 
 
 def _symbol_indices(seq, name: str) -> np.ndarray:
+    """Indices 0..2 of the symbols -1..1 in ``seq``, as a new int8 array."""
     arr = np.asarray(seq)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
@@ -68,7 +69,9 @@ def _symbol_indices(seq, name: str) -> np.ndarray:
         arr = as_int
     if arr.min() < -1 or arr.max() > 1:
         raise ValueError(f"{name} entries must lie in {{-1, 0, 1}}")
-    return (arr + 1).astype(np.int64)
+    out = arr.astype(np.int8)
+    out += 1
+    return out
 
 
 def _log_params(model: HmmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,12 +340,19 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     :func:`_follow` then walks the codes, as it does for the Monte Carlo
     kernel, for a batch of one record.
     """
-    x = _symbol_indices(symbols, "symbols").astype(np.int8)
+    return _decode(symbols, model).astype(np.int64)
+
+
+def _decode(symbols, model: HmmModel) -> np.ndarray:
+    """:func:`viterbi_decode` as int8 states -1..1: 1 B a step where int64 takes 8."""
+    x = _symbol_indices(symbols, "symbols")
     require_valid(model)
     log_init, log_trans, log_emit = _log_params(model)
     codes, to_go = _backward(log_trans, log_emit, x)
     first = _first_states(log_init, log_trans, log_emit, x[:, None], np.array(to_go)[:, None])
-    return np.subtract(_follow(codes[:, None], first)[0], 1, dtype=np.int64)
+    path = _follow(codes[:, None], first)[0]
+    path -= 1
+    return path
 
 
 def brute_force_mlse(symbols, model: HmmModel) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Command-line interface: schemas, determinism, exit codes."""
+"""Command-line interface: schemas, determinism, exit codes, memory."""
+import contextlib
 import csv
 import io
 import math
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +247,29 @@ def test_decode_status_reports_decoder_diagnostics(tmp_path, capsys):
     assert fields["rows"] == "400"
     assert float(fields["log_prob"]) == gh.joint_log_prob(x, s_star, conf.model())
     assert int(fields["corrected"]) == np.count_nonzero(s_star != x) > 0
+
+
+def test_decode_peak_memory_per_row(cfg, tmp_path):
+    # Traced peak of a whole decode run, output included.  It holds the
+    # two loaded float columns (16 B a row), the int8 symbols and path,
+    # and classify's int64 result (8 B a row) while it is narrowed; the
+    # rest is made one chunk at a time.  Each whole-column int64 or float
+    # copy would add 8 B a row.
+    rows = 200_000
+    gen = np.random.default_rng(5)
+    z = np.array([49.0, 50.0, 51.0])[np.repeat(gen.integers(0, 3, rows // 20), 20)]
+    z += 0.35 * gen.standard_normal(rows)
+    data = tmp_path / "m.csv"
+    data.write_text("k,z_hz\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(z.tolist(), 1)))
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            code = main(["decode", "--config", cfg, "--input", str(data)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / rows < 32
 
 
 def test_decode_rejects_step_index_beyond_float_precision(cfg, tmp_path):

@@ -1,8 +1,8 @@
-"""CSV input and output: the whole-file loader against the row loop, and the row writer.
+"""CSV input and output: the chunked array loader against the row loop, and the row writer.
 
-``load_measurements`` reads a body with one ``np.loadtxt`` call and
-falls back to the row loop of ``conftest.reference_load`` when that
-reader cannot vouch for it.  Either both give bitwise-equal arrays, or
+``load_measurements`` reads a body with ``np.loadtxt`` calls of
+``config._LOAD_ROWS`` rows each and falls back to the row loop of
+``conftest.reference_load`` when that reader cannot vouch for it.  Either both give bitwise-equal arrays, or
 both raise the same error.  The writer lays out each chunk of rows as a
 byte matrix; every cell must read as ``format(v, ".17g")`` for floats
 and ``"%d"`` for integers, and every file as ``conftest.reference_write``,
@@ -14,6 +14,7 @@ import io
 import math
 import struct
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import gridhmm as gh
 from gridhmm.cli import _ROWS, _fmt, _fmt_index, _write_csv, main
+from gridhmm import config
 from gridhmm.config import _read_columns
 
 from conftest import reference_load, reference_write
@@ -141,6 +143,84 @@ def test_fast_reader_takes_plain_bodies(body):
     columns = _read_columns(fh, len(header), header.index(name), header.index("z_hz"), name == "k")
     assert columns is not None
     assert all(c.flags.c_contiguous for c in columns)
+
+
+# --- chunk seams ------------------------------------------------------------
+# With two rows per np.loadtxt call, every other row of a body starts a chunk.
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(csv_bodies())
+def test_loader_matches_row_loop_in_chunks_of_two(csv_path, body):
+    csv_path.write_bytes(body.encode())
+    with mock.patch.object(config, "_LOAD_ROWS", 2):
+        assert _outcome(gh.load_measurements, csv_path) == _outcome(reference_load, csv_path)
+
+
+def _body(ks, last_z=None):
+    rows = [f"{k},{50.0 + k / 8!r}" for k in ks]
+    if last_z is not None:
+        rows[-1] = f"{ks[-1]},{last_z}"
+    return "\n".join(["k,z_hz", *rows]) + "\n"
+
+
+def _read_body(body):
+    fh = io.StringIO(body, newline="")
+    next(csv.reader(fh))
+    return _read_columns(fh, 2, 0, 1, True)
+
+
+@pytest.mark.parametrize(
+    "ks, message",
+    [
+        ([1, 2, 2, 3], "row 4: index '2' does not increase (previous 2.0)"),
+        ([1, 2, 3, 4, 0, 5], "row 6: index '0' does not increase (previous 4.0)"),
+    ],
+)
+def test_index_must_increase_across_a_chunk_seam(tmp_path, monkeypatch, ks, message):
+    # Each chunk increases on its own; the index falls back where a chunk starts.
+    monkeypatch.setattr(config, "_LOAD_ROWS", 2)
+    assert _read_body(_body(ks)) is None
+    path = tmp_path / "m.csv"
+    path.write_text(_body(ks))
+    with pytest.raises(gh.MeasurementFormatError) as exc:
+        gh.load_measurements(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("last_z", ["fifty", "5_0.5"])
+def test_field_numpy_rejects_in_the_last_chunk(tmp_path, monkeypatch, last_z):
+    # Two chunks are filled before the third fails; the row loop then reads
+    # the whole file: it rejects "fifty" by its row and takes "5_0.5".
+    monkeypatch.setattr(config, "_LOAD_ROWS", 2)
+    body = _body(range(1, 6), last_z=last_z)
+    assert _read_body(body) is None
+    path = tmp_path / "m.csv"
+    path.write_text(body)
+    assert _outcome(gh.load_measurements, path) == _outcome(reference_load, path)
+    if last_z == "fifty":
+        with pytest.raises(gh.MeasurementFormatError, match="row 6: fields must be numbers"):
+            gh.load_measurements(path)
+    else:
+        assert gh.load_measurements(path).z_hz[-1] == 50.5
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("rows", [4, 5])
+def test_fast_reader_reads_across_chunk_seams(monkeypatch, newline, rows):
+    # Blank lines do not count as rows; four rows end on a seam, so the last
+    # read finds nothing.
+    monkeypatch.setattr(config, "_LOAD_ROWS", 2)
+    ks = list(range(1, rows + 1))
+    lines = ["k,z_hz"]
+    for k in ks:  # one blank line before row 2, two before row 3, one at the end
+        lines += [""] * {2: 1, 3: 2}.get(k, 0) + [f"{k},{50.0 + k / 8!r}"]
+    columns = _read_body(newline.join(lines) + newline * 2)
+    assert columns is not None
+    index, z = columns
+    assert index.tolist() == ks
+    assert z.tolist() == [50.0 + k / 8 for k in ks]
+    assert index.flags.c_contiguous and z.flags.c_contiguous
 
 
 # Characters of numbers, and any character but the ones that end a field.

@@ -1,5 +1,6 @@
 """Three-hypothesis detector: thresholds, classification, error rates."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ def test_classify_regions_and_boundaries():
         gh.classify(float("nan"), thr)
     with pytest.raises(ValueError):
         gh.classify(np.array([50.0, float("inf")]), thr)
+
+
+def test_classify_makes_no_extra_copies():
+    # Beside its int64 result, classify holds at most a bool mask a row.
+    z = np.linspace(48.0, 52.0, 1_000_000)
+    tracemalloc.start()
+    try:
+        symbols = gh.classify(z, gh.Thresholds(49.5, 50.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert symbols.dtype == np.int64
+    assert np.array_equal(symbols, np.where(z < 49.5, -1, np.where(z < 50.5, 0, 1)))
+    assert peak < 1.1 * symbols.nbytes
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,6 +11,8 @@ crosses two chunk carries of the walk.  The tie records are checked
 against their known optimal paths, and a decoder whose memo of score
 rows is capped against the uncapped one.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,21 @@ def test_decode_equals_per_step_reference(name, length):
     got = gh.viterbi_decode(symbols, model)
     assert got.dtype == np.int64
     assert np.array_equal(got, reference_decode(symbols, model))
+    narrow = viterbi._decode(symbols, model)
+    assert narrow.dtype == np.int8 and np.array_equal(narrow, got)
+
+
+def test_symbol_indices_make_one_int8_copy():
+    symbols = np.ones(1_000_000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        x = viterbi._symbol_indices(symbols, "symbols")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.dtype == np.int8 and np.array_equal(x, symbols + 1)
+    assert peak < 1.1 * x.nbytes  # no int64 temporaries
+    assert (symbols == 1).all()
 
 
 def test_long_infeasible_record_names_the_step():

@@ -47,9 +47,6 @@ from .simulate import (
 from .viterbi import (
     TIE_EPS,
     InfeasibleObservationError,
-    Trellis,
-    brute_force_mlse,
-    compute_trellis,
     joint_log_prob,
     viterbi_decode,
 )
@@ -85,12 +82,9 @@ __all__ = [
     "validate_model",
     "require_valid",
     "stationary_distribution",
-    "Trellis",
     "InfeasibleObservationError",
     "joint_log_prob",
-    "compute_trellis",
     "viterbi_decode",
-    "brute_force_mlse",
     "simulate_states",
     "emit_symbols",
     "synthesize_measurements",

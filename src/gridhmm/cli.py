@@ -76,15 +76,23 @@ def _index_column(index: np.ndarray):
     """The layout (see :func:`_layout`) of the index as it prints through :func:`_fmt_index`.
 
     Integral indices (every ``k``) print as '%d', converted to int64 one
-    chunk at a time; an index with another value is formatted up front,
-    one string per row.  The test for integers runs a chunk at a time
-    too, so it makes no whole-column temporaries.
+    chunk at a time; an index with another value is formatted one string
+    per row, a chunk at a time as the writer reaches it.  Its slot is
+    wide enough for any '%.17g' cell and for the whole-number cells of
+    the two extreme values, the longest whole numbers it can hold.  The
+    test for integers runs a chunk at a time too, so no step makes a
+    whole-column temporary.
     """
     chunks = (index[lo : lo + _ROWS] for lo in range(0, len(index), _ROWS))
     integral = all((np.trunc(c) == c).all() for c in chunks)
     if integral and -(2.0**63) < index.min() and index.max() < 2.0**63:
         return _int_layout(index)
-    return _layout(np.array([_fmt_index(v) for v in index.tolist()], dtype=object))
+    width = max(_FLOAT_WIDTH, *(len(str(int(v))) for v in (index.min(), index.max())))
+
+    def fill(lo, hi, cells, mask):
+        cells[:], mask[:] = _text_cells([_fmt_index(v) for v in index[lo:hi].tolist()], width)
+
+    return len(index), width, fill
 
 
 def _digits(magnitude: np.ndarray, pairs: int) -> np.ndarray:

@@ -67,10 +67,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_index: int = 0) -> None:
-        seed = int(seed)
+        seed = _check_seed(seed)
         stream_index = int(stream_index)
-        if not (0 <= seed < 2**64):
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
         if stream_index < 0:
             raise ValueError(f"stream_index must be non-negative, got {stream_index}")
         self.seed = seed
@@ -81,6 +79,98 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
+
+
+def _check_seed(seed) -> int:
+    seed = int(seed)
+    if not (0 <= seed < 2**64):
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+# and the multiplier of PCG64's 128-bit LCG.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+
+
+def _hashmix(value, const: int):
+    """SeedSequence's ``hashmix`` of an int or uint32 array, and its next multiplier state."""
+    value = value ^ const
+    const = const * _MULT_A & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _M32) - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _spawn_states(seed: int, first: int, last: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``RngStream(seed, t)`` for t in ``first..last-1``, t < 2**64.
+
+    ``SeedSequence(seed, spawn_key=(t,))`` hashes the seed's two 32-bit
+    words, padded with zeros to its pool of four, into the pool, mixes
+    the pool words with each other, then mixes in the words of t: one
+    for t < 2**32, two above.  All of that but the last step is the same
+    for every t and runs once, on ints; the last step and
+    ``generate_state(4, uint64)`` run on uint32 arrays over t.  From the
+    state words (s, i), PCG64 takes ``inc = 2 i + 1`` and ``state =
+    (inc + s) * MULT + inc`` mod 2**128, in Python ints.
+    """
+    const = _INIT_A
+    pool = []
+    for word in (seed & _M32, seed >> 32, 0, 0):
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    t = np.arange(first, last, dtype=np.uint64)
+    pool = [np.full(t.size, p, dtype=np.uint32) for p in pool]
+    low = (t & _M32).astype(np.uint32)
+    for dst in range(4):
+        h, const = _hashmix(low, const)
+        pool[dst] = _mix(pool[dst], h)
+    if last > 2**32:
+        high = (t >> 32).astype(np.uint32)
+        for dst in range(4):
+            h, const = _hashmix(high, const)
+            pool[dst] = np.where(high > 0, _mix(pool[dst], h), pool[dst])
+    const = _INIT_B
+    words = np.empty((t.size, 8), dtype=np.uint64)
+    for i in range(8):
+        v = pool[i % 4] ^ const
+        const = const * _MULT_B & _M32
+        v = v * const & _M32
+        words[:, i] = v ^ v >> 16
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in (words[:, 0::2] | words[:, 1::2] << 32).tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128, inc))
+    return states
+
+
+def _stream_draws(generator, seed: int, first: int, last: int, count: int) -> np.ndarray:
+    """Uniforms (last - first, count): row i the first ``count`` of ``RngStream(seed, first + i)``.
+
+    ``generator`` is a PCG64 ``numpy.random.Generator``; its state is set
+    to each stream's initial state in turn, which costs a fraction of
+    building the stream's ``SeedSequence``, ``PCG64`` and ``Generator``.
+    """
+    u = np.empty((last - first, count))
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for row, (s, inc) in zip(u, _spawn_states(seed, first, last)):
+        state["state"] = {"state": s, "inc": inc}
+        generator.bit_generator.state = state
+        generator.random(out=row)
+    return u
 
 
 def sample_gaussian(mean, sigma: float, rng: RngStream, size=None):

@@ -7,15 +7,18 @@ The Monte Carlo driver derives one stream per trial index from a base
 seed, which makes results independent of execution order.
 
 One core serves a single record and a batch of trials alike: a uniform
-becomes a category only in :func:`~gridhmm.gaussian._invert`, and both
-the sampled chain and the Viterbi path come from a successor table (the
-state at each step given each state at the step before) built by array
-operations.  :func:`~gridhmm.viterbi._follow` turns the coded maps of
-a table into paths by a prefix scan over their compositions, with no
-per-step Python loop.  In a batch each trial reads its own stream in
-the order of :func:`simulate_states` and :func:`emit_symbols`, and
-every sum is formed in the same order, so the output equals running
-the trials one by one, bit for bit.
+becomes a category only in :func:`~gridhmm.gaussian._invert`, the
+sampled chain comes from a successor table (the state at each step
+given each state at the step before) built by array operations, and
+the Viterbi path from the successor maps that the normalised, memoised
+automaton of :func:`~gridhmm.viterbi.viterbi_decode` leaves, one memo
+serving every batch of a run.  :func:`~gridhmm.viterbi._follow` turns
+coded successor maps into paths by a prefix scan over their
+compositions, with no per-step Python loop.  In a batch each trial
+draws the uniforms of its own stream, seeded for the whole batch in one
+vector pass, in the order of :func:`simulate_states` and
+:func:`emit_symbols`, and every score is formed in the same order, so
+the output equals running the trials one by one, bit for bit.
 """
 from __future__ import annotations
 
@@ -31,10 +34,11 @@ from .detector import (
     compute_thresholds,
     detection_probabilities,
 )
-from .gaussian import RngStream, _cumulative, _invert, _matrix_violation, _vector_violation
-from .gaussian import sample_gaussian
+from .gaussian import RngStream, _check_seed, _cumulative, _invert, _matrix_violation
+from .gaussian import _stream_draws, _vector_violation, sample_gaussian
 from .model import HmmModel, require_valid
-from .viterbi import _choices, _code, _first_states, _follow, _log_params, _symbol_indices
+from .viterbi import _Memo, _backward, _code, _first_states, _follow, _log_params
+from .viterbi import _symbol_indices
 
 __all__ = [
     "HIST_BINS",
@@ -57,11 +61,12 @@ __all__ = [
 HIST_BINS = 101
 
 # Steps (trials x K) per batch of the Monte Carlo kernel.  Its working
-# arrays peak at about 140 bytes per step, so a batch needs about half a
-# megabyte, while the vector operations across trials (40 of them at
-# K=100) still amortise the per-step interpreter overhead.  A batch
-# holds at least one trial, however long.
-_BATCH_STEPS = 2**12
+# arrays, the uniforms included, peak at about 48 bytes per step, so a
+# batch needs about 0.8 MB, while the vector operations across trials
+# (163 of them at K=100) amortise the per-step interpreter overhead.  A
+# batch holds at least one trial, however long; a batch of one trial is
+# decoded by the scalar loop of viterbi_decode.
+_BATCH_STEPS = 2**14
 
 
 def simulate_states(model: HmmModel, length: int, rng: RngStream) -> np.ndarray:
@@ -164,46 +169,27 @@ def _sample_chain(tables: _Tables, u: np.ndarray) -> np.ndarray:
 
 
 def _run_batch(
-    tables: _Tables, length: int, streams: list[RngStream]
+    tables: _Tables, u: np.ndarray, memo: _Memo
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hidden, emitted and decoded state indices (T, K) int8, one trial per stream.
+    """Hidden, emitted and decoded state indices (T, K) int8, one trial per row of ``u``.
 
-    Each stream supplies K uniforms for the states, then K for the
-    emissions, as :func:`simulate_states` and :func:`emit_symbols` draw
-    them, and sampling and decoding run through the same inversion,
-    successor tables and prefix scan as those functions and
-    :func:`~gridhmm.viterbi.viterbi_decode`.  Only the backward pass is
-    the kernel's own: a loop over K on whole trial vectors that adds
-    ``log_trans + (log_emit[x] + to_go)`` in the scalar step's order.
-    Unlike :func:`~gridhmm.viterbi.viterbi_decode` it does not subtract
-    each step's maximum from the score to go; at the short K of a Monte
-    Carlo trial the raw scores are small enough that the two decoders
-    agree, but they can part on long records.  The emission rows ``le``
-    gathered for this pass also feed :func:`~gridhmm.viterbi._choices`.
-    The model is not validated here.
+    Row t of the uniforms ``u`` (T, 2K) holds trial t's K state draws,
+    then its K emission draws, as :func:`simulate_states` and
+    :func:`emit_symbols` consume them from one stream.  Sampling runs
+    through the same inversion, successor tables and prefix scan as those
+    functions.  Decoding runs the automaton of
+    :func:`~gridhmm.viterbi.viterbi_decode` over the vector of trials,
+    with ``memo`` (built on the tables' log parameters), and the same
+    walk; so every path equals ``viterbi_decode`` of its record, at any
+    K.  The model is not validated here.
     """
-    n_trials = len(streams)
-    u_state = np.empty((n_trials, length))
-    u_emit = np.empty((n_trials, length))
-    for t, rng in enumerate(streams):
-        rng.generator.random(out=u_state[t])
-        rng.generator.random(out=u_emit[t])
-
-    hidden = _sample_chain(tables, u_state.T)
-    emitted = _invert(tables.cum_emit[:, hidden], u_emit)
-
-    log_init, log_trans, log_emit = tables.log_init, tables.log_trans, tables.log_emit
-    x = emitted.T
-    le = log_emit.T[:, x].transpose(1, 0, 2)  # le[k, j, t] = log_emit[x[k, t], j]
-    # to_go[k, j, t]: best log score of the path suffix after step k, given state j at k.
-    to_go = np.zeros((length, 3, n_trials))
-    trans_ji = log_trans.T[:, :, None]
-    for k in range(length - 2, -1, -1):
-        cand = trans_ji + (le[k + 1] + to_go[k + 1])[:, None, :]  # cand[j, i, t]: from i into j
-        cand.max(axis=0, out=to_go[k])
-
-    first = _first_states(log_init, log_trans, log_emit, x, to_go[0])
-    return hidden, emitted, _follow(_code(_choices(log_trans, le, to_go)), first)
+    length = u.shape[1] // 2
+    hidden = _sample_chain(tables, u[:, :length].T)
+    emitted = _invert(tables.cum_emit[:, hidden], u[:, length:])
+    x = np.ascontiguousarray(emitted.T)
+    codes, to_go = _backward(memo, x)
+    first = _first_states(tables.log_init, tables.log_trans, tables.log_emit, x, np.array(to_go).T)
+    return hidden, emitted, _follow(codes, first)
 
 
 def _check_length(length) -> int:
@@ -221,8 +207,8 @@ def run_trial(model: HmmModel, length: int, rng: RngStream) -> TrialResult:
     same ``2 * length`` uniforms from it.
     """
     tables = _Tables.of(model)
-    length = _check_length(length)
-    batch = _run_batch(tables, length, [rng])
+    u = rng.generator.random((1, 2 * _check_length(length)))
+    batch = _run_batch(tables, u, _Memo(tables.log_trans, tables.log_emit))
     hidden, emitted, decoded = (a[0].astype(np.int64) - 1 for a in batch)
     return TrialResult(
         hidden=hidden,
@@ -290,22 +276,26 @@ def run_monte_carlo(
     result is a pure function of (model, length, trials, base_seed).
     Trials go through one batched kernel, about ``_BATCH_STEPS`` steps
     (trials x length) at a time, and each trial's result equals
-    :func:`run_trial` on its stream.  The model is validated once per
-    call.
+    :func:`run_trial` on its stream.  A batch's streams are seeded in one
+    vector pass and drawn on one generator, and one decoder memo serves
+    every batch.  The model is validated once per call.
     """
     tables = _Tables.of(model)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     length = _check_length(length)
+    base_seed = _check_seed(base_seed)
 
+    generator = np.random.Generator(np.random.PCG64(0))  # its state is set per trial
+    memo = _Memo(tables.log_trans, tables.log_emit)
     batch = max(1, _BATCH_STEPS // length)
     ht_counts = np.empty(trials, dtype=np.int64)
     va_counts = np.empty(trials, dtype=np.int64)
     for first in range(0, trials, batch):
         last = min(first + batch, trials)
-        streams = [RngStream(base_seed, stream_index=t) for t in range(first, last)]
-        hidden, emitted, decoded = _run_batch(tables, length, streams)
+        u = _stream_draws(generator, base_seed, first, last, 2 * length)
+        hidden, emitted, decoded = _run_batch(tables, u, memo)
         ht_counts[first:last] = np.count_nonzero(emitted == hidden, axis=1)
         va_counts[first:last] = np.count_nonzero(decoded == hidden, axis=1)
     ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, length)

@@ -21,7 +21,6 @@ about 1e7 in magnitude their spacing exceeds ``TIE_EPS``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,28 +28,21 @@ from .model import HmmModel, require_valid
 
 __all__ = [
     "TIE_EPS",
-    "BRUTE_FORCE_MAX_LEN",
     "InfeasibleObservationError",
-    "Trellis",
     "joint_log_prob",
-    "compute_trellis",
     "viterbi_decode",
-    "brute_force_mlse",
 ]
 
 # Absolute log-domain window within which path scores count as tied.
 TIE_EPS = 1e-9
 
-# Steps per chunk of the vectorised choice table: for one record the
-# array temporaries stay near 0.4 MB each, however long the record.
+# Steps per chunk of the backward pass and of the walk: for one record
+# the array temporaries stay near 0.1 MB each, however long the record.
 _CHUNK = 2**14
 
 # Rows of normalised score to go that the decoder's memo holds before it
 # is cleared; sparse random models reach about 13,000 in 2e5 steps.
 _MEMO_ROWS = 2**16
-
-# Enumeration guard: 3^12 sequences is the most brute_force_mlse will score.
-BRUTE_FORCE_MAX_LEN = 12
 
 
 class InfeasibleObservationError(ValueError):
@@ -99,46 +91,14 @@ def joint_log_prob(symbols, states, model: HmmModel) -> float:
     return float(total)
 
 
-@dataclass(frozen=True)
-class Trellis:
-    """Forward dynamic-programming lattice for one observation sequence.
-
-    ``log_scores[k, j]`` is the best log joint score over state prefixes
-    ending in state index j after observation k.  ``backpointers[k, j]``
-    is the predecessor symbol (-1, 0, +1) achieving it, with the
-    smallest symbol kept on exact score ties; row 0 has no predecessor
-    and is left as 0.
-    """
-
-    log_scores: np.ndarray
-    backpointers: np.ndarray
-
-
-def compute_trellis(symbols, model: HmmModel) -> Trellis:
-    """Forward pass: best-prefix scores and predecessor choices per step."""
-    x = _symbol_indices(symbols, "symbols")
-    require_valid(model)
-    log_init, log_trans, log_emit = _log_params(model)
-    n = x.size
-    scores = np.empty((n, 3))
-    back = np.zeros((n, 3), dtype=np.int8)
-    scores[0] = log_init + log_emit[x[0]]
-    for k in range(1, n):
-        cand = scores[k - 1][:, None] + log_trans  # cand[i, j]: from i into j
-        best = cand.argmax(axis=0)
-        scores[k] = cand[best, np.arange(3)] + log_emit[x[k]]
-        back[k] = best - 1
-    return Trellis(scores, back)
-
-
 def _infeasible(x: np.ndarray, log_init, log_trans, log_emit) -> InfeasibleObservationError:
     """Error citing the first step at which no state is reachable.
 
     A scalar forward pass over the symbol indices ``x`` keeps the states
     that some positive-probability prefix ends in as a 3-bit mask;
     ``step[mask][s]`` is the mask one step later, at symbol index s.
-    The first empty mask is the first all -inf row of
-    :func:`compute_trellis`.
+    The first empty mask is the first step at which the best prefix
+    score of every state is -inf.
     """
     live_emit = np.isfinite(log_emit)  # live_emit[s, j]: state j can emit symbol s
     bits = 1 << np.arange(3)
@@ -158,27 +118,22 @@ def _infeasible(x: np.ndarray, log_init, log_trans, log_emit) -> InfeasibleObser
 
 
 def _choices(log_trans, le: np.ndarray, to_go: np.ndarray) -> np.ndarray:
-    """Successor table (K, 3, T) int8 of the decoded paths of T records.
+    """Successor table (..., 3, R) int8 of R pairs of a symbol and a score to go.
 
-    ``le[k, j, t]`` is the log emission weight of state j for the symbol
-    of record t at step k, gathered by the caller, and ``to_go[k, j, t]``
-    the score to go from state j at that step.  ``choice[k, i, t]``, the
-    state at step k when step k-1 is in state i, is the smallest j with
+    ``le[..., j, r]`` is the log emission weight of state j for the
+    symbol of pair r and ``to_go[..., j, r]`` the score to go from state
+    j.  ``choice[..., i, r]``, the state at the pair's step when the step
+    before is in state i, is the smallest j with
     ``c_j >= max(c_0, c_1, c_2) - TIE_EPS``, where
-    ``c_j = (log_trans[i, j] + le[k, j, t]) + to_go[k, j, t]``.  The three
-    columns are compared directly, in that order.  Row 0 stays 0.
-    Chunks of ``_CHUNK`` steps keep the temporaries small.
+    ``c_j = (log_trans[i, j] + le[..., j, r]) + to_go[..., j, r]``.  The
+    three columns are compared directly, in that order.
     """
-    n, _, records = le.shape
-    choice = np.zeros((n, 3, records), dtype=np.int8)
-    for start in range(1, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        e, tg = le[start:stop], to_go[start:stop]
-        for i, row in enumerate(log_trans.tolist()):
-            c0, c1, c2 = ((row[j] + e[:, j]) + tg[:, j] for j in range(3))
-            top = np.maximum(np.maximum(c0, c1), c2)
-            top -= TIE_EPS
-            choice[start:stop, i] = np.where(c0 >= top, 0, np.where(c1 >= top, 1, 2))
+    choice = np.empty(le.shape, dtype=np.int8)
+    for i, row in enumerate(log_trans.tolist()):
+        c0, c1, c2 = ((row[j] + le[..., j, :]) + to_go[..., j, :] for j in range(3))
+        top = np.maximum(np.maximum(c0, c1), c2)
+        top -= TIE_EPS
+        choice[..., i, :] = np.where(c0 >= top, 0, np.where(c1 >= top, 1, 2))
     return choice
 
 
@@ -195,8 +150,8 @@ _STATE = np.array([f[0] for f in _MAPS], dtype=np.int8)
 
 
 def _code(table: np.ndarray) -> np.ndarray:
-    """Codes (K, T) int8 of the successor maps ``i -> table[k, i, t]`` of a (K, 3, T) table."""
-    return table[:, 0] + 3 * table[:, 1] + 9 * table[:, 2]
+    """Codes (..., T) int8 of the successor maps ``i -> table[..., i, t]`` of a table."""
+    return table[..., 0, :] + 3 * table[..., 1, :] + 9 * table[..., 2, :]
 
 
 def _follow(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -265,59 +220,123 @@ def _pair_codes(log_trans, log_emit, rows: list[tuple]) -> np.ndarray:
     there, by the rule of :func:`_choices`, which builds it with the
     3R pairs as its records.
     """
-    to_go = np.zeros((2, 3, 3 * len(rows)))  # _choices skips step 0; the pairs are step 1
-    to_go[1] = np.repeat(np.array(rows).T, 3, axis=1)  # to_go[1, j, 3r + s] = rows[r][j]
-    le = np.zeros_like(to_go)
-    le[1] = np.tile(log_emit.T, len(rows))  # le[1, j, 3r + s] = log_emit[s, j]
-    return _code(_choices(log_trans, le, to_go))[1]
+    to_go = np.repeat(np.array(rows).T, 3, axis=1)  # to_go[j, 3r + s] = rows[r][j]
+    le = np.tile(log_emit.T, len(rows))  # le[j, 3r + s] = log_emit[s, j]
+    return _code(_choices(log_trans, le, to_go))
 
 
-def _backward(log_trans, log_emit, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Successor-map codes (K,) int8 of the decoded path, and its score to go at step 0.
+class _Memo:
+    """The decoder's automaton: the normalised score-to-go rows met so far.
 
-    A memoised automaton over the normalised score-to-go rows, run from
-    step K-1 (all zero) back to step 0.  Each distinct row gets an id r
-    and is carried as ``3 r``, so ``3 r + s`` names the pair of the row
-    and the symbol index s at its step.  ``nxt[3 r + s]`` is the carried
-    id of the row one step earlier: -1 until the pair first occurs, when
-    :func:`_step` computes it.  ``table[3 r + s]`` is the pair's
-    successor-map code, from :func:`_pair_codes` over the rows that are
-    new, once per chunk.  So a step costs one list lookup.  A memo of
-    more than ``_MEMO_ROWS`` rows is cleared at the next chunk boundary
-    and restarts from the current row, so it never holds more than
-    ``_MEMO_ROWS + _CHUNK`` rows; the codes are the same either way.
+    Each distinct row gets an id r and is carried as ``3 r``, so
+    ``3 r + s`` names the pair of the row and the symbol index s at its
+    step.  ``nxt[3 r + s]`` is the carried id of the row one step
+    earlier: -1 until the pair first occurs, when :meth:`learn` computes
+    it with :func:`_step`.  ``table[3 r + s]`` is the pair's
+    successor-map code, from :func:`_pair_codes` over the rows added
+    since the table was last extended.  ``array`` is a copy of ``nxt``
+    for gathers over a vector of records, at least as long and -1 where
+    it has not caught up: a pair it holds as -1 is looked up in ``nxt``,
+    or learned, and copied.  A memo outlives one record: every batch of
+    a Monte Carlo run uses the same one.
     """
-    trans, emit = log_trans.tolist(), log_emit.tolist()
-    n = x.size
-    codes = np.zeros(n, dtype=np.int8)
-    row = (0.0, 0.0, 0.0)
-    rows: list[tuple] = []
+
+    def __init__(self, log_trans, log_emit):
+        self.log_trans, self.log_emit = log_trans, log_emit
+        self.trans, self.emit = log_trans.tolist(), log_emit.tolist()
+        self.restart()
+
+    def restart(self) -> None:
+        """Forget every row."""
+        self.rows: list[tuple] = []
+        self.index: dict[tuple, int] = {}
+        self.nxt: list[int] = []
+        self.table = np.empty(0, dtype=np.int8)
+        self.array = np.empty(0, dtype=np.intp)
+
+    def add(self, row: tuple) -> int:
+        """The carried id of ``row``, a new one if the row is new."""
+        cur = self.index.get(row)
+        if cur is None:
+            cur = self.index[row] = len(self.nxt)
+            self.rows.append(row)
+            self.nxt += (-1, -1, -1)
+        return cur
+
+    def learn(self, key: int) -> int:
+        """``nxt[key]`` for a pair met for the first time: its row one step earlier, added."""
+        self.nxt[key] = self.add(_step(self.trans, self.emit[key % 3], self.rows[key // 3]))
+        return self.nxt[key]
+
+    def gather(self, keys: np.ndarray) -> np.ndarray:
+        """``nxt`` at each of the pairs ``keys`` (an intp array), learning the new ones."""
+        if len(self.array) < len(self.nxt):  # at least doubled: O(1) a row, amortised
+            self.array = np.concatenate([self.array, np.full(len(self.nxt), -1, dtype=np.intp)])
+        ids = self.array.take(keys)
+        if ids[ids.argmin()] < 0:  # argmin skips the ufunc machinery of min
+            new = np.flatnonzero(ids < 0)
+            for i, key in zip(new.tolist(), keys[new].tolist()):
+                ids[i] = self.nxt[key] if self.nxt[key] >= 0 else self.learn(key)
+            self.array[keys[new]] = ids[new]
+        return ids
+
+    def trim(self, ids: list[int]) -> list[int]:
+        """``ids``; past ``_MEMO_ROWS`` rows, their rows' ids in a memo restarted with them."""
+        if len(self.rows) <= _MEMO_ROWS:
+            return ids
+        rows = [self.rows[i // 3] for i in ids]
+        self.restart()
+        return [self.add(row) for row in rows]
+
+    def codes(self, keys: np.ndarray) -> np.ndarray:
+        """Successor-map codes (int8) of the pairs ``keys``."""
+        if len(self.table) < len(self.nxt):
+            new = _pair_codes(self.log_trans, self.log_emit, self.rows[len(self.table) // 3 :])
+            self.table = np.concatenate([self.table, new])
+        return self.table.take(keys)
+
+
+def _backward(memo: _Memo, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+    """Successor-map codes (K, T) int8 of T records' decoded paths, and their step-0 scores to go.
+
+    ``x`` holds the symbol indices (K, T).  The memo's automaton runs
+    from step K-1, where every score to go is all zero, back to step 0.
+    For one record a step costs one list lookup; for T records it is one
+    gather over the vector of their ids, ``nxt.take(ids + x[k])``, which
+    learns the pairs it meets first.  Per-step numpy calls would cost
+    about ten times the list lookup for one record.  The codes come from
+    one lookup in the memo's table per chunk of ``_CHUNK`` steps.  A memo
+    of more than ``_MEMO_ROWS`` rows is cleared at the next chunk
+    boundary and restarts from the current rows, so it never holds more
+    than ``_MEMO_ROWS + T * _CHUNK`` rows; the codes are the same either
+    way.  The scores to go at step 0 are T rows of three floats.
+    """
+    n, records = x.shape
+    codes = np.zeros((n, records), dtype=np.int8)
+    cur = [memo.add((0.0, 0.0, 0.0))] * records
     for hi in range(n - 1, 0, -_CHUNK):
         lo = max(hi - _CHUNK, 0)
-        if not rows or len(rows) > _MEMO_ROWS:  # a new memo, holding the current row
-            rows, index, nxt, cur = [row], {row: 0}, [-1, -1, -1], 0
-            table = np.empty(0, dtype=np.int8)
+        cur = memo.trim(cur)
         symbols = x[hi:lo:-1]
-        ids = []  # the carried id of the row at each step of the chunk
-        append = ids.append
-        for s in symbols.tolist():
-            append(cur)
-            cur = nxt[cur + s]
-            if cur < 0:  # the pair's first occurrence
-                key = ids[-1] + s
-                row = _step(trans, emit[s], rows[key // 3])
-                cur = index.get(row)
-                if cur is None:
-                    cur = index[row] = len(nxt)
-                    rows.append(row)
-                    nxt += (-1, -1, -1)
-                nxt[key] = cur
-        if len(table) < len(nxt):
-            new = _pair_codes(log_trans, log_emit, rows[len(table) // 3 :])
-            table = np.concatenate([table, new])
-        codes[hi:lo:-1] = table.take(np.fromiter(ids, np.intp, len(ids)) + symbols)
-        row = rows[cur // 3]
-    return codes, row
+        if records == 1:
+            nxt, keys, row = memo.nxt, [], cur[0]
+            append = keys.append
+            for s in symbols[:, 0].tolist():
+                key = row + s
+                append(key)
+                row = nxt[key]
+                if row < 0:  # the pair's first occurrence
+                    row = memo.learn(key)
+            keys, cur = np.fromiter(keys, np.intp, len(keys))[:, None], [row]
+        else:
+            keys = symbols.astype(np.intp)
+            row = np.array(cur, dtype=np.intp)
+            for key in keys:
+                key += row
+                row = memo.gather(key)
+            cur = row.tolist()
+        codes[hi:lo:-1] = memo.codes(keys)
+    return codes, [memo.rows[i // 3] for i in cur]
 
 
 def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
@@ -337,52 +356,19 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     record.  Normalised rows take few distinct values, so the backward
     pass is a memoised automaton over them (:func:`_backward`): a step
     costs one list lookup and leaves one int8 successor-map code.
-    :func:`_follow` then walks the codes, as it does for the Monte Carlo
-    kernel, for a batch of one record.
+    :func:`_follow` then walks the codes.  The Monte Carlo kernel decodes
+    its trials with the same automaton and walk, a batch at a time.
     """
     return _decode(symbols, model).astype(np.int64)
 
 
 def _decode(symbols, model: HmmModel) -> np.ndarray:
     """:func:`viterbi_decode` as int8 states -1..1: 1 B a step where int64 takes 8."""
-    x = _symbol_indices(symbols, "symbols")
+    x = _symbol_indices(symbols, "symbols")[:, None]
     require_valid(model)
     log_init, log_trans, log_emit = _log_params(model)
-    codes, to_go = _backward(log_trans, log_emit, x)
-    first = _first_states(log_init, log_trans, log_emit, x[:, None], np.array(to_go)[:, None])
-    path = _follow(codes[:, None], first)[0]
+    codes, to_go = _backward(_Memo(log_trans, log_emit), x)
+    first = _first_states(log_init, log_trans, log_emit, x, np.array(to_go).T)
+    path = _follow(codes, first)[0]
     path -= 1
     return path
-
-
-def brute_force_mlse(symbols, model: HmmModel) -> np.ndarray:
-    """Reference decoder: score every one of the 3^K state sequences.
-
-    Exists as an independent check on :func:`viterbi_decode`; refuses
-    sequences longer than ``BRUTE_FORCE_MAX_LEN``.  Applies the same
-    tie rule: first sequence in lexicographic order whose score is
-    within ``TIE_EPS`` of the maximum.
-    """
-    x = _symbol_indices(symbols, "symbols")
-    require_valid(model)
-    n = x.size
-    if n > BRUTE_FORCE_MAX_LEN:
-        raise ValueError(
-            f"brute-force enumeration is limited to {BRUTE_FORCE_MAX_LEN} steps, got {n}"
-        )
-    log_init, log_trans, log_emit = _log_params(model)
-    count = 3**n
-    # seqs rows enumerate state-index sequences in lexicographic order.
-    seqs = np.empty((count, n), dtype=np.int8)
-    base = np.arange(count)
-    for k in range(n):
-        seqs[:, k] = (base // 3 ** (n - 1 - k)) % 3
-    idx = seqs.astype(np.int64)
-    scores = log_init[idx[:, 0]] + log_emit[x[0], idx[:, 0]]
-    for k in range(1, n):
-        scores = scores + log_trans[idx[:, k - 1], idx[:, k]] + log_emit[x[k], idx[:, k]]
-    top = float(scores.max())
-    if not np.isfinite(top):
-        raise _infeasible(x, log_init, log_trans, log_emit)
-    winner = int(np.argmax(scores >= top - TIE_EPS))
-    return idx[winner] - 1

@@ -1,13 +1,14 @@
 """Shared fixtures: the reference configuration used across the suite."""
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import gridhmm as gh
 from gridhmm.config import _K_LIMIT, MeasurementFormatError, MeasurementSeries
-from gridhmm.viterbi import TIE_EPS, _log_params, _symbol_indices
+from gridhmm.viterbi import TIE_EPS, _infeasible, _log_params, _symbol_indices
 
 def pytest_addoption(parser):
     parser.addoption("--runslow", action="store_true", help="also run the tests marked slow")
@@ -88,6 +89,17 @@ def random_model(gen: np.random.Generator, allow_zeros: bool = True) -> gh.HmmMo
     return gh.HmmModel(transitions=p, emissions=r, initial=pi)
 
 
+def sparse_model(gen: np.random.Generator) -> gh.HmmModel:
+    """Random model with about half of its entries zero: many distinct score-to-go rows."""
+
+    def sparse(shape):
+        w = gen.random(shape) * (gen.random(shape) < 0.5)
+        w[..., gen.integers(0, 3)] += 0.1  # no row is all zero
+        return w / w.sum(axis=-1, keepdims=True)
+
+    return gh.HmmModel(transitions=sparse((3, 3)), emissions=sparse((3, 3)).T, initial=sparse(3))
+
+
 def feasible_observation(model: gh.HmmModel, length: int, gen: np.random.Generator) -> np.ndarray:
     """Symbol sequence drawn from the model itself, so decoding is feasible."""
     stream = gh.RngStream(int(gen.integers(0, 2**63)), 0)
@@ -149,6 +161,75 @@ def reference_decode(symbols, model):
         cand = log_trans[out[k]] + log_emit[x[k + 1]] + to_go[k + 1]
         out[k + 1] = int(np.argmax(cand >= float(cand.max()) - TIE_EPS))
     return out - 1
+
+
+@dataclass(frozen=True)
+class Trellis:
+    """Forward dynamic-programming lattice for one observation sequence.
+
+    ``log_scores[k, j]`` is the best log joint score over state prefixes
+    ending in state index j after observation k.  ``backpointers[k, j]``
+    is the predecessor symbol (-1, 0, +1) achieving it, with the
+    smallest symbol kept on exact score ties; row 0 has no predecessor
+    and is left as 0.
+    """
+
+    log_scores: np.ndarray
+    backpointers: np.ndarray
+
+
+def compute_trellis(symbols, model):
+    """Forward pass: best-prefix scores and predecessor choices per step."""
+    x = _symbol_indices(symbols, "symbols")
+    gh.require_valid(model)
+    log_init, log_trans, log_emit = _log_params(model)
+    n = x.size
+    scores = np.empty((n, 3))
+    back = np.zeros((n, 3), dtype=np.int8)
+    scores[0] = log_init + log_emit[x[0]]
+    for k in range(1, n):
+        cand = scores[k - 1][:, None] + log_trans  # cand[i, j]: from i into j
+        best = cand.argmax(axis=0)
+        scores[k] = cand[best, np.arange(3)] + log_emit[x[k]]
+        back[k] = best - 1
+    return Trellis(scores, back)
+
+
+# Enumeration guard: 3^12 sequences is the most brute_force_mlse will score.
+BRUTE_FORCE_MAX_LEN = 12
+
+
+def brute_force_mlse(symbols, model):
+    """Reference decoder: score every one of the 3^K state sequences.
+
+    An independent check on ``viterbi_decode``; refuses sequences longer
+    than ``BRUTE_FORCE_MAX_LEN``.  Applies the same tie rule: first
+    sequence in lexicographic order whose score is within ``TIE_EPS`` of
+    the maximum.
+    """
+    x = _symbol_indices(symbols, "symbols")
+    gh.require_valid(model)
+    n = x.size
+    if n > BRUTE_FORCE_MAX_LEN:
+        raise ValueError(
+            f"brute-force enumeration is limited to {BRUTE_FORCE_MAX_LEN} steps, got {n}"
+        )
+    log_init, log_trans, log_emit = _log_params(model)
+    count = 3**n
+    # seqs rows enumerate state-index sequences in lexicographic order.
+    seqs = np.empty((count, n), dtype=np.int8)
+    base = np.arange(count)
+    for k in range(n):
+        seqs[:, k] = (base // 3 ** (n - 1 - k)) % 3
+    idx = seqs.astype(np.int64)
+    scores = log_init[idx[:, 0]] + log_emit[x[0], idx[:, 0]]
+    for k in range(1, n):
+        scores = scores + log_trans[idx[:, k - 1], idx[:, k]] + log_emit[x[k], idx[:, k]]
+    top = float(scores.max())
+    if not np.isfinite(top):
+        raise _infeasible(x, log_init, log_trans, log_emit)
+    winner = int(np.argmax(scores >= top - TIE_EPS))
+    return idx[winner] - 1
 
 
 def reference_choices(log_trans, log_emit, x, to_go):

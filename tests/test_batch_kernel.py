@@ -2,19 +2,24 @@
 
 For every trial of a batch, the kernel's hidden, emitted and decoded
 rows must equal a test-local per-step reference run on the same stream,
-bit for bit, and the stream must be left where that reference leaves
-it.  The reference samples each state and each symbol with one
-``sample_categorical`` call and decodes with ``reference_decode``; it
-shares no code with the kernel, which ``simulate_states``,
-``emit_symbols`` and ``viterbi_decode`` now do.
+bit for bit, and ``run_trial`` must leave the stream where that
+reference leaves it.  The reference samples each state and each symbol
+with one ``sample_categorical`` call and decodes with
+``reference_decode``; it shares no code with the kernel, which
+``simulate_states``, ``emit_symbols`` and ``viterbi_decode`` now do.
+
+The kernel decodes a batch with the automaton of ``viterbi_decode``,
+gathering over the vector of records.  On any batch of records its codes
+and score rows must equal those of each record decoded alone, whether
+its memo is fresh, shared with an earlier batch, or capped.
 """
 import numpy as np
 import pytest
 
 import gridhmm as gh
-from gridhmm import simulate
+from gridhmm import gaussian, simulate, viterbi
 
-from conftest import MODELS, reference_decode
+from conftest import MODELS, feasible_observation, reference_decode, sparse_model
 
 
 def reference(model, length, rng):
@@ -34,15 +39,21 @@ def reference(model, length, rng):
 def test_batch_rows_equal_single_sequence_functions(name, length):
     model = MODELS[name]
     trials = 11
-    streams = [gh.RngStream(5, stream_index=t) for t in range(trials)]
-    batch = simulate._run_batch(simulate._Tables.of(model), length, streams)
+    tables = simulate._Tables.of(model)
+    generator = np.random.Generator(np.random.PCG64())
+    u = gaussian._stream_draws(generator, 5, 0, trials, 2 * length)
+    batch = simulate._run_batch(tables, u, viterbi._Memo(tables.log_trans, tables.log_emit))
     for t in range(trials):
         rng = gh.RngStream(5, stream_index=t)
         want = reference(model, length, rng)
         for got, expected in zip(batch, want):
             assert got.shape == (trials, length)
             assert np.array_equal(got[t] - 1, expected)
-        assert streams[t].generator.random() == rng.generator.random()
+        stream = gh.RngStream(5, stream_index=t)
+        trial = gh.run_trial(model, length, stream)
+        for got, expected in zip((trial.hidden, trial.emitted, trial.decoded), want):
+            assert np.array_equal(got, expected)
+        assert stream.generator.random() == rng.generator.random()
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -78,3 +89,97 @@ def test_monte_carlo_validates_the_model_once(monkeypatch):
         monkeypatch.setattr(f"gridhmm.{module}.require_valid", counting)
     gh.run_monte_carlo(MODELS["sticky"], 20, 30, base_seed=1)
     assert len(calls) == 1
+
+
+def _decode_batch(model, symbols, memo=None):
+    """Codes, step-0 score rows and paths (T, K) of the records in the columns of ``symbols``."""
+    log_init, log_trans, log_emit = viterbi._log_params(model)
+    x = np.asarray(symbols, dtype=np.int8) + 1
+    if memo is None:
+        memo = viterbi._Memo(log_trans, log_emit)
+    codes, to_go = viterbi._backward(memo, x)
+    first = viterbi._first_states(log_init, log_trans, log_emit, x, np.array(to_go).T)
+    return codes, to_go, viterbi._follow(codes, first) - 1
+
+
+def _records(model, length, count, gen):
+    return np.stack([feasible_observation(model, length, gen) for _ in range(count)], axis=1)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_batch_decoder_equals_each_record_decoded_alone(name):
+    model = MODELS[name]
+    gen = np.random.default_rng(8)
+    log_trans, log_emit = viterbi._log_params(model)[1:]
+    memo = viterbi._Memo(log_trans, log_emit)
+    for batch in range(2):  # the second batch reuses the first one's memo
+        symbols = _records(model, 200, 23, gen)
+        codes, to_go, paths = _decode_batch(model, symbols, memo)
+        assert codes.dtype == np.int8 and codes.shape == symbols.shape
+        for t in range(symbols.shape[1]):
+            alone = _decode_batch(model, symbols[:, [t]])
+            assert np.array_equal(codes[:, t], alone[0][:, 0])
+            assert to_go[t] == alone[1][0]
+            assert np.array_equal(paths[t], reference_decode(symbols[:, t], model))
+            assert np.array_equal(paths[t], gh.viterbi_decode(symbols[:, t], model))
+
+
+def test_batch_decoder_learns_pairs_mid_batch(monkeypatch):
+    # Every record emits 0 but record 3, which emits +1 at steps 20..25.
+    # The backward pass meets the symbol +1, and so new pairs, at step
+    # 25, after steps that learned nothing.
+    model = MODELS["sticky"]
+    symbols = np.zeros((60, 5), dtype=np.int64)
+    symbols[20:26, 3] = 1
+    log_trans, log_emit = viterbi._log_params(model)[1:]
+    memo = viterbi._Memo(log_trans, log_emit)
+    steps, learned = [], []
+    step, gather = viterbi._step, memo.gather
+    monkeypatch.setattr(viterbi, "_step", lambda *args: steps.append(args) or step(*args))
+
+    def counting(keys):
+        before = len(steps)
+        ids = gather(keys)
+        learned.append(len(steps) - before)
+        return ids
+
+    monkeypatch.setattr(memo, "gather", counting)
+    _, _, paths = _decode_batch(model, symbols, memo)
+    # Call i gathers the rows of step 58 - i from the pairs of step 59 - i.
+    assert learned[59 - 25] > 0 and 0 in learned[: 59 - 25]
+    for t in range(symbols.shape[1]):
+        assert np.array_equal(paths[t], reference_decode(symbols[:, t], model))
+
+
+@pytest.mark.parametrize("name", ["sticky", "tie", "random"])
+def test_batch_decoder_with_a_capped_memo_decodes_the_same(name, monkeypatch):
+    # A memo of more than 3 rows restarts at every boundary of 10 steps,
+    # holding only the current rows of the batch.
+    gen = np.random.default_rng(4)
+    model = sparse_model(gen) if name == "random" else MODELS[name]
+    symbols = _records(model, 300, 17, gen)
+    want = _decode_batch(model, symbols)
+    restarts = []
+    restart = viterbi._Memo.restart
+    monkeypatch.setattr(viterbi._Memo, "restart", lambda m: restarts.append(1) or restart(m))
+    monkeypatch.setattr(viterbi, "_MEMO_ROWS", 3)
+    monkeypatch.setattr(viterbi, "_CHUNK", 10)
+    got = _decode_batch(model, symbols)
+    assert len(restarts) > 2
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(got[2], want[2])
+
+
+def test_batch_decoder_keeps_the_tie_rule_on_long_records():
+    # The tie record of test_viterbi_long, whose unnormalised score to go
+    # passes 2e7 by K=60,000, in three copies decoded as one batch: each
+    # must start with the smaller of its two tied optima.
+    tie = MODELS["tie"]
+    emissions = tie.emissions.copy()
+    emissions[:, 1] = [0.0, 1.0, 1e-300]
+    model = gh.HmmModel(transitions=tie.transitions, emissions=emissions, initial=tie.initial)
+    record = np.tile([-1, -1, 1, 1], 15_000)
+    _, _, paths = _decode_batch(model, np.stack([record] * 3, axis=1))
+    want = np.concatenate([[-1, 1], np.tile([0, 0, 1, -1], 15_000)[:-2]])
+    for path in paths:
+        assert np.array_equal(path, want)

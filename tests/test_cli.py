@@ -249,18 +249,15 @@ def test_decode_status_reports_decoder_diagnostics(tmp_path, capsys):
     assert int(fields["corrected"]) == np.count_nonzero(s_star != x) > 0
 
 
-def test_decode_peak_memory_per_row(cfg, tmp_path):
-    # Traced peak of a whole decode run, output included.  It holds the
-    # two loaded float columns (16 B a row), the int8 symbols and path,
-    # and classify's int64 result (8 B a row) while it is narrowed; the
-    # rest is made one chunk at a time.  Each whole-column int64 or float
-    # copy would add 8 B a row.
+def _decode_peak_per_row(cfg, tmp_path, index_name, offset):
+    """Traced peak bytes a row of a decode of 2e5 rows indexed ``k + offset``, output included."""
     rows = 200_000
     gen = np.random.default_rng(5)
     z = np.array([49.0, 50.0, 51.0])[np.repeat(gen.integers(0, 3, rows // 20), 20)]
     z += 0.35 * gen.standard_normal(rows)
     data = tmp_path / "m.csv"
-    data.write_text("k,z_hz\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(z.tolist(), 1)))
+    body = "".join(f"{k + offset!r},{v!r}\n" for k, v in enumerate(z.tolist(), 1))
+    data.write_text(f"{index_name},z_hz\n" + body)
     tracemalloc.start()
     try:
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
@@ -269,7 +266,42 @@ def test_decode_peak_memory_per_row(cfg, tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak / rows < 32
+    return peak / rows
+
+
+def test_decode_peak_memory_per_row(cfg, tmp_path):
+    # Traced peak of a whole decode run, output included.  It holds the
+    # two loaded float columns (16 B a row), the int8 symbols and path,
+    # and classify's int64 result (8 B a row) while it is narrowed; the
+    # rest is made one chunk at a time.  Each whole-column int64 or float
+    # copy would add 8 B a row.
+    assert _decode_peak_per_row(cfg, tmp_path, "k", 0) < 32
+
+
+def test_decode_peak_memory_per_row_with_a_fractional_index(cfg, tmp_path):
+    # A timestamp such as 1.5 prints through '%.17g', one chunk of rows
+    # at a time; formatting the whole column up front held a string and
+    # an object pointer a row, about 90 B more.
+    assert _decode_peak_per_row(cfg, tmp_path, "timestamp", 0.5) < 32
+
+
+def test_cli_leaves_numpy_random_unloaded(cfg):
+    # Loading numpy.random costs a process about 5 MB of RSS and some
+    # start-up time; only the commands that draw random numbers need it.
+    probe = (
+        "import runpy, sys\n"
+        "import gridhmm.cli\n"
+        "assert 'numpy.random' not in sys.modules, 'on import gridhmm.cli'\n"
+        "sys.argv = ['gridhmm', 'emission', '--config', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('gridhmm', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'numpy.random' not in sys.modules, 'after gridhmm emission'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("emitted,given_neg,given_zero,given_pos\n")
 
 
 def test_decode_rejects_step_index_beyond_float_precision(cfg, tmp_path):

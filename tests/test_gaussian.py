@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridhmm as gh
-from gridhmm.gaussian import _cumulative, _invert, probability
+from gridhmm.gaussian import _cumulative, _invert, _spawn_states, _stream_draws, probability
 
 # --- independent oracle: trapezoidal integration of the normal density ---
 
@@ -115,6 +115,22 @@ def test_stream_validation():
         gh.RngStream(2**64, 0)
     with pytest.raises(ValueError):
         gh.RngStream(1, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_vectorised_streams_equal_rng_stream(seed):
+    # A seed takes one 32-bit word below 2**32 and two from there; so
+    # does a stream index, which the last range crosses.
+    generator = np.random.Generator(np.random.PCG64())
+    for first, last in [(0, 4), (2**31, 2**31 + 1), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]:
+        states = _spawn_states(seed, first, last)
+        draws = _stream_draws(generator, seed, first, last, 9)
+        assert len(states) == draws.shape[0] == last - first and draws.shape[1] == 9
+        for t, state, row in zip(range(first, last), states, draws):
+            stream = gh.RngStream(seed, t)
+            want = stream.generator.bit_generator.state["state"]
+            assert state == (want["state"], want["inc"])
+            assert np.array_equal(row, stream.generator.random(9))
 
 
 def test_sample_gaussian_moments():

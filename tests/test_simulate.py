@@ -297,3 +297,13 @@ def test_predict_validation():
 def test_monte_carlo_rejects_invalid_arguments(ref_model):
     with pytest.raises(ValueError):
         gh.run_monte_carlo(ref_model, 10, 0, base_seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_monte_carlo_rejects_a_seed_as_rng_stream_does(ref_model, seed):
+    with pytest.raises(ValueError) as stream:
+        gh.RngStream(seed, 0)
+    with pytest.raises(ValueError) as run:
+        gh.run_monte_carlo(ref_model, 10, 3, base_seed=seed)
+    message = f"seed must fit in an unsigned 64-bit integer, got {seed}"
+    assert str(run.value) == str(stream.value) == message

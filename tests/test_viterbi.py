@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 import gridhmm as gh
-from gridhmm.viterbi import BRUTE_FORCE_MAX_LEN, TIE_EPS
-from tests.conftest import REFERENCE_P, feasible_observation, random_model
+from gridhmm.viterbi import TIE_EPS
+from tests.conftest import (
+    BRUTE_FORCE_MAX_LEN,
+    REFERENCE_P,
+    brute_force_mlse,
+    compute_trellis,
+    feasible_observation,
+    random_model,
+)
 
 # --- independent oracle: scalar-product joint probability ---
 
@@ -82,7 +89,7 @@ def test_joint_probabilities_are_a_distribution():
 
 def test_trellis_first_row_and_nonpositive_scores(ref_model):
     x = [0, 0, 1, -1, 0]
-    trellis = gh.compute_trellis(x, ref_model)
+    trellis = compute_trellis(x, ref_model)
     with np.errstate(divide="ignore"):
         want = np.log(ref_model.initial) + np.log(ref_model.emissions[x[0] + 1])
     assert np.array_equal(trellis.log_scores[0], want)
@@ -97,7 +104,7 @@ def test_trellis_recurrence():
     for _ in range(50):
         model = random_model(gen)
         x = feasible_observation(model, int(gen.integers(2, 10)), gen)
-        trellis = gh.compute_trellis(x, model)
+        trellis = compute_trellis(x, model)
         with np.errstate(divide="ignore"):
             log_p = np.log(model.transitions)
             log_r = np.log(model.emissions)
@@ -126,7 +133,7 @@ def test_decode_single_symbol_reference(ref_model):
 
 def test_decode_reference_five_step(ref_model):
     x = [0, 0, 1, 0, 0]
-    assert np.array_equal(gh.viterbi_decode(x, ref_model), gh.brute_force_mlse(x, ref_model))
+    assert np.array_equal(gh.viterbi_decode(x, ref_model), brute_force_mlse(x, ref_model))
 
 
 def test_brute_force_single_symbol_map():
@@ -135,12 +142,12 @@ def test_brute_force_single_symbol_map():
         model = random_model(gen, allow_zeros=False)
         for x in (-1, 0, 1):
             want = int(np.argmax(model.initial * model.emissions[x + 1])) - 1
-            assert gh.brute_force_mlse([x], model).tolist() == [want]
+            assert brute_force_mlse([x], model).tolist() == [want]
 
 
 def test_brute_force_size_guard(ref_model):
     with pytest.raises(ValueError):
-        gh.brute_force_mlse([0] * (BRUTE_FORCE_MAX_LEN + 1), ref_model)
+        brute_force_mlse([0] * (BRUTE_FORCE_MAX_LEN + 1), ref_model)
 
 
 def test_oracle_equivalence_randomized():
@@ -150,7 +157,7 @@ def test_oracle_equivalence_randomized():
         k = int(gen.integers(1, 9))
         x = feasible_observation(model, k, gen)
         got = gh.viterbi_decode(x, model)
-        want = gh.brute_force_mlse(x, model)
+        want = brute_force_mlse(x, model)
         assert np.array_equal(got, want), f"trial {trial}: {got} != {want} for x={x}"
 
 
@@ -158,7 +165,7 @@ def test_tie_determinism_uniform_model():
     model = _uniform_model()
     for k in (1, 2, 5, 9):
         assert gh.viterbi_decode([0] * k, model).tolist() == [-1] * k
-    assert gh.brute_force_mlse([1, -1, 0], model).tolist() == [-1, -1, -1]
+    assert brute_force_mlse([1, -1, 0], model).tolist() == [-1, -1, -1]
 
 
 def test_coupled_tie_prefers_lexicographic_minimum():
@@ -169,7 +176,7 @@ def test_coupled_tie_prefers_lexicographic_minimum():
     model = gh.HmmModel(transitions=p, emissions=third, initial=np.full(3, 1.0 / 3.0))
     x = [0, 0]
     got = gh.viterbi_decode(x, model)
-    want = gh.brute_force_mlse(x, model)
+    want = brute_force_mlse(x, model)
     assert got.tolist() == want.tolist() == [-1, 1]
 
 
@@ -192,7 +199,7 @@ def test_decode_matches_brute_on_engineered_score_ties():
     model = gh.HmmModel(transitions=p, emissions=r, initial=np.array([0.5, 0.5, 0.0]))
     for x in itertools.product((-1, 0, 1), repeat=4):
         seq = list(x)
-        assert np.array_equal(gh.viterbi_decode(seq, model), gh.brute_force_mlse(seq, model))
+        assert np.array_equal(gh.viterbi_decode(seq, model), brute_force_mlse(seq, model))
 
 
 def test_infeasible_observation_raises():
@@ -204,7 +211,7 @@ def test_infeasible_observation_raises():
         gh.viterbi_decode([0, 1, 0], model)
     assert "step 1" in str(err.value)
     with pytest.raises(gh.InfeasibleObservationError):
-        gh.brute_force_mlse([0, 1, 0], model)
+        brute_force_mlse([0, 1, 0], model)
 
 
 def test_decode_input_validation(ref_model):
@@ -228,6 +235,6 @@ def test_decode_rejects_invalid_model(ref_params):
 def test_decode_long_sequence_scores_match_trellis(ref_model):
     x = feasible_observation(ref_model, 200, np.random.default_rng(1))
     decoded = gh.viterbi_decode(x, ref_model)
-    trellis = gh.compute_trellis(x, ref_model)
+    trellis = compute_trellis(x, ref_model)
     # the decoded path achieves the best final trellis score
     assert abs(gh.joint_log_prob(x, decoded, ref_model) - trellis.log_scores[-1].max()) <= 1e-9

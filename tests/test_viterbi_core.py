@@ -1,8 +1,9 @@
 """The shared reconstruction core against plain references.
 
-``_choices`` builds the successor table of the decoded paths and
-``_follow`` walks successor tables into paths, for ``viterbi_decode``,
-``simulate_states`` and the Monte Carlo kernel alike.  Both must equal
+``_choices`` builds the successor maps of the decoder's (score to go,
+symbol) pairs and ``_follow`` walks successor tables into paths, for
+``viterbi_decode``, ``simulate_states`` and the Monte Carlo kernel
+alike.  Both must equal
 the test-local references in ``conftest.py`` bit for bit: the argmax
 choice builder and the per-record ``bytes`` walk.
 """
@@ -71,10 +72,11 @@ def test_choices_equal_argmax_reference():
     assert np.any((gap > TIE_EPS) & (gap < 1.01 * TIE_EPS))
     assert np.any(cand == cand.max(axis=1, keepdims=True) - TIE_EPS)
 
-    le = log_emit[x].transpose(0, 2, 1)  # le[k, j, t] = log_emit[x[k, t], j]
-    got = _choices(log_trans, le, to_go)
-    want = reference_choices(log_trans, log_emit, x, to_go)
+    # Steps 1.. of the records are the pairs; the reference leaves step 0 at 0.
+    le = log_emit[x[1:]].transpose(0, 2, 1)  # le[k, j, t] = log_emit[x[k + 1, t], j]
+    got = _choices(log_trans, le, to_go[1:])
+    want = reference_choices(log_trans, log_emit, x, to_go)[1:]
     assert got.dtype == np.int8
     assert np.array_equal(got, want)
-    assert not got[0].any() and not got[:, 2].any()
-    assert set(np.unique(got[1:, 0])) == {0, 1, 2}
+    assert not got[:, 2].any()
+    assert set(np.unique(got[:, 0])) == {0, 1, 2}

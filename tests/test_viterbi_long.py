@@ -19,7 +19,14 @@ import pytest
 import gridhmm as gh
 from gridhmm import simulate, viterbi
 
-from conftest import MODELS, feasible_observation, reference_decode
+from conftest import (
+    MODELS,
+    brute_force_mlse,
+    compute_trellis,
+    feasible_observation,
+    reference_decode,
+    sparse_model,
+)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -94,7 +101,7 @@ def test_capped_memo_decodes_the_same(name, monkeypatch):
     # A memo of more than 3 rows restarts at every boundary of 100 steps;
     # the pairs it forgets are computed again, to the same rows.
     gen = np.random.default_rng(3)
-    models = [_sparse_model(gen) for _ in range(8)] if name == "random" else [MODELS[name]]
+    models = [sparse_model(gen) for _ in range(8)] if name == "random" else [MODELS[name]]
     records = [feasible_observation(model, 20_000, gen) for model in models]
     steps = []
     step = viterbi._step
@@ -109,19 +116,8 @@ def test_capped_memo_decodes_the_same(name, monkeypatch):
 
 
 def _first_dead_row(symbols, model):
-    dead = np.all(np.isneginf(gh.compute_trellis(symbols, model).log_scores), axis=1)
+    dead = np.all(np.isneginf(compute_trellis(symbols, model).log_scores), axis=1)
     return int(np.argmax(dead)) if dead.any() else None
-
-
-def _sparse_model(gen):
-    """Random model with about half of its entries zero."""
-
-    def sparse(shape):
-        w = gen.random(shape) * (gen.random(shape) < 0.5)
-        w[..., gen.integers(0, 3)] += 0.1  # no row is all zero
-        return w / w.sum(axis=-1, keepdims=True)
-
-    return gh.HmmModel(transitions=sparse((3, 3)), emissions=sparse((3, 3)).T, initial=sparse(3))
 
 
 @pytest.mark.parametrize("name", [*sorted(MODELS), "random"])
@@ -132,7 +128,7 @@ def test_dead_step_is_the_first_dead_trellis_row(name):
     gen = np.random.default_rng(7)
     infeasible = 0
     for _ in range(300):
-        model = _sparse_model(gen) if name == "random" else MODELS[name]
+        model = sparse_model(gen) if name == "random" else MODELS[name]
         symbols = gen.integers(-1, 2, size=int(gen.integers(1, 9)))
         step = _first_dead_row(symbols, model)
         if step is None:
@@ -146,15 +142,13 @@ def test_dead_step_is_the_first_dead_trellis_row(name):
 
 
 def test_dead_step_does_not_rebuild_the_trellis(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("compute_trellis called")
-
-    monkeypatch.setattr(viterbi, "compute_trellis", refuse)
+    # The trellis is a test helper; the package has none to rebuild.
+    assert not hasattr(viterbi, "compute_trellis")
     model = MODELS["identity"]
     # Under the identity channel the symbols are the states, and the
     # sticky chain never moves from -1 to +1.
     symbols = [0, 0, -1, 1, 0]
-    for decode in (gh.viterbi_decode, gh.brute_force_mlse):
+    for decode in (gh.viterbi_decode, brute_force_mlse):
         with pytest.raises(gh.InfeasibleObservationError, match="every path dies at step 3$"):
             decode(symbols, model)
 

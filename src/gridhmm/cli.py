@@ -324,7 +324,9 @@ def _cmd_decode(args) -> int:
     series = load_measurements(args.input)
     model = cfg.model()
     thresholds = compute_thresholds(cfg.params)
-    symbols = classify(series.z_hz, thresholds).astype(np.int8)
+    symbols = np.empty(series.z_hz.size, dtype=np.int8)
+    for lo in range(0, symbols.size, _ROWS):  # classify's int64 stays one chunk long
+        symbols[lo : lo + _ROWS] = classify(series.z_hz[lo : lo + _ROWS], thresholds)
     states = _decode(symbols, model)
     header = [series.index_name, "z_hz", "x", "s_star"]
     _write_csv(args.output, header, _index_column(series.index), series.z_hz, symbols, states)

@@ -10,15 +10,16 @@ One core serves a single record and a batch of trials alike: a uniform
 becomes a category only in :func:`~gridhmm.gaussian._invert`, the
 sampled chain comes from a successor table (the state at each step
 given each state at the step before) built by array operations, and
-the Viterbi path from the successor maps that the normalised, memoised
-automaton of :func:`~gridhmm.viterbi.viterbi_decode` leaves, one memo
-serving every batch of a run.  :func:`~gridhmm.viterbi._follow` turns
-coded successor maps into paths by a prefix scan over their
-compositions, with no per-step Python loop.  In a batch each trial
-draws the uniforms of its own stream, seeded for the whole batch in one
-vector pass, in the order of :func:`simulate_states` and
-:func:`emit_symbols`, and every score is formed in the same order, so
-the output equals running the trials one by one, bit for bit.
+the Viterbi path from the successor maps and first states that the
+normalised, memoised automaton of :func:`~gridhmm.viterbi.viterbi_decode`
+decides once per (score to go, symbol) pair, one memo serving every
+batch of a run.  :func:`~gridhmm.viterbi._follow` turns coded successor
+maps into paths by a prefix scan over their compositions, with no
+per-step Python loop.  In a batch each trial draws the uniforms of its
+own stream, seeded for the whole batch in one vector pass, in the order
+of :func:`simulate_states` and :func:`emit_symbols`, and every score is
+formed in the same order, so the output equals running the trials one
+by one, bit for bit.
 """
 from __future__ import annotations
 
@@ -37,8 +38,7 @@ from .detector import (
 from .gaussian import RngStream, _check_seed, _cumulative, _invert, _matrix_violation
 from .gaussian import _stream_draws, _vector_violation, sample_gaussian
 from .model import HmmModel, require_valid
-from .viterbi import _Memo, _backward, _code, _first_states, _follow, _log_params
-from .viterbi import _symbol_indices
+from .viterbi import _Memo, _code, _follow, _paths, _symbol_indices
 
 __all__ = [
     "HIST_BINS",
@@ -140,14 +140,11 @@ class TrialResult:
 
 
 class _Tables(NamedTuple):
-    """Sampling and decoding tables of a validated model, built once per run."""
+    """Sampling tables of a validated model, built once per run."""
 
     cum_init: np.ndarray  # (3,) cumulative initial law
     cum_trans: np.ndarray  # (3, 3) cumulative transition rows
     cum_emit: np.ndarray  # (3, 3) cumulative emission columns
-    log_init: np.ndarray
-    log_trans: np.ndarray
-    log_emit: np.ndarray
 
     @classmethod
     def of(cls, model: HmmModel) -> "_Tables":
@@ -156,7 +153,6 @@ class _Tables(NamedTuple):
             _cumulative(model.initial),
             _cumulative(model.transitions, axis=1),
             _cumulative(model.emissions),
-            *_log_params(model),
         )
 
 
@@ -177,19 +173,17 @@ def _run_batch(
     then its K emission draws, as :func:`simulate_states` and
     :func:`emit_symbols` consume them from one stream.  Sampling runs
     through the same inversion, successor tables and prefix scan as those
-    functions.  Decoding runs the automaton of
-    :func:`~gridhmm.viterbi.viterbi_decode` over the vector of trials,
-    with ``memo`` (built on the tables' log parameters), and the same
-    walk; so every path equals ``viterbi_decode`` of its record, at any
-    K.  The model is not validated here.
+    functions.  Decoding is :func:`~gridhmm.viterbi._paths`, the
+    automaton and walk of :func:`~gridhmm.viterbi.viterbi_decode`, over
+    the vector of trials with ``memo`` (built on the same model); so
+    every path equals ``viterbi_decode`` of its record, at any K, and
+    the first infeasible trial raises its error.  The model is not
+    validated here.
     """
     length = u.shape[1] // 2
     hidden = _sample_chain(tables, u[:, :length].T)
     emitted = _invert(tables.cum_emit[:, hidden], u[:, length:])
-    x = np.ascontiguousarray(emitted.T)
-    codes, to_go = _backward(memo, x)
-    first = _first_states(tables.log_init, tables.log_trans, tables.log_emit, x, np.array(to_go).T)
-    return hidden, emitted, _follow(codes, first)
+    return hidden, emitted, _paths(memo, np.ascontiguousarray(emitted.T))
 
 
 def _check_length(length) -> int:
@@ -208,7 +202,7 @@ def run_trial(model: HmmModel, length: int, rng: RngStream) -> TrialResult:
     """
     tables = _Tables.of(model)
     u = rng.generator.random((1, 2 * _check_length(length)))
-    batch = _run_batch(tables, u, _Memo(tables.log_trans, tables.log_emit))
+    batch = _run_batch(tables, u, _Memo(model))
     hidden, emitted, decoded = (a[0].astype(np.int64) - 1 for a in batch)
     return TrialResult(
         hidden=hidden,
@@ -288,7 +282,7 @@ def run_monte_carlo(
     base_seed = _check_seed(base_seed)
 
     generator = np.random.Generator(np.random.PCG64(0))  # its state is set per trial
-    memo = _Memo(tables.log_trans, tables.log_emit)
+    memo = _Memo(model)
     batch = max(1, _BATCH_STEPS // length)
     ht_counts = np.empty(trials, dtype=np.int64)
     va_counts = np.empty(trials, dtype=np.int64)

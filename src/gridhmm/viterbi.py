@@ -117,26 +117,6 @@ def _infeasible(x: np.ndarray, log_init, log_trans, log_emit) -> InfeasibleObser
     )
 
 
-def _choices(log_trans, le: np.ndarray, to_go: np.ndarray) -> np.ndarray:
-    """Successor table (..., 3, R) int8 of R pairs of a symbol and a score to go.
-
-    ``le[..., j, r]`` is the log emission weight of state j for the
-    symbol of pair r and ``to_go[..., j, r]`` the score to go from state
-    j.  ``choice[..., i, r]``, the state at the pair's step when the step
-    before is in state i, is the smallest j with
-    ``c_j >= max(c_0, c_1, c_2) - TIE_EPS``, where
-    ``c_j = (log_trans[i, j] + le[..., j, r]) + to_go[..., j, r]``.  The
-    three columns are compared directly, in that order.
-    """
-    choice = np.empty(le.shape, dtype=np.int8)
-    for i, row in enumerate(log_trans.tolist()):
-        c0, c1, c2 = ((row[j] + le[..., j, :]) + to_go[..., j, :] for j in range(3))
-        top = np.maximum(np.maximum(c0, c1), c2)
-        top -= TIE_EPS
-        choice[..., i, :] = np.where(c0 >= top, 0, np.where(c1 >= top, 1, 2))
-    return choice
-
-
 # Successor maps of the three states are coded c = f(0) + 3 f(1) + 9 f(2);
 # _MAPS[c] is (f(0), f(1), f(2)).  _COMPOSE[27 * a + b] is the code of
 # i -> a(b(i)).  The constant map to state j has code 13 j, and
@@ -182,47 +162,40 @@ def _follow(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
     return path
 
 
-def _first_states(log_init, log_trans, log_emit, x: np.ndarray, to_go: np.ndarray):
-    """First states (T,) of the decoded paths of T records.
+def _pick(c: list) -> int:
+    """The tie rule: the smallest j with ``c[j] >= max(c) - TIE_EPS``."""
+    top = max(c) - TIE_EPS
+    return 0 if c[0] >= top else 1 if c[1] >= top else 2
 
-    ``x`` holds the symbol indices (K, T) and ``to_go`` the scores to go
-    (3, T) at step 0.  The first state is the smallest within
-    ``TIE_EPS`` of the best total score.  Raises
-    :class:`InfeasibleObservationError` for the first record that no
-    state sequence can produce.
+
+def _step(init: list, trans: list, emit: list, to_go: tuple) -> tuple[tuple, int, int]:
+    """The earlier row, successor map and first state of a (score to go, symbol) pair.
+
+    ``to_go`` is the normalised score to go at some step and ``emit`` the
+    emission row of the symbol there.  Returns:
+
+    - the row one step earlier, ``max_j (trans[i][j] + (emit[j] + to_go[j]))``
+      for each state i, minus the largest of the three when that is finite;
+    - the code of the step's successor map, ``i -> _pick(c)`` with
+      ``c_j = (trans[i][j] + emit[j]) + to_go[j]``;
+    - the first state of a record that starts with the pair,
+      ``_pick(c)`` with ``c_j = (init[j] + emit[j]) + to_go[j]``, or -1
+      when every such score is -inf.
+
+    The additions are in the order of the array forms
+    ``log_trans + (log_emit[x] + to_go)`` and
+    ``(log_trans + log_emit[x]) + to_go``.
     """
-    head = log_init[:, None] + log_emit[x[0]].T + to_go
-    best = head.max(axis=0)
-    dead = np.flatnonzero(~np.isfinite(best))
-    if dead.size:
-        raise _infeasible(x[:, dead[0]], log_init, log_trans, log_emit)
-    return np.argmax(head >= best - TIE_EPS, axis=0)
-
-
-def _step(trans: list, emit: list, to_go: tuple) -> tuple:
-    """Normalised score to go one step before ``to_go``, at a symbol of emission row ``emit``.
-
-    ``max_j (trans[i][j] + (emit[j] + to_go[j]))`` for each state i, the
-    additions in the order of ``log_trans + (log_emit[x] + to_go)``, then
-    minus the largest of the three when that is finite.
-    """
-    s = [e + t for e, t in zip(emit, to_go)]
-    u = [max([a + b for a, b in zip(row, s)]) for row in trans]
-    top = max(u)
-    return tuple(v - top for v in u) if top > -math.inf else tuple(u)
-
-
-def _pair_codes(log_trans, log_emit, rows: list[tuple]) -> np.ndarray:
-    """Successor-map codes (3R,) int8 of R score-to-go rows, each with each symbol.
-
-    Entry ``3 r + s`` is the code of step k's successor map when
-    ``rows[r]`` is the score to go at step k and s the symbol index
-    there, by the rule of :func:`_choices`, which builds it with the
-    3R pairs as its records.
-    """
-    to_go = np.repeat(np.array(rows).T, 3, axis=1)  # to_go[j, 3r + s] = rows[r][j]
-    le = np.tile(log_emit.T, len(rows))  # le[j, 3r + s] = log_emit[s, j]
-    return _code(_choices(log_trans, le, to_go))
+    e0, e1, e2 = emit
+    g0, g1, g2 = to_go
+    s0, s1, s2 = e0 + g0, e1 + g1, e2 + g2
+    u0, u1, u2 = [max(a + s0, b + s1, c + s2) for a, b, c in trans]
+    top = max(u0, u1, u2)
+    row = (u0 - top, u1 - top, u2 - top) if top > -math.inf else (u0, u1, u2)
+    f0, f1, f2 = [_pick([(a + e0) + g0, (b + e1) + g1, (c + e2) + g2]) for a, b, c in trans]
+    a, b, c = init
+    head = [(a + e0) + g0, (b + e1) + g1, (c + e2) + g2]
+    return row, f0 + 3 * f1 + 9 * f2, _pick(head) if max(head) > -math.inf else -1
 
 
 class _Memo:
@@ -230,20 +203,20 @@ class _Memo:
 
     Each distinct row gets an id r and is carried as ``3 r``, so
     ``3 r + s`` names the pair of the row and the symbol index s at its
-    step.  ``nxt[3 r + s]`` is the carried id of the row one step
-    earlier: -1 until the pair first occurs, when :meth:`learn` computes
-    it with :func:`_step`.  ``table[3 r + s]`` is the pair's
-    successor-map code, from :func:`_pair_codes` over the rows added
-    since the table was last extended.  ``array`` is a copy of ``nxt``
-    for gathers over a vector of records, at least as long and -1 where
-    it has not caught up: a pair it holds as -1 is looked up in ``nxt``,
-    or learned, and copied.  A memo outlives one record: every batch of
-    a Monte Carlo run uses the same one.
+    step.  When a pair first occurs, :meth:`learn` decides it with
+    :func:`_step`: ``nxt[3 r + s]`` (-1 until then) becomes the carried
+    id of the row one step earlier, ``code[3 r + s]`` the pair's
+    successor-map code and ``first[3 r + s]`` its first state, an int8
+    byte.  ``array`` is a copy of ``nxt`` for gathers over a vector of
+    records, at least as long and -1 where it has not caught up: a pair
+    it holds as -1 is looked up in ``nxt``, or learned, and copied.  A
+    memo outlives one record: every batch of a Monte Carlo run uses the
+    same one.
     """
 
-    def __init__(self, log_trans, log_emit):
-        self.log_trans, self.log_emit = log_trans, log_emit
-        self.trans, self.emit = log_trans.tolist(), log_emit.tolist()
+    def __init__(self, model: HmmModel):
+        self.logs = _log_params(model)
+        self.init, self.trans, self.emit = (a.tolist() for a in self.logs)
         self.restart()
 
     def restart(self) -> None:
@@ -251,7 +224,8 @@ class _Memo:
         self.rows: list[tuple] = []
         self.index: dict[tuple, int] = {}
         self.nxt: list[int] = []
-        self.table = np.empty(0, dtype=np.int8)
+        self.code = bytearray()
+        self.first = bytearray()
         self.array = np.empty(0, dtype=np.intp)
 
     def add(self, row: tuple) -> int:
@@ -261,11 +235,17 @@ class _Memo:
             cur = self.index[row] = len(self.nxt)
             self.rows.append(row)
             self.nxt += (-1, -1, -1)
+            self.code += bytes(3)
+            self.first += bytes(3)
         return cur
 
     def learn(self, key: int) -> int:
-        """``nxt[key]`` for a pair met for the first time: its row one step earlier, added."""
-        self.nxt[key] = self.add(_step(self.trans, self.emit[key % 3], self.rows[key // 3]))
+        """``nxt[key]`` for a pair met for the first time, with its code and first state."""
+        row, self.code[key], first = _step(
+            self.init, self.trans, self.emit[key % 3], self.rows[key // 3]
+        )
+        self.first[key] = first & 255  # -1 is the byte 255, read back as int8
+        self.nxt[key] = self.add(row)
         return self.nxt[key]
 
     def gather(self, keys: np.ndarray) -> np.ndarray:
@@ -288,16 +268,9 @@ class _Memo:
         self.restart()
         return [self.add(row) for row in rows]
 
-    def codes(self, keys: np.ndarray) -> np.ndarray:
-        """Successor-map codes (int8) of the pairs ``keys``."""
-        if len(self.table) < len(self.nxt):
-            new = _pair_codes(self.log_trans, self.log_emit, self.rows[len(self.table) // 3 :])
-            self.table = np.concatenate([self.table, new])
-        return self.table.take(keys)
 
-
-def _backward(memo: _Memo, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
-    """Successor-map codes (K, T) int8 of T records' decoded paths, and their step-0 scores to go.
+def _backward(memo: _Memo, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Successor-map codes (K, T) int8 of T records' decoded paths, and their first states (T,).
 
     ``x`` holds the symbol indices (K, T).  The memo's automaton runs
     from step K-1, where every score to go is all zero, back to step 0.
@@ -305,19 +278,20 @@ def _backward(memo: _Memo, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
     gather over the vector of their ids, ``nxt.take(ids + x[k])``, which
     learns the pairs it meets first.  Per-step numpy calls would cost
     about ten times the list lookup for one record.  The codes come from
-    one lookup in the memo's table per chunk of ``_CHUNK`` steps.  A memo
-    of more than ``_MEMO_ROWS`` rows is cleared at the next chunk
-    boundary and restarts from the current rows, so it never holds more
-    than ``_MEMO_ROWS + T * _CHUNK`` rows; the codes are the same either
-    way.  The scores to go at step 0 are T rows of three floats.
+    one lookup in the memo's ``code`` per chunk of ``_CHUNK`` steps, the
+    first states from one in its ``first`` at step 0; a first state is
+    -1 for a record that no state sequence can produce.  A memo of more
+    than ``_MEMO_ROWS`` rows is cleared at the next chunk boundary and
+    restarts from the current rows, so it never holds more than
+    ``_MEMO_ROWS + T * _CHUNK`` rows; the codes are the same either way.
     """
     n, records = x.shape
-    codes = np.zeros((n, records), dtype=np.int8)
+    codes = np.empty((n, records), dtype=np.int8)
     cur = [memo.add((0.0, 0.0, 0.0))] * records
-    for hi in range(n - 1, 0, -_CHUNK):
+    for hi in range(n, 0, -_CHUNK):
         lo = max(hi - _CHUNK, 0)
         cur = memo.trim(cur)
-        symbols = x[hi:lo:-1]
+        symbols = x[lo:hi][::-1]
         if records == 1:
             nxt, keys, row = memo.nxt, [], cur[0]
             append = keys.append
@@ -335,8 +309,21 @@ def _backward(memo: _Memo, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
                 key += row
                 row = memo.gather(key)
             cur = row.tolist()
-        codes[hi:lo:-1] = memo.codes(keys)
-    return codes, [memo.rows[i // 3] for i in cur]
+        codes[lo:hi] = np.frombuffer(bytes(memo.code), dtype=np.int8).take(keys[::-1])
+    return codes, np.frombuffer(bytes(memo.first), dtype=np.int8).take(keys[-1])
+
+
+def _paths(memo: _Memo, x: np.ndarray) -> np.ndarray:
+    """Decoded paths (T, K) int8 of state indices of the records in the columns of ``x``.
+
+    Raises :class:`InfeasibleObservationError` for the first record that
+    no state sequence can produce.
+    """
+    codes, first = _backward(memo, x)
+    dead = np.flatnonzero(first < 0)
+    if dead.size:
+        raise _infeasible(x[:, dead[0]], *memo.logs)
+    return _follow(codes, first)
 
 
 def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
@@ -354,10 +341,14 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     The score to go is normalised at every step: its largest entry is
     subtracted, so the tie window compares O(1) values however long the
     record.  Normalised rows take few distinct values, so the backward
-    pass is a memoised automaton over them (:func:`_backward`): a step
-    costs one list lookup and leaves one int8 successor-map code.
-    :func:`_follow` then walks the codes.  The Monte Carlo kernel decodes
-    its trials with the same automaton and walk, a batch at a time.
+    pass is a memoised automaton over them (:func:`_backward`).
+    :func:`_step` decides each (row, symbol) pair once, when it first
+    occurs: the row one step earlier, the step's successor map and the
+    first state of a record that starts with the pair.  A step then
+    costs one list lookup and leaves one int8 successor-map code, and
+    :func:`_follow` walks the codes from the first state.  The Monte
+    Carlo kernel decodes its trials with the same automaton and walk
+    (:func:`_paths`), a batch at a time.
     """
     return _decode(symbols, model).astype(np.int64)
 
@@ -366,9 +357,6 @@ def _decode(symbols, model: HmmModel) -> np.ndarray:
     """:func:`viterbi_decode` as int8 states -1..1: 1 B a step where int64 takes 8."""
     x = _symbol_indices(symbols, "symbols")[:, None]
     require_valid(model)
-    log_init, log_trans, log_emit = _log_params(model)
-    codes, to_go = _backward(_Memo(log_trans, log_emit), x)
-    first = _first_states(log_init, log_trans, log_emit, x, np.array(to_go).T)
-    path = _follow(codes, first)[0]
+    path = _paths(_Memo(model), x)[0]
     path -= 1
     return path

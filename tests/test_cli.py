@@ -271,10 +271,10 @@ def _decode_peak_per_row(cfg, tmp_path, index_name, offset):
 
 def test_decode_peak_memory_per_row(cfg, tmp_path):
     # Traced peak of a whole decode run, output included.  It holds the
-    # two loaded float columns (16 B a row), the int8 symbols and path,
-    # and classify's int64 result (8 B a row) while it is narrowed; the
-    # rest is made one chunk at a time.  Each whole-column int64 or float
-    # copy would add 8 B a row.
+    # two loaded float columns (16 B a row) and the int8 symbols and
+    # path; the rest, classify's int64 result included, is made one chunk
+    # at a time.  Each whole-column int64 or float copy would add 8 B a
+    # row.
     assert _decode_peak_per_row(cfg, tmp_path, "k", 0) < 32
 
 

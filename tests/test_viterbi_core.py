@@ -1,16 +1,16 @@
 """The shared reconstruction core against plain references.
 
-``_choices`` builds the successor maps of the decoder's (score to go,
-symbol) pairs and ``_follow`` walks successor tables into paths, for
-``viterbi_decode``, ``simulate_states`` and the Monte Carlo kernel
-alike.  Both must equal
+``_step`` decides each (score to go, symbol) pair of the decoder: its
+successor map and the first state of a record that starts with it.
+``_follow`` walks successor tables into paths, for ``viterbi_decode``,
+``simulate_states`` and the Monte Carlo kernel alike.  Both must equal
 the test-local references in ``conftest.py`` bit for bit: the argmax
 choice builder and the per-record ``bytes`` walk.
 """
 import numpy as np
 import pytest
 
-from gridhmm.viterbi import _CHUNK, TIE_EPS, _choices, _code, _follow
+from gridhmm.viterbi import _CHUNK, TIE_EPS, _code, _follow, _step
 
 from conftest import reference_choices, reference_follow
 
@@ -60,6 +60,9 @@ def test_choices_equal_argmax_reference():
     log_trans[2] = -np.inf  # a predecessor with no successor at all
     log_emit = gen.normal(size=(3, 3)) - 1.0
     log_emit[0, 1] = -np.inf
+    # With the initial law equal to predecessor 0's row, a record's head
+    # candidates are predecessor 0's, so the near ties below reach both rules.
+    log_init = log_trans[0].copy()
     x = gen.integers(0, 3, size=(length, records))
     to_go = _near_ties(gen, log_trans, log_emit, x)
 
@@ -73,10 +76,18 @@ def test_choices_equal_argmax_reference():
     assert np.any(cand == cand.max(axis=1, keepdims=True) - TIE_EPS)
 
     # Steps 1.. of the records are the pairs; the reference leaves step 0 at 0.
-    le = log_emit[x[1:]].transpose(0, 2, 1)  # le[k, j, t] = log_emit[x[k + 1, t], j]
-    got = _choices(log_trans, le, to_go[1:])
-    want = reference_choices(log_trans, log_emit, x, to_go)[1:]
-    assert got.dtype == np.int8
+    init, trans, emit = log_init.tolist(), log_trans.tolist(), log_emit.tolist()
+    pairs = zip(x[1:].ravel().tolist(), to_go[1:].transpose(0, 2, 1).reshape(-1, 3).tolist())
+    decided = [_step(init, trans, emit[s], tuple(g))[1:] for s, g in pairs]
+    got, first = np.array(decided, dtype=np.int8).reshape(length - 1, records, 2).transpose(2, 0, 1)
+    want = _code(reference_choices(log_trans, log_emit, x, to_go)[1:])
     assert np.array_equal(got, want)
-    assert not got[:, 2].any()
-    assert set(np.unique(got[:, 0])) == {0, 1, 2}
+    assert not (got // 9).any()
+    assert set(np.unique(got % 3)) == {0, 1, 2}
+
+    # The first state is the reference's choice with log_init as the
+    # predecessor row, or -1 when every head score is -inf.
+    head = reference_choices(np.tile(log_init, (3, 1)), log_emit, x, to_go)[1:, 0]
+    dead = ~np.isfinite(cand[1:]).any(axis=1)
+    assert np.array_equal(first, np.where(dead, -1, head))
+    assert set(np.unique(first)) == {-1, 0, 1, 2}

@@ -158,9 +158,7 @@ def test_dead_step_does_not_rebuild_the_trellis(monkeypatch):
     hidden = gh.simulate_states(model, 100, gh.RngStream(3, stream_index=0))
     change = int(np.argmax(hidden[1:] != hidden[:-1])) + 1
     assert hidden[change] != hidden[0]
-    tables = simulate._Tables.of
-    with np.errstate(divide="ignore"):
-        frozen = np.log(np.eye(3))
-    monkeypatch.setattr(simulate._Tables, "of", lambda m: tables(m)._replace(log_trans=frozen))
+    frozen = gh.HmmModel(transitions=np.eye(3), emissions=model.emissions, initial=model.initial)
+    monkeypatch.setattr(simulate, "_Memo", lambda m: viterbi._Memo(frozen))
     with pytest.raises(gh.InfeasibleObservationError, match=f"every path dies at step {change}$"):
         gh.run_monte_carlo(model, 100, 5, base_seed=3)

@@ -33,14 +33,12 @@ from .simulate import (
     MonteCarloSummary,
     PredictionVector,
     SweepPoint,
-    TrialResult,
     accuracy,
     detection_sweep,
     emit_symbols,
     expected_ht_accuracy,
     predict,
     run_monte_carlo,
-    run_trial,
     simulate_states,
     synthesize_measurements,
 )
@@ -89,8 +87,6 @@ __all__ = [
     "emit_symbols",
     "synthesize_measurements",
     "accuracy",
-    "TrialResult",
-    "run_trial",
     "MonteCarloSummary",
     "run_monte_carlo",
     "SweepPoint",

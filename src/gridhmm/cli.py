@@ -308,11 +308,19 @@ def _cmd_emission(args) -> int:
     return 0
 
 
+def _symbols(z_hz: np.ndarray, params) -> np.ndarray:
+    """The detector's symbols of ``z_hz`` as int8, classified one chunk of rows at a time."""
+    thresholds = compute_thresholds(params)
+    symbols = np.empty(z_hz.size, dtype=np.int8)
+    for lo in range(0, symbols.size, _ROWS):  # classify's int64 stays one chunk long
+        symbols[lo : lo + _ROWS] = classify(z_hz[lo : lo + _ROWS], thresholds)
+    return symbols
+
+
 def _cmd_detect(args) -> int:
     cfg = parse_config(args.config)
     series = load_measurements(args.input)
-    thresholds = compute_thresholds(cfg.params)
-    symbols = classify(series.z_hz, thresholds)
+    symbols = _symbols(series.z_hz, cfg.params)
     header = [series.index_name, "z_hz", "x"]
     _write_csv(args.output, header, _index_column(series.index), series.z_hz, symbols)
     _summary("detect", rows=symbols.size)
@@ -323,10 +331,7 @@ def _cmd_decode(args) -> int:
     cfg = parse_config(args.config)
     series = load_measurements(args.input)
     model = cfg.model()
-    thresholds = compute_thresholds(cfg.params)
-    symbols = np.empty(series.z_hz.size, dtype=np.int8)
-    for lo in range(0, symbols.size, _ROWS):  # classify's int64 stays one chunk long
-        symbols[lo : lo + _ROWS] = classify(series.z_hz[lo : lo + _ROWS], thresholds)
+    symbols = _symbols(series.z_hz, cfg.params)
     states = _decode(symbols, model)
     header = [series.index_name, "z_hz", "x", "s_star"]
     _write_csv(args.output, header, _index_column(series.index), series.z_hz, symbols, states)

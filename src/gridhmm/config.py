@@ -9,6 +9,7 @@ in one error rather than stopping at the first.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import warnings
@@ -376,7 +377,8 @@ def _read_columns(fh, width: int, idx_col: int, z_col: int, integer_index: bool)
     character of ``_SEPARATORS``.  Without ``usecols``, loadtxt rejects
     ragged rows instead of ignoring their extra fields.  ``fh`` must be
     seekable, and able to tell where it stands: the pre-pass reads the
-    body before the chunks read it again.
+    body before the chunks read it again.  :func:`load_measurements`
+    gives every input such a handle, a pipe's text held in memory.
     """
     body = fh.tell()
     lines = 1  # a last line without an end
@@ -430,13 +432,16 @@ def load_measurements(path) -> MeasurementSeries:
     The body is read into two preallocated contiguous columns by
     ``np.loadtxt`` calls of ``_LOAD_ROWS`` rows, checked chunk by chunk
     as arrays, so loading holds little more than the 16 bytes a row of
-    the result.  When that reader cannot vouch for the body, the file is
+    the result.  When that reader cannot vouch for the body, the body is
     read again row by row: that loop also takes what ``float`` takes and
     numpy does not (``1_0``, full-width digits, quoted fields), and it
     words every error.  Both give the same arrays for any input both
-    accept.
+    accept.  An input that cannot seek, such as a pipe, is first read
+    whole into memory and then takes the same two readers.
     """
     with open(path, newline="") as fh:
+        if not fh.seekable():  # a pipe: read it once, then as a file
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding=fh.encoding, newline="")
         reader = csv.reader(iter(fh.readline, ""))  # iterating fh would stop fh.tell()
         try:
             header = [cell.strip() for cell in next(reader)]
@@ -451,13 +456,11 @@ def load_measurements(path) -> MeasurementSeries:
         index_name = index_candidates[0]
         idx_col = header.index(index_name)
         z_col = header.index("z_hz")
-        if fh.seekable():  # a pipe is read once, by the row loop
-            columns = _read_columns(fh, len(header), idx_col, z_col, index_name == "k")
-            if columns is not None:
-                return MeasurementSeries(index_name=index_name, index=columns[0], z_hz=columns[1])
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
+        body = fh.tell()
+        columns = _read_columns(fh, len(header), idx_col, z_col, index_name == "k")
+        if columns is not None:
+            return MeasurementSeries(index_name=index_name, index=columns[0], z_hz=columns[1])
+        fh.seek(body)
         index: list[float] = []
         values: list[float] = []
         for rownum, row in enumerate(reader, start=2):

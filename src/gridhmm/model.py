@@ -30,6 +30,8 @@ N_STATES = 3
 
 # Sup-norm change at which power iteration counts as converged.
 _CONVERGENCE_TOL = 1e-12
+# Power iterations before a chain counts as not converging.
+_MAX_ITER = 10**6
 
 
 class InvalidModelError(ValueError):
@@ -112,12 +114,12 @@ def require_valid(model: HmmModel) -> HmmModel:
     return model
 
 
-def stationary_distribution(transitions, max_iter: int = 10**6) -> np.ndarray:
+def stationary_distribution(transitions) -> np.ndarray:
     """Stationary law of the chain by power iteration from uniform.
 
     Iterates ``v <- v P`` with renormalisation until the sup-norm change
     drops to ``_CONVERGENCE_TOL``.  Chains without a limit from the
-    uniform start (periodic ones, for instance) exhaust ``max_iter`` and
+    uniform start (periodic ones, for instance) exhaust ``_MAX_ITER`` and
     raise :class:`NonConvergenceError` rather than returning a spurious
     vector.
     """
@@ -129,7 +131,7 @@ def stationary_distribution(transitions, max_iter: int = 10**6) -> np.ndarray:
         raise InvalidModelError(problem)
     v = np.full(N_STATES, 1.0 / N_STATES)
     change = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         nxt = v @ p
         nxt /= nxt.sum()
         change = float(np.abs(nxt - v).max())
@@ -137,6 +139,6 @@ def stationary_distribution(transitions, max_iter: int = 10**6) -> np.ndarray:
             return nxt
         v = nxt
     raise NonConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations "
+        f"power iteration did not converge within {_MAX_ITER} iterations "
         f"(last sup-norm change {change:.3e})"
     )

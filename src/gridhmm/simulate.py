@@ -18,8 +18,8 @@ maps into paths by a prefix scan over their compositions, with no
 per-step Python loop.  In a batch each trial draws the uniforms of its
 own stream, seeded for the whole batch in one vector pass, in the order
 of :func:`simulate_states` and :func:`emit_symbols`, and every score is
-formed in the same order, so the output equals running the trials one
-by one, bit for bit.
+formed in the same order, so each trial equals those two functions and
+``viterbi_decode`` run on its own stream, bit for bit.
 """
 from __future__ import annotations
 
@@ -46,8 +46,6 @@ __all__ = [
     "emit_symbols",
     "synthesize_measurements",
     "accuracy",
-    "TrialResult",
-    "run_trial",
     "MonteCarloSummary",
     "run_monte_carlo",
     "SweepPoint",
@@ -123,22 +121,6 @@ def accuracy(estimate, truth) -> float:
     return float(np.mean(a == b))
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One simulated trial with both estimators applied to it.
-
-    ``ht_accuracy`` scores the memoryless per-symbol hypothesis test
-    (the emitted symbols themselves, since they are the test's output);
-    ``va_accuracy`` scores the Viterbi sequence estimate.
-    """
-
-    hidden: np.ndarray
-    emitted: np.ndarray
-    decoded: np.ndarray
-    ht_accuracy: float
-    va_accuracy: float
-
-
 class _Tables(NamedTuple):
     """Sampling tables of a validated model, built once per run."""
 
@@ -191,26 +173,6 @@ def _check_length(length) -> int:
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     return length
-
-
-def run_trial(model: HmmModel, length: int, rng: RngStream) -> TrialResult:
-    """Simulate one hidden path, emit symbols, decode, and score both ways.
-
-    Equals :func:`simulate_states`, then :func:`emit_symbols`, then
-    :func:`~gridhmm.viterbi.viterbi_decode` on ``rng``, and consumes the
-    same ``2 * length`` uniforms from it.
-    """
-    tables = _Tables.of(model)
-    u = rng.generator.random((1, 2 * _check_length(length)))
-    batch = _run_batch(tables, u, _Memo(model))
-    hidden, emitted, decoded = (a[0].astype(np.int64) - 1 for a in batch)
-    return TrialResult(
-        hidden=hidden,
-        emitted=emitted,
-        decoded=decoded,
-        ht_accuracy=accuracy(emitted, hidden),
-        va_accuracy=accuracy(decoded, hidden),
-    )
 
 
 @dataclass(frozen=True)
@@ -269,10 +231,12 @@ def run_monte_carlo(
     Trial t runs on ``RngStream(base_seed, stream_index=t)``, so the
     result is a pure function of (model, length, trials, base_seed).
     Trials go through one batched kernel, about ``_BATCH_STEPS`` steps
-    (trials x length) at a time, and each trial's result equals
-    :func:`run_trial` on its stream.  A batch's streams are seeded in one
-    vector pass and drawn on one generator, and one decoder memo serves
-    every batch.  The model is validated once per call.
+    (trials x length) at a time, and each trial equals
+    :func:`simulate_states`, :func:`emit_symbols` and
+    :func:`~gridhmm.viterbi.viterbi_decode` run on its stream.  A
+    batch's streams are seeded in one vector pass and drawn on one
+    generator, and one decoder memo serves every batch.  The model is
+    validated once per call.
     """
     tables = _Tables.of(model)
     trials = int(trials)

@@ -132,7 +132,7 @@ def test_sweep_notes_wait_for_a_writable_output(tmp_path, capsys):
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 @pytest.mark.parametrize("body", ["1,48.9\n2,50.02\n3,50.61\n", "1_0,48.9\n2_0,50.02\n"])
 def test_decode_reads_measurements_from_a_pipe(cfg, tmp_path, capsys, body):
-    # A pipe cannot be read twice, so it goes to the row loop; the output is the file's.
+    # A pipe is read once into memory and then loaded as a file is; the output is the file's.
     m = tmp_path / "m.csv"
     m.write_text("k,z_hz\n" + body)
     code, want, _ = run_cli(capsys, "decode", "--config", cfg, "--input", str(m))
@@ -249,8 +249,8 @@ def test_decode_status_reports_decoder_diagnostics(tmp_path, capsys):
     assert int(fields["corrected"]) == np.count_nonzero(s_star != x) > 0
 
 
-def _decode_peak_per_row(cfg, tmp_path, index_name, offset):
-    """Traced peak bytes a row of a decode of 2e5 rows indexed ``k + offset``, output included."""
+def _peak_per_row(command, cfg, tmp_path, index_name, offset):
+    """Traced peak bytes a row of ``command`` on 2e5 rows indexed ``k + offset``, output included."""
     rows = 200_000
     gen = np.random.default_rng(5)
     z = np.array([49.0, 50.0, 51.0])[np.repeat(gen.integers(0, 3, rows // 20), 20)]
@@ -261,7 +261,7 @@ def _decode_peak_per_row(cfg, tmp_path, index_name, offset):
     tracemalloc.start()
     try:
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-            code = main(["decode", "--config", cfg, "--input", str(data)])
+            code = main([command, "--config", cfg, "--input", str(data)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,14 +275,21 @@ def test_decode_peak_memory_per_row(cfg, tmp_path):
     # path; the rest, classify's int64 result included, is made one chunk
     # at a time.  Each whole-column int64 or float copy would add 8 B a
     # row.
-    assert _decode_peak_per_row(cfg, tmp_path, "k", 0) < 32
+    assert _peak_per_row("decode", cfg, tmp_path, "k", 0) < 32
+
+
+def test_detect_peak_memory_per_row(cfg, tmp_path):
+    # detect classifies like decode, one chunk at a time into int8: it
+    # holds the loaded columns and the symbols, 17 B a row.  Classifying
+    # the whole column at once would add its int64 result, 8 B a row.
+    assert _peak_per_row("detect", cfg, tmp_path, "k", 0) < 26
 
 
 def test_decode_peak_memory_per_row_with_a_fractional_index(cfg, tmp_path):
     # A timestamp such as 1.5 prints through '%.17g', one chunk of rows
     # at a time; formatting the whole column up front held a string and
     # an object pointer a row, about 90 B more.
-    assert _decode_peak_per_row(cfg, tmp_path, "timestamp", 0.5) < 32
+    assert _peak_per_row("decode", cfg, tmp_path, "timestamp", 0.5) < 32
 
 
 def test_cli_leaves_numpy_random_unloaded(cfg):

@@ -12,7 +12,9 @@ import contextlib
 import csv
 import io
 import math
+import os
 import struct
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -240,6 +242,74 @@ def test_fast_reader_never_accepts_what_float_rejects(field):
     want = float(field)
     for column in columns:
         assert struct.pack("<d", float(column[0])) == struct.pack("<d", want)
+
+
+# --- pipes ----------------------------------------------------------------
+# A pipe cannot seek: the loader reads it whole into memory, then takes
+# the path of a file.  The bodies are longer than one np.loadtxt chunk and
+# than the pipe's buffer, so the writer thread runs while the loader reads.
+
+
+@contextlib.contextmanager
+def _pipe(data: bytes):
+    """The path ``/dev/fd/N`` of the read end of a real pipe that a thread feeds ``data``."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        try:
+            with open(write_fd, "wb") as sink:
+                sink.write(data)
+        except BrokenPipeError:  # the reader closed its end before the last byte
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+def _long_body(rows):
+    return "k,z_hz\n" + "".join(f"{k},{50.0 + k / 8!r}\n" for k in range(1, rows + 1))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("tail", ["", "1_0000000,50.0\n"])
+def test_pipe_loads_through_the_chunked_reader(tmp_path, monkeypatch, tail):
+    # A body the chunked reader takes, and one whose last row only the row loop takes.
+    data = (_long_body(config._LOAD_ROWS + 5) + tail).encode()
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    want = _outcome(gh.load_measurements, path)
+    spy = mock.Mock(wraps=config._read_columns)
+    monkeypatch.setattr(config, "_read_columns", spy)
+    with _pipe(data) as piped:
+        got = _outcome(gh.load_measurements, piped)
+    assert spy.call_count == 1
+    assert got == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("bad", ["{k},fifty", "{k},50.0,1", "1,50.0"])
+def test_bad_row_after_a_chunk_of_a_pipe_fails_as_in_a_file(tmp_path, capsys, bad):
+    rows = config._LOAD_ROWS + 3
+    data = (_long_body(rows) + bad.format(k=rows + 1) + "\n").encode()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG)
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    code = main(["detect", "--config", str(cfg_path), "--input", str(path)])
+    want = capsys.readouterr()
+    assert code == 1 and want.out == ""
+    assert f"{path}: row {rows + 2}: " in want.err
+    with _pipe(data) as piped:
+        assert main(["detect", "--config", str(cfg_path), "--input", piped]) == code
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.replace(piped, str(path)) == want.err
 
 
 # --- writer ---------------------------------------------------------------

@@ -164,11 +164,12 @@ def test_stationary_fixed_point_residual():
         assert np.max(np.abs(pi - _eig_stationary(p))) <= 1e-9
 
 
-def test_stationary_periodic_chain_raises():
+def test_stationary_periodic_chain_raises(monkeypatch):
     # period-2 chain: uniform start oscillates and never settles
+    monkeypatch.setattr("gridhmm.model._MAX_ITER", 20_000)
     p = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(gh.NonConvergenceError):
-        stationary_distribution(p, max_iter=20_000)
+    with pytest.raises(gh.NonConvergenceError, match="within 20000 iterations"):
+        stationary_distribution(p)
 
 
 def test_stationary_rejects_invalid_matrix():

@@ -117,18 +117,6 @@ def test_accuracy_examples():
         gh.accuracy([0, 1], [0])
 
 
-def test_run_trial_composition(ref_model):
-    trial = gh.run_trial(ref_model, 100, gh.RngStream(17, 0))
-    rng = gh.RngStream(17, 0)
-    hidden = gh.simulate_states(ref_model, 100, rng)
-    emitted = gh.emit_symbols(hidden, ref_model.emissions, rng)
-    assert np.array_equal(trial.hidden, hidden)
-    assert np.array_equal(trial.emitted, emitted)
-    assert np.array_equal(trial.decoded, gh.viterbi_decode(emitted, ref_model))
-    assert trial.ht_accuracy == gh.accuracy(emitted, hidden)
-    assert trial.va_accuracy == gh.accuracy(trial.decoded, hidden)
-
-
 def test_monte_carlo_noiseless_channel_is_perfect():
     p = np.array([[0.2, 0.7, 0.1], [0.1, 0.8, 0.1], [0.1, 0.7, 0.2]])
     model = gh.HmmModel(transitions=p, emissions=np.eye(3), initial=np.array([0.1, 0.8, 0.1]))

@@ -352,7 +352,7 @@ def _cmd_simulate(args) -> int:
     rng = RngStream(seed, stream_index=0)
     hidden = simulate_states(model, cfg.length, rng)
     z = synthesize_measurements(hidden, cfg.params, rng)
-    symbols = classify(z, compute_thresholds(cfg.params))
+    symbols = _symbols(z, cfg.params)
     k = np.arange(1, cfg.length + 1)
     _write_csv(args.output, ["k", "s", "z_hz", "x"], k, hidden, z, symbols)
     _summary("simulate", k=cfg.length, seed=seed)

@@ -9,10 +9,11 @@ in one error rather than stopping at the first.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import logging
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,9 +44,10 @@ _K_LIMIT = 2.0**53
 # ``float`` rejects them.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
-# Rows per ``np.loadtxt`` call of the body reader.  A chunk of two columns
-# holds 256 kB; 2e5 rows load as fast with 2**12 to 2**18 rows per call.
-_LOAD_ROWS = 2**14
+# Lines per ``np.loadtxt`` call of the body reader.  A chunk's lines are
+# held as ``str``, about 75 B a line; 2e5 rows load as fast with 2**12
+# lines per call as with 2**14.
+_LOAD_ROWS = 2**12
 
 _SCALAR_KEYS = {
     "means",
@@ -358,63 +360,36 @@ class MeasurementSeries:
     z_hz: np.ndarray
 
 
-def _read_columns(fh, width: int, idx_col: int, z_col: int, integer_index: bool):
-    """The index and ``z_hz`` columns of the body of ``fh``, read in chunks; or None.
+def _parse_chunk(lines, width: int, idx_col: int, z_col: int, integer_index: bool, last: float):
+    """The index and ``z_hz`` columns of a chunk of body lines, as contiguous arrays; or None.
 
-    A pre-pass over the body returns None for a character of
-    ``_SEPARATORS`` and counts the line ends, an upper bound on the rows.
-    Two contiguous columns of that length are allocated, then filled by
-    ``np.loadtxt(..., max_rows=_LOAD_ROWS)`` calls that go on where the
-    last one stopped; each chunk is checked as it lands, and so is the
-    seam with the chunk before.  So the columns are all that the body
-    costs, beside one chunk.
-
-    None means this reader cannot vouch for the body, and the row loop
-    of :func:`load_measurements` must read it: numpy rejected a field
-    (it takes fewer spellings than ``float``: no ``1_0``, no non-ASCII
-    digits, no quoted fields), the rows are ragged or of the wrong
-    width, there are none, a value fails a check, or the file holds a
-    character of ``_SEPARATORS``.  Without ``usecols``, loadtxt rejects
-    ragged rows instead of ignoring their extra fields.  ``fh`` must be
-    seekable, and able to tell where it stands: the pre-pass reads the
-    body before the chunks read it again.  :func:`load_measurements`
-    gives every input such a handle, a pipe's text held in memory.
+    None is doubt, and the row loop of :func:`load_measurements` must
+    read the chunk: numpy rejected a field (it takes fewer spellings
+    than ``float``: no ``1_0``, no non-ASCII digits, no quoted fields),
+    the rows are ragged or of the wrong width, a value fails a check
+    (the first index must exceed ``last``, the previous chunk's last),
+    or the chunk holds a character of ``_SEPARATORS``.  Without
+    ``usecols``, loadtxt rejects ragged rows instead of ignoring their
+    extra fields.  A chunk of blank lines gives two empty columns.
     """
-    body = fh.tell()
-    lines = 1  # a last line without an end
-    while block := fh.read(1 << 16):
-        if any(c in block for c in _SEPARATORS):
-            return None
-        lines += block.count("\n")
-        if "\r" in block:  # a bare CR ends a line too
-            lines += block.count("\r") - block.count("\r\n")
-    fh.seek(body)
-    index, z = np.empty(lines), np.empty(lines)
-    filled = 0
+    if any(c in "".join(lines) for c in _SEPARATORS):
+        return None
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a read past the last row only warns
-        while True:
-            try:
-                table = np.loadtxt(
-                    fh, delimiter=",", dtype=float, ndmin=2, comments=None, max_rows=_LOAD_ROWS
-                )
-            except ValueError:  # a field numpy cannot parse, a ragged row
-                return None
-            if not len(table):
-                break
-            stop = filled + len(table)
-            if table.shape[1] != width or stop > lines:
-                return None
-            index[filled:stop], z[filled:stop] = table[:, idx_col], table[:, z_col]
-            idx = index[max(filled - 1, 0) : stop]  # and the last row of the chunk before
-            ok = np.isfinite(idx).all() and np.isfinite(z[filled:stop]).all()
-            ok = ok and (idx[1:] > idx[:-1]).all()
-            if ok and integer_index:
-                ok = (np.trunc(idx) == idx).all() and (np.abs(idx) < _K_LIMIT).all()
-            if not ok:
-                return None
-            filled = stop
-    return (index[:filled], z[:filled]) if filled else None
+        warnings.simplefilter("ignore", UserWarning)  # blank lines only warn
+        try:
+            table = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None)
+        except ValueError:  # a field numpy cannot parse, a ragged row
+            return None
+    if not len(table):
+        table = table.reshape(0, width)
+    if table.shape[1] != width:
+        return None
+    index, z = np.ascontiguousarray(table[:, idx_col]), np.ascontiguousarray(table[:, z_col])
+    ok = np.isfinite(index).all() and np.isfinite(z).all()
+    ok = ok and (index[:1] > last).all() and (index[1:] > index[:-1]).all()
+    if ok and integer_index:
+        ok = (np.trunc(index) == index).all() and (np.abs(index) < _K_LIMIT).all()
+    return (index, z) if ok else None
 
 
 def load_measurements(path) -> MeasurementSeries:
@@ -429,22 +404,20 @@ def load_measurements(path) -> MeasurementSeries:
     there on a float cannot hold every integer); propagates OSError
     when the file cannot be read.
 
-    The body is read into two preallocated contiguous columns by
-    ``np.loadtxt`` calls of ``_LOAD_ROWS`` rows, checked chunk by chunk
-    as arrays, so loading holds little more than the 16 bytes a row of
-    the result.  When that reader cannot vouch for the body, the body is
-    read again row by row: that loop also takes what ``float`` takes and
-    numpy does not (``1_0``, full-width digits, quoted fields), and it
-    words every error.  Both give the same arrays for any input both
-    accept.  An input that cannot seek, such as a pipe, is first read
-    whole into memory and then takes the same two readers.
+    The input is read once, front to back, so a pipe loads as a file
+    does.  The body is taken ``_LOAD_ROWS`` lines at a time; each chunk
+    is parsed by ``np.loadtxt`` and checked as arrays, and its columns
+    are appended to two growing ``array('d')`` columns, so loading
+    holds little more than the 16 bytes a row of the result.  From the
+    first chunk that this cannot vouch for on, a row loop reads the rest
+    into the same columns: it also takes what ``float`` takes and numpy
+    does not (``1_0``, full-width digits, quoted fields, also when a
+    quoted newline crosses a chunk's end), and it words every error.
+    Both give the same arrays for any input both accept.
     """
     with open(path, newline="") as fh:
-        if not fh.seekable():  # a pipe: read it once, then as a file
-            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding=fh.encoding, newline="")
-        reader = csv.reader(iter(fh.readline, ""))  # iterating fh would stop fh.tell()
         try:
-            header = [cell.strip() for cell in next(reader)]
+            header = [cell.strip() for cell in next(csv.reader(fh))]
         except StopIteration:
             raise MeasurementFormatError(f"{path}: empty file") from None
         index_candidates = [name for name in ("k", "timestamp") if name in header]
@@ -456,14 +429,20 @@ def load_measurements(path) -> MeasurementSeries:
         index_name = index_candidates[0]
         idx_col = header.index(index_name)
         z_col = header.index("z_hz")
-        body = fh.tell()
-        columns = _read_columns(fh, len(header), idx_col, z_col, index_name == "k")
-        if columns is not None:
-            return MeasurementSeries(index_name=index_name, index=columns[0], z_hz=columns[1])
-        fh.seek(body)
-        index: list[float] = []
-        values: list[float] = []
-        for rownum, row in enumerate(reader, start=2):
+        index, values = array("d"), array("d")
+        first = 2  # the row number of the chunk's first line
+        while lines := list(itertools.islice(fh, _LOAD_ROWS)):
+            last = index[-1] if index else -math.inf
+            columns = _parse_chunk(lines, len(header), idx_col, z_col, index_name == "k", last)
+            if columns is None:
+                break
+            index.frombytes(columns[0].view(np.uint8))  # frombytes takes bytes, not floats
+            values.frombytes(columns[1].view(np.uint8))
+            first += len(lines)
+            del lines  # so that the next chunk is read without this one's text
+        # The doubted chunk and the rest of the body, if any; a chunk taken
+        # above has no quote, so each of its lines is one row.
+        for rownum, row in enumerate(csv.reader(itertools.chain(lines, fh)), start=first):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(header):
@@ -502,7 +481,5 @@ def load_measurements(path) -> MeasurementSeries:
     if not index:
         raise MeasurementFormatError(f"{path}: no data rows")
     return MeasurementSeries(
-        index_name=index_name,
-        index=np.array(index),
-        z_hz=np.array(values),
+        index_name=index_name, index=np.frombuffer(index), z_hz=np.frombuffer(values)
     )

@@ -132,7 +132,7 @@ def test_sweep_notes_wait_for_a_writable_output(tmp_path, capsys):
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 @pytest.mark.parametrize("body", ["1,48.9\n2,50.02\n3,50.61\n", "1_0,48.9\n2_0,50.02\n"])
 def test_decode_reads_measurements_from_a_pipe(cfg, tmp_path, capsys, body):
-    # A pipe is read once into memory and then loaded as a file is; the output is the file's.
+    # A pipe is read once, front to back, as a file is; the output is the file's.
     m = tmp_path / "m.csv"
     m.write_text("k,z_hz\n" + body)
     code, want, _ = run_cli(capsys, "decode", "--config", cfg, "--input", str(m))

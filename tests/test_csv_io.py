@@ -1,8 +1,9 @@
 """CSV input and output: the chunked array loader against the row loop, and the row writer.
 
-``load_measurements`` reads a body with ``np.loadtxt`` calls of
-``config._LOAD_ROWS`` rows each and falls back to the row loop of
-``conftest.reference_load`` when that reader cannot vouch for it.  Either both give bitwise-equal arrays, or
+``load_measurements`` reads a body in chunks of ``config._LOAD_ROWS``
+lines, each parsed by ``np.loadtxt``, and from the first chunk that
+parser cannot vouch for on reads the rest with the row loop of
+``conftest.reference_load``.  Either both give bitwise-equal arrays, or
 both raise the same error.  The writer lays out each chunk of rows as a
 byte matrix; every cell must read as ``format(v, ".17g")`` for floats
 and ``"%d"`` for integers, and every file as ``conftest.reference_write``,
@@ -11,10 +12,12 @@ the ``%``-format row writer, writes it.
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import struct
 import threading
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 import gridhmm as gh
 from gridhmm.cli import _ROWS, _fmt, _fmt_index, _write_csv, main
 from gridhmm import config
-from gridhmm.config import _read_columns
+from gridhmm.config import _parse_chunk
 
 from conftest import reference_load, reference_write
 
@@ -43,7 +46,7 @@ ODD_TOKENS = [
     "1_0", "1_0.5", "\uff11", "\u0663", "\u0663.\u0665", "\u20032", "nan", "-nan", "Infinity",
     "-inf", "1e500", "-0", "-0.0", "2**53", "9007199254740991", "9007199254740992",
     "-9007199254740993", "1e16", "+.5", "5.", " 7 ", "\t8", "0x10", "1d5", "", " ", "fifty",
-    '"3"', '"4,5"', "1\x00", "\x1c4", "5\x1f",
+    '"3"', '"4,5"', '"6\n"', "1\x00", "\x1c4", "5\x1f",
 ]
 
 
@@ -142,13 +145,15 @@ def test_fast_reader_takes_plain_bodies(body):
     fh = io.StringIO(body, newline="")
     header = next(csv.reader(fh))
     name = "k" if "k" in header else "timestamp"
-    columns = _read_columns(fh, len(header), header.index(name), header.index("z_hz"), name == "k")
+    columns = _parse_chunk(
+        list(fh), len(header), header.index(name), header.index("z_hz"), name == "k", -math.inf
+    )
     assert columns is not None
     assert all(c.flags.c_contiguous for c in columns)
 
 
 # --- chunk seams ------------------------------------------------------------
-# With two rows per np.loadtxt call, every other row of a body starts a chunk.
+# With two lines per np.loadtxt call, every other line of a body starts a chunk.
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -167,9 +172,16 @@ def _body(ks, last_z=None):
 
 
 def _read_body(body):
+    """The columns of a ``k,z_hz`` body, chunk by chunk; None if the chunk parser doubts one."""
     fh = io.StringIO(body, newline="")
     next(csv.reader(fh))
-    return _read_columns(fh, 2, 0, 1, True)
+    index, z = np.empty(0), np.empty(0)
+    while lines := list(itertools.islice(fh, config._LOAD_ROWS)):
+        columns = _parse_chunk(lines, 2, 0, 1, True, index[-1] if index.size else -math.inf)
+        if columns is None:
+            return None
+        index, z = np.concatenate([index, columns[0]]), np.concatenate([z, columns[1]])
+    return index, z
 
 
 @pytest.mark.parametrize(
@@ -192,8 +204,8 @@ def test_index_must_increase_across_a_chunk_seam(tmp_path, monkeypatch, ks, mess
 
 @pytest.mark.parametrize("last_z", ["fifty", "5_0.5"])
 def test_field_numpy_rejects_in_the_last_chunk(tmp_path, monkeypatch, last_z):
-    # Two chunks are filled before the third fails; the row loop then reads
-    # the whole file: it rejects "fifty" by its row and takes "5_0.5".
+    # Two chunks are taken before the third fails; the row loop then reads
+    # on from that chunk: it rejects "fifty" by its row and takes "5_0.5".
     monkeypatch.setattr(config, "_LOAD_ROWS", 2)
     body = _body(range(1, 6), last_z=last_z)
     assert _read_body(body) is None
@@ -210,8 +222,8 @@ def test_field_numpy_rejects_in_the_last_chunk(tmp_path, monkeypatch, last_z):
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("rows", [4, 5])
 def test_fast_reader_reads_across_chunk_seams(monkeypatch, newline, rows):
-    # Blank lines do not count as rows; four rows end on a seam, so the last
-    # read finds nothing.
+    # Chunks count lines, blank ones too: one chunk starts with a blank line,
+    # and with five rows the last chunk is a blank line alone.
     monkeypatch.setattr(config, "_LOAD_ROWS", 2)
     ks = list(range(1, rows + 1))
     lines = ["k,z_hz"]
@@ -236,7 +248,8 @@ FIELD_CHARS = st.sampled_from(list("0123456789.eE+-_ \tnaifINF\x00\x1c\x1f")) | 
 def test_fast_reader_never_accepts_what_float_rejects(field):
     # A field the fast reader takes parses, under float, to the same bits.
     field = field.replace(",", "").replace('"', "")
-    columns = _read_columns(io.StringIO(f"{field},{field}\n", newline=""), 2, 0, 1, False)
+    lines = io.StringIO(f"{field},{field}\n", newline="").readlines()
+    columns = _parse_chunk(lines, 2, 0, 1, False, -math.inf)
     if columns is None:
         return
     want = float(field)
@@ -245,8 +258,8 @@ def test_fast_reader_never_accepts_what_float_rejects(field):
 
 
 # --- pipes ----------------------------------------------------------------
-# A pipe cannot seek: the loader reads it whole into memory, then takes
-# the path of a file.  The bodies are longer than one np.loadtxt chunk and
+# The loader reads every input once, front to back, so a pipe takes the
+# path of a file.  The bodies are longer than one np.loadtxt chunk and
 # than the pipe's buffer, so the writer thread runs while the loader reads.
 
 
@@ -284,11 +297,11 @@ def test_pipe_loads_through_the_chunked_reader(tmp_path, monkeypatch, tail):
     path = tmp_path / "m.csv"
     path.write_bytes(data)
     want = _outcome(gh.load_measurements, path)
-    spy = mock.Mock(wraps=config._read_columns)
-    monkeypatch.setattr(config, "_read_columns", spy)
+    spy = mock.Mock(wraps=config._parse_chunk)
+    monkeypatch.setattr(config, "_parse_chunk", spy)
     with _pipe(data) as piped:
         got = _outcome(gh.load_measurements, piped)
-    assert spy.call_count == 1
+    assert spy.call_count == 2  # one call a chunk of lines
     assert got == want
 
 
@@ -310,6 +323,37 @@ def test_bad_row_after_a_chunk_of_a_pipe_fails_as_in_a_file(tmp_path, capsys, ba
     got = capsys.readouterr()
     assert got.out == ""
     assert got.err.replace(piped, str(path)) == want.err
+
+
+def _load_peak_per_row(path, rows):
+    """Traced peak bytes a row of ``load_measurements`` on a body of ``rows`` rows."""
+    tracemalloc.start()
+    try:
+        series = gh.load_measurements(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.z_hz.size == rows
+    return peak / rows
+
+
+def test_row_loop_from_a_late_chunk_holds_little_more_than_the_columns(tmp_path):
+    # Only the row loop takes the last row ("200_001"); it reads on from that
+    # row's chunk into the same float columns, 8 B a value.  Reading the body
+    # again from the top into lists of Python floats held about 80 B a row.
+    rows = 200_000
+    path = tmp_path / "m.csv"
+    path.write_text(_long_body(rows) + f"{rows + 1:_},50.0\n")
+    assert _load_peak_per_row(path, rows + 1) < 26
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_loads_in_the_memory_of_a_file():
+    # A pipe is read once, front to back, as a file is; holding its whole
+    # text first cost about 25 B a row more.
+    rows = 200_000
+    with _pipe(_long_body(rows).encode()) as piped:
+        assert _load_peak_per_row(piped, rows) < 26
 
 
 # --- writer ---------------------------------------------------------------

@@ -9,6 +9,7 @@ problem.
 from __future__ import annotations
 
 import argparse
+import copy
 import logging
 import math
 import sys
@@ -18,15 +19,16 @@ import numpy as np
 
 from .config import ConfigError, load_measurements, parse_config
 from .detector import classify, compute_thresholds
-from .gaussian import RngStream
+from .gaussian import RngStream, _normal_law
 from .model import build_emission_matrix
 from .simulate import (
+    _chain,
+    _check_length,
     _expected_ht_accuracy,
     _propagate,
+    _Tables,
     detection_sweep,
     run_monte_carlo,
-    simulate_states,
-    synthesize_measurements,
 )
 from .viterbi import _decode, joint_log_prob
 
@@ -72,8 +74,8 @@ _PREFIX = np.arange(22) < np.arange(23)[:, None]
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
 
 
-def _index_column(index: np.ndarray):
-    """The layout (see :func:`_layout`) of the index as it prints through :func:`_fmt_index`.
+def _index_format(index: np.ndarray):
+    """The format (see :func:`_write_csv`) of the index as it prints through :func:`_fmt_index`.
 
     Integral indices (every ``k``) print as '%d', converted to int64 one
     chunk at a time; an index with another value is formatted one string
@@ -83,16 +85,17 @@ def _index_column(index: np.ndarray):
     test for integers runs a chunk at a time too, so no step makes a
     whole-column temporary.
     """
+    low, high = index.min(), index.max()
     chunks = (index[lo : lo + _ROWS] for lo in range(0, len(index), _ROWS))
     integral = all((np.trunc(c) == c).all() for c in chunks)
-    if integral and -(2.0**63) < index.min() and index.max() < 2.0**63:
-        return _int_layout(index)
-    width = max(_FLOAT_WIDTH, *(len(str(int(v))) for v in (index.min(), index.max())))
+    if integral and -(2.0**63) < low and high < 2.0**63:
+        return _int_format(low, high)
+    width = max(_FLOAT_WIDTH, *(len(str(int(v))) for v in (low, high)))
 
-    def fill(lo, hi, cells, mask):
-        cells[:], mask[:] = _text_cells([_fmt_index(v) for v in index[lo:hi].tolist()], width)
+    def fill(values, cells, mask):
+        cells[:], mask[:] = _text_cells([_fmt_index(v) for v in values.tolist()], width)
 
-    return len(index), width, fill
+    return width, fill
 
 
 def _digits(magnitude: np.ndarray, pairs: int) -> np.ndarray:
@@ -113,7 +116,12 @@ def _text_cells(strings: list, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fill_ints(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
-    """int64 ``v`` as '%d' into ``cells`` and ``mask``: a sign, then right-aligned digits."""
+    """Integers ``v`` as '%d' into ``cells`` and ``mask``: a sign, then right-aligned digits.
+
+    ``v`` is of any real dtype, its values of magnitude below 2**63;
+    it is converted to int64 here.
+    """
+    v = np.ascontiguousarray(v, dtype=np.int64)
     negative = v < 0
     u = v.view(np.uint64)
     magnitude = np.where(negative, np.uint64(0) - u, u)  # exact for -2**63 too
@@ -151,13 +159,15 @@ def _round17(m: np.ndarray, e: np.ndarray, x: np.ndarray):
 
 
 def _fill_floats(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
-    """float64 ``v`` as '%.17g' into ``cells`` (rows x _FLOAT_WIDTH) and ``mask``.
+    """Floats ``v`` as '%.17g' into ``cells`` (rows x _FLOAT_WIDTH) and ``mask``.
 
-    A finite value of magnitude in [1e-4, 1e17) prints in fixed notation
-    from the 17 digits N = round(|v| * 10**(16 - X)), X its decimal
-    exponent taken from ``log10``.  Every other value, and any row whose
-    N does not check out, is formatted by '%.17g' itself.
+    ``v`` is converted to float64 here.  A finite value of magnitude in
+    [1e-4, 1e17) prints in fixed notation from the 17 digits
+    N = round(|v| * 10**(16 - X)), X its decimal exponent taken from
+    ``log10``.  Every other value, and any row whose N does not check
+    out, is formatted by '%.17g' itself.
     """
+    v = np.ascontiguousarray(v, dtype=np.float64)
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e17)
     a = np.where(fast, a, 1.0)  # keeps the arithmetic of the other rows in range
@@ -198,74 +208,66 @@ def _fill_floats(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
         cells[slow], mask[slow] = _text_cells(["%.17g" % f for f in v[slow].tolist()], _FLOAT_WIDTH)
 
 
-def _int_layout(column: np.ndarray):
-    """The layout of a column of integers of magnitude below 2**63, of any real dtype.
-
-    Its cells print as '%d'; each chunk of rows becomes int64 as it is
-    written.
-    """
-    digits = len(str(max(-int(column.min()), int(column.max()))))
-
-    def fill(lo, hi, *out):
-        _fill_ints(np.ascontiguousarray(column[lo:hi], dtype=np.int64), *out)
-
-    return len(column), 1 + digits + digits % 2, fill
+def _int_format(low, high):
+    """The format of integers in [low, high], of magnitude below 2**63: '%d' cells."""
+    digits = len(str(max(-int(low), int(high))))
+    return 1 + digits + digits % 2, _fill_ints
 
 
-def _layout(column: np.ndarray):
-    """``(rows, width, fill)`` for one column; ``fill(lo, hi, cells, mask)`` writes its rows lo:hi.
+def _format(column: np.ndarray):
+    """The format ``(width, fill)`` of a column; ``fill(values, cells, mask)`` lays out its chunks.
 
     Floats print as '%.17g', integers as '%d', anything else through
     ``str``.  Numeric chunks are converted to contiguous float64 or int64
     as they are written, so no whole-column copy is made.
     """
     if column.dtype.kind == "f":
-
-        def fill(lo, hi, *out):
-            _fill_floats(np.ascontiguousarray(column[lo:hi], dtype=np.float64), *out)
-
-        return len(column), _FLOAT_WIDTH, fill
+        return _FLOAT_WIDTH, _fill_floats
     if column.dtype.kind in "iu":
-        return _int_layout(column)
-    text = [str(c) for c in column.tolist()]
-    width = max(len(t.encode()) for t in text) or 1
+        return _int_format(column.min(), column.max())
+    width = max(len(str(c).encode()) for c in column.tolist()) or 1
 
-    def fill(lo, hi, cells, mask):
-        cells[:], mask[:] = _text_cells(text[lo:hi], width)
+    def fill(values, cells, mask):
+        cells[:], mask[:] = _text_cells([str(c) for c in values.tolist()], width)
 
-    return len(text), width, fill
+    return width, fill
 
 
-def _write_csv(target: str, header: list[str], *columns) -> None:
-    """Write ``header``, then the rows of equal-length ``columns``, as CSV lines.
+def _write_csv(target: str, header: list[str], *columns, chunks=None) -> None:
+    """Write ``header``, then rows, as CSV lines.
 
-    A column is an array, or its layout as :func:`_layout` or
-    :func:`_index_column` builds it.  ``target`` is a path, or
-    '-'/'stdout' for stdout.  Each chunk of _ROWS rows is laid out in one
-    preallocated (rows x line width) byte matrix: every cell in a
-    fixed-width slot, then a comma, the last one a newline.  A mask marks
-    the bytes that belong to the line, so the chunk's text is
-    ``matrix[mask]``, written as one string.  Apart from the text of a
-    column of strings, what a write holds beside its columns is bounded
-    by the chunk, however many rows there are.
+    A column is an array, printed in its :func:`_format`, or a format
+    ``(width, fill)`` itself.  The rows are those of ``chunks``, an
+    iterable of tuples of equal-length column arrays, taken one at a
+    time; by default they are those of the one chunk ``columns``, all
+    arrays then.  ``target`` is a path, or '-'/'stdout' for stdout.
+    Each _ROWS rows of a chunk are laid out in one preallocated
+    (rows x line width) byte matrix: every cell in a fixed-width slot,
+    then a comma, the last one a newline.  A mask marks the bytes that
+    belong to the line, so those rows' text is ``matrix[mask]``, written
+    as one string.  What a write holds beside its chunks is bounded by
+    _ROWS, however many rows there are.
     """
-    slots = [c if isinstance(c, tuple) else _layout(c) for c in columns]
-    ends = np.cumsum([width + 1 for _, width, _ in slots])
-    total = slots[0][0]
-    chunk = np.empty((min(total, _ROWS), ends[-1]), dtype=np.uint8)
-    mask = np.empty(chunk.shape, dtype=bool)
-    chunk[:, ends - 1] = ord(",")
-    chunk[:, -1] = ord("\n")
-    mask[:, ends - 1] = True
+    formats = [c if isinstance(c, tuple) else _format(c) for c in columns]
+    ends = np.cumsum([width + 1 for width, _ in formats])
+    lines = np.empty((0, ends[-1]), dtype=np.uint8)
     to_stdout = target in ("-", "stdout")
     with nullcontext(sys.stdout) if to_stdout else open(target, "w", newline="") as out:
         out.write(",".join(header) + "\n")
-        for lo in range(0, total, _ROWS):
-            rows = min(_ROWS, total - lo)
-            for (_, width, fill), end in zip(slots, ends):
-                cell = np.s_[:rows, end - 1 - width : end - 1]
-                fill(lo, lo + rows, chunk[cell], mask[cell])
-            out.write(chunk[:rows][mask[:rows]].tobytes().decode())
+        for chunk in [columns] if chunks is None else chunks:
+            total = len(chunk[0])
+            if len(lines) < min(total, _ROWS):  # at the first chunk: none is longer
+                lines = np.empty((min(total, _ROWS), ends[-1]), dtype=np.uint8)
+                mask = np.empty(lines.shape, dtype=bool)
+                lines[:, ends - 1] = ord(",")
+                lines[:, -1] = ord("\n")
+                mask[:, ends - 1] = True
+            for lo in range(0, total, _ROWS):
+                rows = min(_ROWS, total - lo)
+                for (width, fill), end, column in zip(formats, ends, chunk):
+                    cell = np.s_[:rows, end - 1 - width : end - 1]
+                    fill(column[lo : lo + rows], lines[cell], mask[cell])
+                out.write(lines[:rows][mask[:rows]].tobytes().decode())
 
 
 def _summary(command: str, **fields) -> None:
@@ -308,9 +310,8 @@ def _cmd_emission(args) -> int:
     return 0
 
 
-def _symbols(z_hz: np.ndarray, params) -> np.ndarray:
+def _symbols(z_hz: np.ndarray, thresholds) -> np.ndarray:
     """The detector's symbols of ``z_hz`` as int8, classified one chunk of rows at a time."""
-    thresholds = compute_thresholds(params)
     symbols = np.empty(z_hz.size, dtype=np.int8)
     for lo in range(0, symbols.size, _ROWS):  # classify's int64 stays one chunk long
         symbols[lo : lo + _ROWS] = classify(z_hz[lo : lo + _ROWS], thresholds)
@@ -320,9 +321,10 @@ def _symbols(z_hz: np.ndarray, params) -> np.ndarray:
 def _cmd_detect(args) -> int:
     cfg = parse_config(args.config)
     series = load_measurements(args.input)
-    symbols = _symbols(series.z_hz, cfg.params)
+    symbols = _symbols(series.z_hz, compute_thresholds(cfg.params))
     header = [series.index_name, "z_hz", "x"]
-    _write_csv(args.output, header, _index_column(series.index), series.z_hz, symbols)
+    rows = (series.index, series.z_hz, symbols)
+    _write_csv(args.output, header, _index_format(series.index), *rows[1:], chunks=[rows])
     _summary("detect", rows=symbols.size)
     return 0
 
@@ -331,11 +333,12 @@ def _cmd_decode(args) -> int:
     cfg = parse_config(args.config)
     series = load_measurements(args.input)
     model = cfg.model()
-    symbols = _symbols(series.z_hz, cfg.params)
+    symbols = _symbols(series.z_hz, compute_thresholds(cfg.params))
     states = _decode(symbols, model)
     header = [series.index_name, "z_hz", "x", "s_star"]
-    _write_csv(args.output, header, _index_column(series.index), series.z_hz, symbols, states)
-    del series  # the status line needs only the symbols and the path
+    rows = (series.index, series.z_hz, symbols, states)
+    _write_csv(args.output, header, _index_format(series.index), *rows[1:], chunks=[rows])
+    del series, rows  # the status line needs only the symbols and the path
     _summary(
         "decode",
         rows=symbols.size,
@@ -346,15 +349,35 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """The trace of :func:`simulate_states`, then :func:`synthesize_measurements`, on one stream.
+
+    The trace is drawn, classified and written one chunk of rows at a
+    time, so nothing held grows with K.  The chain's K uniforms are
+    drawn a chunk at a time from the stream; the Gaussians, which the
+    stream gives after those K uniforms, come a chunk at a time from a
+    copy of it advanced by K outputs, one for each uniform.  Every check
+    runs before the first byte is written.
+    """
     cfg = parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    model = cfg.model()
-    rng = RngStream(seed, stream_index=0)
-    hidden = simulate_states(model, cfg.length, rng)
-    z = synthesize_measurements(hidden, cfg.params, rng)
-    symbols = _symbols(z, cfg.params)
-    k = np.arange(1, cfg.length + 1)
-    _write_csv(args.output, ["k", "s", "z_hz", "x"], k, hidden, z, symbols)
+    tables = _Tables.of(cfg.model())
+    length = _check_length(cfg.length)
+    means, sigma = _normal_law(cfg.params.means, cfg.params.sigma)
+    thresholds = compute_thresholds(cfg.params)
+    uniforms = RngStream(seed, stream_index=0).generator
+    gaussians = copy.deepcopy(uniforms)
+    gaussians.bit_generator.advance(length)
+
+    def rows():
+        lo = 0
+        for hidden in _chain(tables, uniforms, length):
+            z = gaussians.normal(means[hidden], sigma)
+            yield np.arange(lo + 1, lo + hidden.size + 1), hidden - 1, z, _symbols(z, thresholds)
+            lo += hidden.size
+
+    states = _int_format(-1, 1)
+    formats = (_int_format(1, length), states, (_FLOAT_WIDTH, _fill_floats), states)
+    _write_csv(args.output, ["k", "s", "z_hz", "x"], *formats, chunks=rows())
     _summary("simulate", k=cfg.length, seed=seed)
     return 0
 

@@ -372,8 +372,10 @@ def _parse_chunk(lines, width: int, idx_col: int, z_col: int, integer_index: boo
     ``usecols``, loadtxt rejects ragged rows instead of ignoring their
     extra fields.  A chunk of blank lines gives two empty columns.
     """
-    if any(c in "".join(lines) for c in _SEPARATORS):
+    text = "".join(lines)
+    if any(c in text for c in _SEPARATORS):
         return None
+    del text  # not held while numpy parses the chunk
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # blank lines only warn
         try:

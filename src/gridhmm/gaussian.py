@@ -173,6 +173,17 @@ def _stream_draws(generator, seed: int, first: int, last: int, count: int) -> np
     return u
 
 
+def _normal_law(mean, sigma) -> tuple[np.ndarray, float]:
+    """``mean`` as a float array and ``sigma`` as a float, checked: finite means, positive sigma."""
+    sigma = float(sigma)
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    mean = np.asarray(mean, dtype=float)
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("mean must be finite")
+    return mean, sigma
+
+
 def sample_gaussian(mean, sigma: float, rng: RngStream, size=None):
     """Draw from N(mean, sigma^2) on the given stream.
 
@@ -180,12 +191,7 @@ def sample_gaussian(mean, sigma: float, rng: RngStream, size=None):
     element in order.  Returns a float for scalar input, an ndarray
     otherwise.
     """
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    mean_arr = np.asarray(mean, dtype=float)
-    if not np.all(np.isfinite(mean_arr)):
-        raise ValueError("mean must be finite")
+    mean_arr, sigma = _normal_law(mean, sigma)
     out = rng.generator.normal(mean_arr, sigma, size=size)
     if size is None and mean_arr.ndim == 0:
         return float(out)

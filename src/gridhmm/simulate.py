@@ -38,7 +38,7 @@ from .detector import (
 from .gaussian import RngStream, _check_seed, _cumulative, _invert, _matrix_violation
 from .gaussian import _stream_draws, _vector_violation, sample_gaussian
 from .model import HmmModel, require_valid
-from .viterbi import _Memo, _code, _follow, _paths, _symbol_indices
+from .viterbi import _CHUNK, _Memo, _code, _follow, _paths, _symbol_indices
 
 __all__ = [
     "HIST_BINS",
@@ -76,8 +76,9 @@ def simulate_states(model: HmmModel, length: int, rng: RngStream) -> np.ndarray:
     """
     tables = _Tables.of(model)
     length = _check_length(length)
-    u = rng.generator.random(length)
-    return _sample_chain(tables, u[:, None])[0].astype(np.int64) - 1
+    states = np.concatenate(list(_chain(tables, rng.generator, length)), dtype=np.int64)
+    states -= 1
+    return states
 
 
 def emit_symbols(hidden, emissions, rng: RngStream) -> np.ndarray:
@@ -138,12 +139,34 @@ class _Tables(NamedTuple):
         )
 
 
-def _sample_chain(tables: _Tables, u: np.ndarray) -> np.ndarray:
-    """State paths (T, K) of the chain driven by the (K, T) uniforms ``u``."""
-    first = _invert(tables.cum_init[:, None], u[0])
+def _sample_chain(tables: _Tables, u: np.ndarray, law: np.ndarray) -> np.ndarray:
+    """State paths (T, K) of the chain driven by the (K, T) uniforms ``u``.
+
+    The first step inverts the cumulative law ``law`` (3,), each later
+    one the transition row of the state before it.
+    """
+    first = _invert(law[:, None], u[0])
     # successor[k, i, t]: the state at step k of record t when step k-1 is in state i.
     successor = _invert(tables.cum_trans.T[:, None, :, None], u[:, None, :])
     return _follow(_code(successor), first)
+
+
+def _chain(tables: _Tables, generator, length: int):
+    """One record's state indices (int8), ``_CHUNK`` steps at a time.
+
+    Draws one uniform a step from ``generator``, a chunk at a time, so
+    the draws and the stream's state after them are those of one
+    ``random(length)``.  The first chunk starts from the initial law,
+    each later one from the transition row of the state the chunk
+    before ended in, as :func:`~gridhmm.viterbi._follow` carries the
+    state across its chunks; so the chunks joined are the path that one
+    chunk of ``length`` steps gives.
+    """
+    law = tables.cum_init
+    for lo in range(0, length, _CHUNK):
+        path = _sample_chain(tables, generator.random(min(_CHUNK, length - lo))[:, None], law)[0]
+        law = tables.cum_trans[path[-1]]
+        yield path
 
 
 def _run_batch(
@@ -163,7 +186,7 @@ def _run_batch(
     validated here.
     """
     length = u.shape[1] // 2
-    hidden = _sample_chain(tables, u[:, :length].T)
+    hidden = _sample_chain(tables, u[:, :length].T, tables.cum_init)
     emitted = _invert(tables.cum_emit[:, hidden], u[:, length:])
     return hidden, emitted, _paths(memo, np.ascontiguousarray(emitted.T))
 

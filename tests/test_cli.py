@@ -249,19 +249,29 @@ def test_decode_status_reports_decoder_diagnostics(tmp_path, capsys):
     assert int(fields["corrected"]) == np.count_nonzero(s_star != x) > 0
 
 
-def _peak_per_row(command, cfg, tmp_path, index_name, offset):
-    """Traced peak bytes a row of ``command`` on 2e5 rows indexed ``k + offset``, output included."""
+def _peak_per_row(command, cfg, tmp_path, index_name="k", offset=0):
+    """Traced peak bytes a row of ``command`` on 2e5 rows, output included.
+
+    ``simulate`` draws its rows (``k`` of ``cfg`` set to 2e5); ``detect``
+    and ``decode`` read them from a file indexed ``k + offset``.
+    """
     rows = 200_000
-    gen = np.random.default_rng(5)
-    z = np.array([49.0, 50.0, 51.0])[np.repeat(gen.integers(0, 3, rows // 20), 20)]
-    z += 0.35 * gen.standard_normal(rows)
-    data = tmp_path / "m.csv"
-    body = "".join(f"{k + offset!r},{v!r}\n" for k, v in enumerate(z.tolist(), 1))
-    data.write_text(f"{index_name},z_hz\n" + body)
+    if command == "simulate":
+        config = tmp_path / "long.cfg"
+        config.write_text(Path(cfg).read_text().replace("k = 20\n", f"k = {rows}\n"))
+        argv = [command, "--config", str(config)]
+    else:
+        gen = np.random.default_rng(5)
+        z = np.array([49.0, 50.0, 51.0])[np.repeat(gen.integers(0, 3, rows // 20), 20)]
+        z += 0.35 * gen.standard_normal(rows)
+        data = tmp_path / "m.csv"
+        body = "".join(f"{k + offset!r},{v!r}\n" for k, v in enumerate(z.tolist(), 1))
+        data.write_text(f"{index_name},z_hz\n" + body)
+        argv = [command, "--config", cfg, "--input", str(data)]
     tracemalloc.start()
     try:
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-            code = main([command, "--config", cfg, "--input", str(data)])
+            code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,6 +300,33 @@ def test_decode_peak_memory_per_row_with_a_fractional_index(cfg, tmp_path):
     # at a time; formatting the whole column up front held a string and
     # an object pointer a row, about 90 B more.
     assert _peak_per_row("decode", cfg, tmp_path, "timestamp", 0.5) < 32
+
+
+def test_simulate_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
+    # simulate draws, classifies and writes one chunk of rows at a time,
+    # so its traced peak, about 2.3 MB, does not grow with K.  Under 15 B
+    # a row is under 3 MB in all.  Holding the whole columns (uniforms,
+    # states, measurements, symbols and k) took 7 MB at K=2e5.
+    assert _peak_per_row("simulate", cfg, tmp_path) < 15
+
+
+@pytest.mark.slow
+def test_simulate_rss_does_not_grow_with_k(cfg, tmp_path):
+    # Peak RSS of a K=1e7 simulate process, stdout to /dev/null: about
+    # 37.5 MB, as at K=100; whole columns took about 285 MB.  A small
+    # helper process starts the CLI, because Linux counts the peak RSS of
+    # the process that starts a child into the child's own.
+    config = tmp_path / "long.cfg"
+    config.write_text(Path(cfg).read_text().replace("k = 20\n", "k = 10000000\n"))
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    cli = [sys.executable, "-m", "gridhmm", "simulate", "--config", str(config)]
+    proc = subprocess.run([sys.executable, "-c", probe, *cli], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 60  # ru_maxrss is in KiB on Linux
 
 
 def test_cli_leaves_numpy_random_unloaded(cfg):
@@ -502,6 +539,23 @@ def test_infeasible_decode_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decode", "--config", str(path), "--input", str(m))
     assert code == 1
     assert "step" in err
+
+
+def test_simulate_checks_before_writing(tmp_path, capsys):
+    # The trace is written as it is drawn, so thresholds that cross must
+    # be found before the header goes out.  The explicit emission matrix
+    # keeps the model from computing them first.
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        BASE_CFG.replace("means = 49 50 51", "means = 49.99 50 50.01").replace(
+            "priors = 0.1 0.8 0.1", "priors = 0.499 0.002 0.499"
+        )
+        + "[emission_matrix]\n0.8 0.1 0.0\n0.2 0.8 0.2\n0.0 0.1 0.8\n"
+    )
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: thresholds must be strictly ordered")
 
 
 def test_tiny_negative_transition_exits_1_without_traceback(tmp_path):

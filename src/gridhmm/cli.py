@@ -74,30 +74,6 @@ _PREFIX = np.arange(22) < np.arange(23)[:, None]
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
 
 
-def _index_format(index: np.ndarray):
-    """The format (see :func:`_write_csv`) of the index as it prints through :func:`_fmt_index`.
-
-    Integral indices (every ``k``) print as '%d', converted to int64 one
-    chunk at a time; an index with another value is formatted one string
-    per row, a chunk at a time as the writer reaches it.  Its slot is
-    wide enough for any '%.17g' cell and for the whole-number cells of
-    the two extreme values, the longest whole numbers it can hold.  The
-    test for integers runs a chunk at a time too, so no step makes a
-    whole-column temporary.
-    """
-    low, high = index.min(), index.max()
-    chunks = (index[lo : lo + _ROWS] for lo in range(0, len(index), _ROWS))
-    integral = all((np.trunc(c) == c).all() for c in chunks)
-    if integral and -(2.0**63) < low and high < 2.0**63:
-        return _int_format(low, high)
-    width = max(_FLOAT_WIDTH, *(len(str(int(v))) for v in (low, high)))
-
-    def fill(values, cells, mask):
-        cells[:], mask[:] = _text_cells([_fmt_index(v) for v in values.tolist()], width)
-
-    return width, fill
-
-
 def _digits(magnitude: np.ndarray, pairs: int) -> np.ndarray:
     """The last ``2 * pairs`` decimal digits of uint64 ``magnitude``, as (rows x 2 pairs) bytes."""
     out = np.empty((magnitude.size, pairs), dtype=np.uint16)
@@ -118,7 +94,7 @@ def _text_cells(strings: list, width: int) -> tuple[np.ndarray, np.ndarray]:
 def _fill_ints(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
     """Integers ``v`` as '%d' into ``cells`` and ``mask``: a sign, then right-aligned digits.
 
-    ``v`` is of any real dtype, its values of magnitude below 2**63;
+    ``v`` is of any integer dtype, its values of magnitude below 2**63;
     it is converted to int64 here.
     """
     v = np.ascontiguousarray(v, dtype=np.int64)
@@ -208,23 +184,19 @@ def _fill_floats(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
         cells[slow], mask[slow] = _text_cells(["%.17g" % f for f in v[slow].tolist()], _FLOAT_WIDTH)
 
 
-def _int_format(low, high):
-    """The format of integers in [low, high], of magnitude below 2**63: '%d' cells."""
-    digits = len(str(max(-int(low), int(high))))
-    return 1 + digits + digits % 2, _fill_ints
-
-
 def _format(column: np.ndarray):
-    """The format ``(width, fill)`` of a column; ``fill(values, cells, mask)`` lays out its chunks.
+    """The format ``(width, fill)`` of a column chunk; ``fill(values, cells, mask)`` lays out rows.
 
-    Floats print as '%.17g', integers as '%d', anything else through
-    ``str``.  Numeric chunks are converted to contiguous float64 or int64
-    as they are written, so no whole-column copy is made.
+    Floats print as '%.17g', integers as '%d' in slots as wide as the
+    chunk's extremes need, anything else through ``str``.  Numeric rows
+    are converted to contiguous float64 or int64 as they are written, so
+    no whole-chunk copy is made.
     """
     if column.dtype.kind == "f":
         return _FLOAT_WIDTH, _fill_floats
     if column.dtype.kind in "iu":
-        return _int_format(column.min(), column.max())
+        digits = len(str(max(-int(column.min()), int(column.max()))))
+        return 1 + digits + digits % 2, _fill_ints
     width = max(len(str(c).encode()) for c in column.tolist()) or 1
 
     def fill(values, cells, mask):
@@ -233,41 +205,44 @@ def _format(column: np.ndarray):
     return width, fill
 
 
-def _write_csv(target: str, header: list[str], *columns, chunks=None) -> None:
-    """Write ``header``, then rows, as CSV lines.
+def _write_csv(target: str, header: list[str], chunks) -> None:
+    """Write ``header``, then the rows of ``chunks``, as CSV lines.
 
-    A column is an array, printed in its :func:`_format`, or a format
-    ``(width, fill)`` itself.  The rows are those of ``chunks``, an
-    iterable of tuples of equal-length column arrays, taken one at a
-    time; by default they are those of the one chunk ``columns``, all
-    arrays then.  ``target`` is a path, or '-'/'stdout' for stdout.
-    Each _ROWS rows of a chunk are laid out in one preallocated
-    (rows x line width) byte matrix: every cell in a fixed-width slot,
-    then a comma, the last one a newline.  A mask marks the bytes that
-    belong to the line, so those rows' text is ``matrix[mask]``, written
-    as one string.  What a write holds beside its chunks is bounded by
-    _ROWS, however many rows there are.
+    ``chunks`` is an iterable of tuples of equal-length column arrays,
+    taken one at a time; each column of a chunk prints in the
+    :func:`_format` of that chunk.  ``target`` is a path, or
+    '-'/'stdout' for stdout.  Each _ROWS rows of a chunk are laid out in
+    one (rows x line width) byte matrix: every cell in a fixed-width
+    slot, then a comma, the last one a newline.  A mask marks the bytes
+    that belong to the line, so those rows' text is ``matrix[mask]``,
+    written as one string.  The matrix and mask are kept from chunk to
+    chunk and reallocated only for a chunk that needs more bytes, so
+    what a write holds beside its chunks is bounded by _ROWS rows of its
+    widest line.
     """
-    formats = [c if isinstance(c, tuple) else _format(c) for c in columns]
-    ends = np.cumsum([width + 1 for width, _ in formats])
-    lines = np.empty((0, ends[-1]), dtype=np.uint8)
+    lines, flags = np.empty(0, dtype=np.uint8), np.empty(0, dtype=bool)
     to_stdout = target in ("-", "stdout")
     with nullcontext(sys.stdout) if to_stdout else open(target, "w", newline="") as out:
         out.write(",".join(header) + "\n")
-        for chunk in [columns] if chunks is None else chunks:
+        for chunk in chunks:
+            formats = [_format(c) for c in chunk]
+            ends = np.cumsum([width + 1 for width, _ in formats])
             total = len(chunk[0])
-            if len(lines) < min(total, _ROWS):  # at the first chunk: none is longer
-                lines = np.empty((min(total, _ROWS), ends[-1]), dtype=np.uint8)
-                mask = np.empty(lines.shape, dtype=bool)
-                lines[:, ends - 1] = ord(",")
-                lines[:, -1] = ord("\n")
-                mask[:, ends - 1] = True
+            size = min(total, _ROWS) * ends[-1]
+            if lines.size < size:
+                lines, flags = np.empty(size, dtype=np.uint8), np.empty(size, dtype=bool)
+            matrix = lines[:size].reshape(-1, ends[-1])
+            mask = flags[:size].reshape(matrix.shape)
+            # A fill sets the whole mask of its slots; the bytes between slots stay commas.
+            matrix.fill(ord(","))
+            matrix[:, -1] = ord("\n")
+            mask.fill(True)
             for lo in range(0, total, _ROWS):
                 rows = min(_ROWS, total - lo)
                 for (width, fill), end, column in zip(formats, ends, chunk):
                     cell = np.s_[:rows, end - 1 - width : end - 1]
-                    fill(column[lo : lo + rows], lines[cell], mask[cell])
-                out.write(lines[:rows][mask[:rows]].tobytes().decode())
+                    fill(column[lo : lo + rows], matrix[cell], mask[cell])
+                out.write(matrix[:rows][mask[:rows]].tobytes().decode())
 
 
 def _summary(command: str, **fields) -> None:
@@ -301,7 +276,7 @@ def _cmd_emission(args) -> int:
     thresholds = compute_thresholds(cfg.params)
     r = build_emission_matrix(cfg.params)
     header = ["emitted", "given_neg", "given_zero", "given_pos"]
-    _write_csv(args.output, header, np.arange(-1, 2), *r.T)
+    _write_csv(args.output, header, [(np.arange(-1, 2), *r.T)])
     _summary(
         "emission",
         delta_neg_zero=thresholds.delta_neg_zero,
@@ -318,13 +293,30 @@ def _symbols(z_hz: np.ndarray, thresholds) -> np.ndarray:
     return symbols
 
 
+def _index_cells(index: np.ndarray) -> np.ndarray:
+    """A chunk of the index as cells that print as :func:`_fmt_index` prints it.
+
+    int64 when every value is whole and of magnitude below 2**63 (every
+    ``k``), otherwise the :func:`_fmt_index` strings.
+    """
+    if (np.trunc(index) == index).all() and -(2.0**63) < index.min() and index.max() < 2.0**63:
+        return index.astype(np.int64)
+    return np.array([_fmt_index(v) for v in index.tolist()], dtype=object)
+
+
+def _trace(series, *columns):
+    """``series`` and the equal-length ``columns`` as :func:`_write_csv` chunks of _ROWS rows."""
+    for lo in range(0, series.index.size, _ROWS):
+        rows = np.s_[lo : lo + _ROWS]
+        yield _index_cells(series.index[rows]), series.z_hz[rows], *(c[rows] for c in columns)
+
+
 def _cmd_detect(args) -> int:
     cfg = parse_config(args.config)
     series = load_measurements(args.input)
     symbols = _symbols(series.z_hz, compute_thresholds(cfg.params))
     header = [series.index_name, "z_hz", "x"]
-    rows = (series.index, series.z_hz, symbols)
-    _write_csv(args.output, header, _index_format(series.index), *rows[1:], chunks=[rows])
+    _write_csv(args.output, header, _trace(series, symbols))
     _summary("detect", rows=symbols.size)
     return 0
 
@@ -336,9 +328,8 @@ def _cmd_decode(args) -> int:
     symbols = _symbols(series.z_hz, compute_thresholds(cfg.params))
     states = _decode(symbols, model)
     header = [series.index_name, "z_hz", "x", "s_star"]
-    rows = (series.index, series.z_hz, symbols, states)
-    _write_csv(args.output, header, _index_format(series.index), *rows[1:], chunks=[rows])
-    del series, rows  # the status line needs only the symbols and the path
+    _write_csv(args.output, header, _trace(series, symbols, states))
+    del series  # the status line needs only the symbols and the path
     _summary(
         "decode",
         rows=symbols.size,
@@ -375,9 +366,7 @@ def _cmd_simulate(args) -> int:
             yield np.arange(lo + 1, lo + hidden.size + 1), hidden - 1, z, _symbols(z, thresholds)
             lo += hidden.size
 
-    states = _int_format(-1, 1)
-    formats = (_int_format(1, length), states, (_FLOAT_WIDTH, _fill_floats), states)
-    _write_csv(args.output, ["k", "s", "z_hz", "x"], *formats, chunks=rows())
+    _write_csv(args.output, ["k", "s", "z_hz", "x"], rows())
     _summary("simulate", k=cfg.length, seed=seed)
     return 0
 
@@ -395,7 +384,7 @@ def _cmd_montecarlo(args) -> int:
     ]
     hist = zip(summary.histogram_ht, summary.histogram_va)
     rows += [("hist", b, int(ht), int(va)) for b, (ht, va) in enumerate(hist)]
-    _write_csv(args.output, ["field", "bin", "ht", "va"], *np.array(rows, dtype=object).T)
+    _write_csv(args.output, ["field", "bin", "ht", "va"], [np.array(rows, dtype=object).T])
     # Analytic cross-check: the z-score of ht_mean against its expectation (nan if ht_std is 0).
     # run_monte_carlo has validated the model and length.
     ht_expected = 100.0 * _expected_ht_accuracy(model, cfg.length)
@@ -423,7 +412,7 @@ def _cmd_sweep(args) -> int:
     )
     rows = [(pt.snr_db, pt.sigma, *(pt.detection or [math.nan] * 3)) for pt in points]
     header = ["snr_db", "sigma", "pd_neg", "pd_zero", "pd_pos"]
-    _write_csv(args.output, header, *np.array(rows, dtype=np.float64).T)
+    _write_csv(args.output, header, [np.array(rows, dtype=np.float64).T])
     # Notes follow the rows, so none precede an unwritable --output.
     for pt in points:
         if pt.detection is None:
@@ -443,7 +432,7 @@ def _cmd_predict(args) -> int:
         raise ConfigError(problems)
     forecasts = np.array([*_propagate(np.array(cfg.params.priors), cfg.transitions, cfg.horizon)])
     m = np.arange(cfg.horizon + 1)
-    _write_csv(args.output, ["m", "p_neg", "p_zero", "p_pos"], m, *forecasts.T)
+    _write_csv(args.output, ["m", "p_neg", "p_zero", "p_pos"], [(m, *forecasts.T)])
     _summary("predict", horizon=cfg.horizon)
     return 0
 

@@ -367,7 +367,7 @@ def test_percent_17g_matches_format(v):
 def _written(header, *columns):
     """What the writer prints to stdout for ``columns``."""
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        _write_csv("-", header, *columns)
+        _write_csv("-", header, [columns])
     return out.getvalue()
 
 
@@ -446,6 +446,31 @@ def test_writer_matches_percent_format_rows(rows):
     assert _written(header, *columns) == reference_write(header, *columns)
 
 
+def test_writer_chunks_of_changing_widths_match_percent_format_rows():
+    # Each chunk prints in its own formats.  The int column grows from 1
+    # to 19 digits; the text column narrows from 30 characters to 1, then
+    # widens to 40.  So the line matrix is regrown, reused for a narrower
+    # line of the next chunk (_ROWS rows of 43 B after _ROWS - 1 of 48 B),
+    # then regrown again.
+    gen = np.random.default_rng(11)
+    sizes = [1, _ROWS - 1, _ROWS + 1, 2 * _ROWS + 3]
+    texts = [["x" * 30], ["y" * 12, "", "ab"], ["z", ""], ["w" * 40, "q"]]
+    chunks = []
+    for rows, digits, words in zip(sizes, [1, 7, 13, 19], texts):
+        ints = gen.integers(-(10 ** (digits - 1)), 10 ** (digits - 1), rows)
+        ints[-1] = 10 ** (digits - 1)
+        text = np.array(gen.choice(words, rows).tolist(), dtype=object)
+        text[0] = words[0]
+        floats = 50.0 + gen.standard_normal(rows)
+        floats[:3] = [math.nan, -0.0, 5e-324][:rows]
+        chunks.append((ints, text, floats))
+    header = ["i", "t", "f"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _write_csv("-", header, chunks)
+    whole = [np.concatenate(column) for column in zip(*chunks)]
+    assert out.getvalue() == reference_write(header, *whole)
+
+
 CFG = """\
 means = 49 50 51
 sigma = 0.35
@@ -460,6 +485,11 @@ priors = 0.1 0.8 0.1
 TIMESTAMPS = {
     "mixed": [-5.5, -0.0, 0.5, 1.0, 2.25, 3.0, 1e15 + 0.5, 1e17, 1e20, 3e20],
     "integral": [-7.0, -0.0, 1.0, 2.0, 5.0, 1e17, 1e18],
+    # Three chunks of the writer: the first whole (int64 cells), the second
+    # with one fraction and the third with a whole value past 2**63 (text).
+    "chunked": [
+        -7.0, -0.0, *range(1, _ROWS + 7), _ROWS + 7.5, *range(_ROWS + 8, 2 * _ROWS + 48), 1e19
+    ],
 }
 
 

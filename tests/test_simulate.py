@@ -12,7 +12,6 @@ from tests.conftest import (
     REFERENCE_STATIONARY,
     STUDY_INITIAL,
     STUDY_MEANS,
-    random_model,
 )
 
 

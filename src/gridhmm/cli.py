@@ -13,11 +13,12 @@ import copy
 import logging
 import math
 import sys
+import tempfile
 from contextlib import nullcontext
 
 import numpy as np
 
-from .config import ConfigError, load_measurements, parse_config
+from .config import ConfigError, _measurement_chunks, parse_config
 from .detector import classify, compute_thresholds
 from .gaussian import RngStream, _normal_law
 from .model import build_emission_matrix
@@ -84,11 +85,17 @@ def _digits(magnitude: np.ndarray, pairs: int) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def _text_cells(strings: list, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cells (rows x width) uint8 and their mask: the encoded ``strings``, left-aligned."""
+def _fill_text(strings: list, cells: np.ndarray, mask: np.ndarray) -> None:
+    """The encoded ``strings``, left-aligned, into ``cells`` (rows x width) uint8 and ``mask``.
+
+    The bytes go straight into the slots through an ``S{width}`` view of
+    them, so no rows x width temporary is made: one wide string costs a
+    chunk its own bytes, not ``width`` bytes a row.
+    """
     data = [s.encode() for s in strings]
-    cells = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
-    return cells, np.arange(width) < np.array([len(b) for b in data])[:, None]
+    width = cells.shape[1]
+    cells.view(f"S{width}")[:, 0] = data
+    np.less(np.arange(width), np.fromiter(map(len, data), np.intp, len(data))[:, None], out=mask)
 
 
 def _fill_ints(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
@@ -181,7 +188,9 @@ def _fill_floats(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
     mask[:, -1] = False
     slow = np.flatnonzero(~fast)
     if slow.size:
-        cells[slow], mask[slow] = _text_cells(["%.17g" % f for f in v[slow].tolist()], _FLOAT_WIDTH)
+        text, flags = cells[slow], mask[slow]
+        _fill_text(["%.17g" % f for f in v[slow].tolist()], text, flags)
+        cells[slow], mask[slow] = text, flags
 
 
 def _format(column: np.ndarray):
@@ -200,7 +209,7 @@ def _format(column: np.ndarray):
     width = max(len(str(c).encode()) for c in column.tolist()) or 1
 
     def fill(values, cells, mask):
-        cells[:], mask[:] = _text_cells([str(c) for c in values.tolist()], width)
+        _fill_text([str(c) for c in values.tolist()], cells, mask)
 
     return width, fill
 
@@ -304,32 +313,58 @@ def _index_cells(index: np.ndarray) -> np.ndarray:
     return np.array([_fmt_index(v) for v in index.tolist()], dtype=object)
 
 
-def _trace(series, *columns):
-    """``series`` and the equal-length ``columns`` as :func:`_write_csv` chunks of _ROWS rows."""
-    for lo in range(0, series.index.size, _ROWS):
-        rows = np.s_[lo : lo + _ROWS]
-        yield _index_cells(series.index[rows]), series.z_hz[rows], *(c[rows] for c in columns)
+def _spill(path, thresholds, spill) -> tuple[str, np.ndarray]:
+    """Load the measurement CSV ``path`` a chunk at a time: its index name and int8 symbols.
+
+    The first of the two passes of ``detect`` and ``decode``.  Each
+    checked chunk is classified onto a growing int8 symbol column, and
+    its index and ``z_hz`` are appended to the file ``spill`` as raw
+    (rows x 2) float64 bytes, which :func:`_trace` reads back.  So the
+    pass holds 1 B a row, and every error of the input is raised here,
+    before the first byte of output.
+    """
+    symbols = bytearray()
+    with _measurement_chunks(path) as (index_name, chunks):
+        for index, z in chunks:
+            symbols += _symbols(z, thresholds).data
+            spill.write(np.column_stack((index, z)))
+    return index_name, np.frombuffer(symbols, dtype=np.int8)
+
+
+def _trace(spill, *columns):
+    """The rows of ``spill`` and the equal-length ``columns`` as :func:`_write_csv` chunks.
+
+    ``spill`` is read back from its start, _ROWS rows at a time, into
+    one buffer that every chunk reuses, so a chunk's ``z_hz`` holds only
+    until the next chunk is taken.
+    """
+    pairs = np.empty((_ROWS, 2))
+    spill.seek(0)
+    total = columns[0].size
+    for lo in range(0, total, _ROWS):
+        rows = pairs[: total - lo]
+        if spill.readinto(rows) != rows.nbytes:
+            raise OSError("the spilled measurements were cut short")
+        yield _index_cells(rows[:, 0]), rows[:, 1], *(c[lo : lo + _ROWS] for c in columns)
 
 
 def _cmd_detect(args) -> int:
     cfg = parse_config(args.config)
-    series = load_measurements(args.input)
-    symbols = _symbols(series.z_hz, compute_thresholds(cfg.params))
-    header = [series.index_name, "z_hz", "x"]
-    _write_csv(args.output, header, _trace(series, symbols))
+    with tempfile.TemporaryFile() as spill:
+        index_name, symbols = _spill(args.input, compute_thresholds(cfg.params), spill)
+        _write_csv(args.output, [index_name, "z_hz", "x"], _trace(spill, symbols))
     _summary("detect", rows=symbols.size)
     return 0
 
 
 def _cmd_decode(args) -> int:
     cfg = parse_config(args.config)
-    series = load_measurements(args.input)
-    model = cfg.model()
-    symbols = _symbols(series.z_hz, compute_thresholds(cfg.params))
-    states = _decode(symbols, model)
-    header = [series.index_name, "z_hz", "x", "s_star"]
-    _write_csv(args.output, header, _trace(series, symbols, states))
-    del series  # the status line needs only the symbols and the path
+    with tempfile.TemporaryFile() as spill:
+        index_name, symbols = _spill(args.input, compute_thresholds(cfg.params), spill)
+        model = cfg.model()
+        states = _decode(symbols, model)
+        header = [index_name, "z_hz", "x", "s_star"]
+        _write_csv(args.output, header, _trace(spill, symbols, states))
     _summary(
         "decode",
         rows=symbols.size,

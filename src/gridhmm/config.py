@@ -14,6 +14,7 @@ import logging
 import math
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -363,7 +364,7 @@ class MeasurementSeries:
 def _parse_chunk(lines, width: int, idx_col: int, z_col: int, integer_index: bool, last: float):
     """The index and ``z_hz`` columns of a chunk of body lines, as contiguous arrays; or None.
 
-    None is doubt, and the row loop of :func:`load_measurements` must
+    None is doubt, and the row loop of :func:`_body_chunks` must
     read the chunk: numpy rejected a field (it takes fewer spellings
     than ``float``: no ``1_0``, no non-ASCII digits, no quoted fields),
     the rows are ragged or of the wrong width, a value fails a check
@@ -394,28 +395,17 @@ def _parse_chunk(lines, width: int, idx_col: int, z_col: int, integer_index: boo
     return (index, z) if ok else None
 
 
-def load_measurements(path) -> MeasurementSeries:
-    """Read a measurement CSV with header ``k,z_hz`` or ``timestamp,z_hz``.
+@contextmanager
+def _measurement_chunks(path):
+    """The index name of the measurement CSV ``path`` and an iterator of its body's chunks.
 
-    Columns are located by name, so files carrying extra columns (a
-    simulated ``k,s,z_hz,x`` trace, say) load too; only the index and
-    ``z_hz`` columns are read.  Raises
-    :class:`MeasurementFormatError` naming the offending row for
-    malformed, non-finite, or non-increasing input, and for a ``k``
-    index that is not an integer or whose magnitude reaches 2**53 (from
-    there on a float cannot hold every integer); propagates OSError
-    when the file cannot be read.
-
-    The input is read once, front to back, so a pipe loads as a file
-    does.  The body is taken ``_LOAD_ROWS`` lines at a time; each chunk
-    is parsed by ``np.loadtxt`` and checked as arrays, and its columns
-    are appended to two growing ``array('d')`` columns, so loading
-    holds little more than the 16 bytes a row of the result.  From the
-    first chunk that this cannot vouch for on, a row loop reads the rest
-    into the same columns: it also takes what ``float`` takes and numpy
-    does not (``1_0``, full-width digits, quoted fields, also when a
-    quoted newline crosses a chunk's end), and it words every error.
-    Both give the same arrays for any input both accept.
+    Reads and checks the header on entry; the iterator then reads the
+    body once, front to back, so a pipe loads as a file does.  It yields
+    the checked index and ``z_hz`` columns of at most ``_LOAD_ROWS`` rows
+    at a time as contiguous float64 arrays, never an empty chunk, and
+    raises :class:`MeasurementFormatError` at the first bad row or, at
+    the end, when there are no data rows.  The file stays open until the
+    ``with`` block ends.
     """
     with open(path, newline="") as fh:
         try:
@@ -429,59 +419,106 @@ def load_measurements(path) -> MeasurementSeries:
                 f"got {','.join(header)!r}"
             )
         index_name = index_candidates[0]
-        idx_col = header.index(index_name)
-        z_col = header.index("z_hz")
-        index, values = array("d"), array("d")
-        first = 2  # the row number of the chunk's first line
-        while lines := list(itertools.islice(fh, _LOAD_ROWS)):
-            last = index[-1] if index else -math.inf
-            columns = _parse_chunk(lines, len(header), idx_col, z_col, index_name == "k", last)
-            if columns is None:
-                break
-            index.frombytes(columns[0].view(np.uint8))  # frombytes takes bytes, not floats
-            values.frombytes(columns[1].view(np.uint8))
-            first += len(lines)
-            del lines  # so that the next chunk is read without this one's text
-        # The doubted chunk and the rest of the body, if any; a chunk taken
-        # above has no quote, so each of its lines is one row.
-        for rownum, row in enumerate(csv.reader(itertools.chain(lines, fh)), start=first):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
+        yield index_name, _body_chunks(fh, path, header, index_name)
+
+
+def _body_chunks(fh, path, header: list[str], index_name: str):
+    """The checked body chunks of :func:`_measurement_chunks`, read from ``fh``.
+
+    Each chunk of ``_LOAD_ROWS`` lines is parsed by ``np.loadtxt`` and
+    checked as arrays (:func:`_parse_chunk`).  From the first chunk that
+    this cannot vouch for on, a row loop reads the rest: it also takes
+    what ``float`` takes and numpy does not (``1_0``, full-width digits,
+    quoted fields, also when a quoted newline crosses a chunk's end),
+    words every error, and yields its rows ``_LOAD_ROWS`` at a time.
+    Both give the same values for any input both accept.
+    """
+    idx_col = header.index(index_name)
+    z_col = header.index("z_hz")
+    integer_index = index_name == "k"
+    last = -math.inf  # the last index yielded
+    first = 2  # the row number of the chunk's first line
+    while lines := list(itertools.islice(fh, _LOAD_ROWS)):
+        columns = _parse_chunk(lines, len(header), idx_col, z_col, integer_index, last)
+        if columns is None:
+            break
+        first += len(lines)
+        del lines  # so that the next chunk is read without this one's text
+        if columns[0].size:  # a chunk of blank lines has none
+            last = float(columns[0][-1])
+            yield columns
+    # The doubted chunk and the rest of the body, if any; a chunk taken
+    # above has no quote, so each of its lines is one row.
+    index: list[float] = []
+    values: list[float] = []
+    for rownum, row in enumerate(csv.reader(itertools.chain(lines, fh)), start=first):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise MeasurementFormatError(
+                f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            idx = float(row[idx_col])
+            z = float(row[z_col])
+        except ValueError:
+            raise MeasurementFormatError(
+                f"{path}: row {rownum}: fields must be numbers, got {row!r}"
+            ) from None
+        if not (math.isfinite(idx) and math.isfinite(z)):
+            raise MeasurementFormatError(
+                f"{path}: row {rownum}: values must be finite, got {row!r}"
+            )
+        if integer_index:
+            if idx != int(idx):
                 raise MeasurementFormatError(
-                    f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}: row {rownum}: step index must be an integer, "
+                    f"got {row[idx_col]!r}"
                 )
-            try:
-                idx = float(row[idx_col])
-                z = float(row[z_col])
-            except ValueError:
+            if not -_K_LIMIT < idx < _K_LIMIT:
                 raise MeasurementFormatError(
-                    f"{path}: row {rownum}: fields must be numbers, got {row!r}"
-                ) from None
-            if not (math.isfinite(idx) and math.isfinite(z)):
-                raise MeasurementFormatError(
-                    f"{path}: row {rownum}: values must be finite, got {row!r}"
+                    f"{path}: row {rownum}: step index {row[idx_col]!r} is out of range: "
+                    "its magnitude must be below 2**53"
                 )
-            if index_name == "k":
-                if idx != int(idx):
-                    raise MeasurementFormatError(
-                        f"{path}: row {rownum}: step index must be an integer, "
-                        f"got {row[idx_col]!r}"
-                    )
-                if not -_K_LIMIT < idx < _K_LIMIT:
-                    raise MeasurementFormatError(
-                        f"{path}: row {rownum}: step index {row[idx_col]!r} is out of range: "
-                        "its magnitude must be below 2**53"
-                    )
-            if index and idx <= index[-1]:
-                raise MeasurementFormatError(
-                    f"{path}: row {rownum}: index {row[idx_col]!r} does not increase "
-                    f"(previous {index[-1]!r})"
-                )
-            index.append(idx)
-            values.append(z)
-    if not index:
+        if idx <= last:
+            raise MeasurementFormatError(
+                f"{path}: row {rownum}: index {row[idx_col]!r} does not increase "
+                f"(previous {last!r})"
+            )
+        index.append(idx)
+        values.append(z)
+        last = idx
+        if len(index) == _LOAD_ROWS:
+            yield np.array(index), np.array(values)
+            index, values = [], []
+    if index:
+        yield np.array(index), np.array(values)
+    if last == -math.inf:
         raise MeasurementFormatError(f"{path}: no data rows")
+
+
+def load_measurements(path) -> MeasurementSeries:
+    """Read a measurement CSV with header ``k,z_hz`` or ``timestamp,z_hz``.
+
+    Columns are located by name, so files carrying extra columns (a
+    simulated ``k,s,z_hz,x`` trace, say) load too; only the index and
+    ``z_hz`` columns are read.  Raises
+    :class:`MeasurementFormatError` naming the offending row for
+    malformed, non-finite, or non-increasing input, and for a ``k``
+    index that is not an integer or whose magnitude reaches 2**53 (from
+    there on a float cannot hold every integer); propagates OSError
+    when the file cannot be read.
+
+    The input is read once, front to back, so a pipe loads as a file
+    does: the checked chunks of :func:`_measurement_chunks` are appended
+    to two growing ``array('d')`` columns, so loading holds little more
+    than the 16 bytes a row of the result.
+    """
+    index, values = array("d"), array("d")
+    with _measurement_chunks(path) as (index_name, chunks):
+        for idx, z in chunks:
+            index.frombytes(idx.view(np.uint8))  # frombytes takes bytes, not floats
+            values.frombytes(z.view(np.uint8))
     return MeasurementSeries(
         index_name=index_name, index=np.frombuffer(index), z_hz=np.frombuffer(values)
     )

@@ -87,8 +87,25 @@ def joint_log_prob(symbols, states, model: HmmModel) -> float:
     if x.shape != s.shape:
         raise ValueError(f"length mismatch: {x.size} symbols vs {s.size} states")
     log_init, log_trans, log_emit = _log_params(model)
-    total = log_init[s[0]] + np.sum(log_emit[x, s]) + np.sum(log_trans[s[:-1], s[1:]])
-    return float(total)
+    emit = _sum(lambda lo, hi: log_emit[x[lo:hi], s[lo:hi]], 0, x.size)
+    trans = _sum(lambda lo, hi: log_trans[s[lo:hi], s[lo + 1 : hi + 1]], 0, s.size - 1)
+    return float(log_init[s[0]] + emit + trans)
+
+
+def _sum(terms, lo: int, hi: int) -> np.float64:
+    """``np.sum(terms(lo, hi))``, bit for bit, with at most ``_CHUNK`` terms made at a time.
+
+    ``terms(a, b)`` is the float64 array of terms ``a..b-1``.  numpy sums
+    a contiguous array pairwise: more than 128 terms are split into the
+    first ``n // 2`` rounded down to a multiple of 8 and the rest, and
+    the two sums added.  Splitting the same way down to parts of at most
+    ``_CHUNK`` terms, each summed by ``np.sum``, adds in the same order.
+    """
+    if hi - lo <= _CHUNK:
+        return np.sum(terms(lo, hi))
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _sum(terms, lo, lo + half) + _sum(terms, lo + half, hi)
 
 
 def _infeasible(x: np.ndarray, log_init, log_trans, log_emit) -> InfeasibleObservationError:

@@ -1,6 +1,9 @@
 """Shared fixtures: the reference configuration used across the suite."""
+import contextlib
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,6 +335,14 @@ def reference_load(path):
     return MeasurementSeries(index_name=index_name, index=np.array(index), z_hz=np.array(values))
 
 
+def reference_joint_log_prob(symbols, states, model):
+    """``joint_log_prob`` written the plain way: whole-array gathers, one ``np.sum`` each."""
+    x = _symbol_indices(symbols, "symbols")
+    s = _symbol_indices(states, "states")
+    log_init, log_trans, log_emit = _log_params(model)
+    return float(log_init[s[0]] + np.sum(log_emit[x, s]) + np.sum(log_trans[s[:-1], s[1:]]))
+
+
 def reference_write(header, *columns):
     """The CSV text of the writer written the plain way: one %-format line per row.
 
@@ -344,3 +355,24 @@ def reference_write(header, *columns):
     rows = zip(*(np.asarray(c).tolist() for c in columns))
     return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
 
+
+@contextlib.contextmanager
+def fed_pipe(data: bytes):
+    """The path ``/dev/fd/N`` of the read end of a real pipe that a thread feeds ``data``."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        try:
+            with open(write_fd, "wb") as sink:
+                sink.write(data)
+        except BrokenPipeError:  # the reader closed its end before the last byte
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=30)
+    assert not writer.is_alive()

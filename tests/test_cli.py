@@ -1,12 +1,14 @@
 """Command-line interface: schemas, determinism, exit codes, memory."""
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -15,8 +17,9 @@ import pytest
 
 import gridhmm as gh
 from gridhmm.cli import main
+from gridhmm.config import _LOAD_ROWS
 
-from conftest import REFERENCE_EMISSION_4DP, REFERENCE_P, REFERENCE_THRESHOLDS
+from conftest import REFERENCE_EMISSION_4DP, REFERENCE_P, REFERENCE_THRESHOLDS, fed_pipe
 
 BASE_CFG = """\
 means = 49 50 51
@@ -249,11 +252,12 @@ def test_decode_status_reports_decoder_diagnostics(tmp_path, capsys):
     assert int(fields["corrected"]) == np.count_nonzero(s_star != x) > 0
 
 
-def _peak_per_row(command, cfg, tmp_path, index_name="k", offset=0):
+def _peak_per_row(command, cfg, tmp_path, index_name="k", offset=0, first=None):
     """Traced peak bytes a row of ``command`` on 2e5 rows, output included.
 
     ``simulate`` draws its rows (``k`` of ``cfg`` set to 2e5); ``detect``
-    and ``decode`` read them from a file indexed ``k + offset``.
+    and ``decode`` read them from a file indexed ``k + offset``, the
+    first row's index replaced by ``first`` when given.
     """
     rows = 200_000
     if command == "simulate":
@@ -265,7 +269,10 @@ def _peak_per_row(command, cfg, tmp_path, index_name="k", offset=0):
         z = np.array([49.0, 50.0, 51.0])[np.repeat(gen.integers(0, 3, rows // 20), 20)]
         z += 0.35 * gen.standard_normal(rows)
         data = tmp_path / "m.csv"
-        body = "".join(f"{k + offset!r},{v!r}\n" for k, v in enumerate(z.tolist(), 1))
+        index = [k + offset for k in range(1, rows + 1)]
+        if first is not None:
+            index[0] = first
+        body = "".join(f"{k!r},{v!r}\n" for k, v in zip(index, z.tolist()))
         data.write_text(f"{index_name},z_hz\n" + body)
         argv = [command, "--config", cfg, "--input", str(data)]
     tracemalloc.start()
@@ -280,26 +287,40 @@ def _peak_per_row(command, cfg, tmp_path, index_name="k", offset=0):
 
 
 def test_decode_peak_memory_per_row(cfg, tmp_path):
-    # Traced peak of a whole decode run, output included.  It holds the
-    # two loaded float columns (16 B a row) and the int8 symbols and
-    # path; the rest, classify's int64 result included, is made one chunk
-    # at a time.  Each whole-column int64 or float copy would add 8 B a
-    # row.
-    assert _peak_per_row("decode", cfg, tmp_path, "k", 0) < 32
+    # Traced peak of a whole decode run, output included: about 8.4 B a
+    # row.  The loaded float columns wait in the spill file, not in
+    # memory; what is held is int8, 1 B a row an array (the symbols, the
+    # decoder's copies and codes, the path), and the rest is made one
+    # chunk at a time, joint_log_prob's float terms included.  Holding
+    # the two float columns took 24.3 B a row, and each whole-column
+    # int64 or float array would add 8.
+    assert _peak_per_row("decode", cfg, tmp_path, "k", 0) < 11
 
 
 def test_detect_peak_memory_per_row(cfg, tmp_path):
-    # detect classifies like decode, one chunk at a time into int8: it
-    # holds the loaded columns and the symbols, 17 B a row.  Classifying
-    # the whole column at once would add its int64 result, 8 B a row.
-    assert _peak_per_row("detect", cfg, tmp_path, "k", 0) < 26
+    # detect classifies like decode, one chunk at a time into int8, and
+    # holds only the symbols: about 7.2 B a row, 23 with the loaded
+    # columns.  Classifying the whole column at once would add its int64
+    # result, 8 B a row.
+    assert _peak_per_row("detect", cfg, tmp_path, "k", 0) < 10
 
 
 def test_decode_peak_memory_per_row_with_a_fractional_index(cfg, tmp_path):
     # A timestamp such as 1.5 prints through '%.17g', one chunk of rows
-    # at a time; formatting the whole column up front held a string and
-    # an object pointer a row, about 90 B more.
-    assert _peak_per_row("decode", cfg, tmp_path, "timestamp", 0.5) < 32
+    # at a time (about 9.6 B a row); formatting the whole column up front
+    # held a string and an object pointer a row, about 90 B more.
+    assert _peak_per_row("decode", cfg, tmp_path, "timestamp", 0.5) < 12
+
+
+def test_decode_peak_memory_with_one_wide_timestamp(cfg, tmp_path):
+    # A first timestamp of -1e301 prints as 303 characters, so the
+    # writer's line matrix and mask for that chunk widen by 303 B a row
+    # each: 2.5 MB, 12.4 B a row of the 2e5, and 13.2 measured.  Its text
+    # cells go straight into the matrix; an S303 array and a second mask
+    # of the chunk, built first, took 23.9 B a row more than the plain
+    # index.
+    wide = _peak_per_row("decode", cfg, tmp_path, "timestamp", 0, first=-1e301)
+    assert wide - _peak_per_row("decode", cfg, tmp_path, "timestamp", 0) < 16
 
 
 def test_simulate_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
@@ -327,6 +348,93 @@ def test_simulate_rss_does_not_grow_with_k(cfg, tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe, *cli], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) / 1024 < 60  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(shutil.which("cat") is None, reason="needs cat")
+def test_decode_and_detect_rss_do_not_grow_with_rows(cfg, tmp_path):
+    # Peak RSS of a 1e7-row decode through a pipe and a 1e7-row detect by
+    # path, stdout to /dev/null: about 70 and 41 MB.  The float columns
+    # wait in a temporary file, and what stays in memory is 1 B a row an
+    # int8 array; holding the loaded columns took 222 and 194 MB.  The
+    # helper process starts the CLI, as in the simulate test above.
+    config = tmp_path / "long.cfg"
+    config.write_text(Path(cfg).read_text().replace("k = 20\n", "k = 10000000\n"))
+    trace = tmp_path / "trace.csv"
+    cli = [sys.executable, "-m", "gridhmm"]
+    subprocess.run([*cli, "simulate", "--config", str(config), "--output", str(trace)], check=True)
+    probe = (
+        "import resource, subprocess, sys\n"
+        "how, trace, *cli = sys.argv[1:]\n"
+        "if how == 'pipe':\n"
+        "    cat = subprocess.Popen(['cat', trace], stdout=subprocess.PIPE)\n"
+        "    run = subprocess.run([*cli, '--input', '/dev/stdin'], stdin=cat.stdout,\n"
+        "                         stdout=subprocess.DEVNULL)\n"
+        "    cat.stdout.close()\n"
+        "    cat.wait()\n"
+        "else:\n"
+        "    run = subprocess.run([*cli, '--input', trace], stdout=subprocess.DEVNULL)\n"
+        "run.check_returncode()\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    for how, command in (("pipe", "decode"), ("path", "detect")):
+        argv = [how, str(trace), *cli, command, "--config", str(config)]
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 1024 < 100, how  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.parametrize("command", ["detect", "decode"])
+def test_a_run_of_blank_lines_changes_no_byte(cfg, tmp_path, capsys, command):
+    # Two chunks of blank lines make one chunk of the loader that holds no
+    # row; it reaches neither the spill nor the writer, whose formats take
+    # each chunk's extremes.
+    rows = [f"{k},{49.0 + (k % 5) / 2!r}\n" for k in range(1, 101)]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("k,z_hz\n" + "".join(rows))
+    spaced = tmp_path / "spaced.csv"
+    blank = "\n" * (2 * _LOAD_ROWS)
+    spaced.write_text("k,z_hz\n" + "".join(rows[:40]) + blank + "".join(rows[40:]))
+    want = run_cli(capsys, command, "--config", cfg, "--input", str(plain))
+    assert want[0] == 0
+    assert run_cli(capsys, command, "--config", cfg, "--input", str(spaced)) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("command", ["detect", "decode"])
+def test_a_bad_row_late_in_a_long_body_fails_before_any_output(cfg, tmp_path, capsys, command):
+    # Every row is read and checked before the first byte is written, so
+    # the last of 1e6 + 1 rows still fails with nothing on stdout, from a
+    # file and from a pipe alike.
+    rows = 1_000_000
+    data = ("k,z_hz\n" + "".join(f"{k},50.0\n" for k in range(1, rows + 1)) + "0,50.0\n").encode()
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    with fed_pipe(data) as piped:
+        for source in (str(path), piped):
+            code, out, err = run_cli(capsys, command, "--config", cfg, "--input", source)
+            assert (code, out) == (1, "")
+            message = f"row {rows + 2}: index '0' does not increase (previous {float(rows)!r})"
+            assert err == f"error: {source}: {message}\n"
+
+
+class _FullDisk(io.BytesIO):
+    """A spill file on a full disk: every write fails."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("command", ["detect", "decode"])
+def test_a_full_disk_under_the_spill_exits_2_before_any_output(
+    cfg, tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(tempfile, "TemporaryFile", _FullDisk)
+    m = tmp_path / "m.csv"
+    m.write_text("k,z_hz\n1,48.9\n2,50.02\n")
+    code, out, err = run_cli(capsys, command, "--config", cfg, "--input", str(m))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_cli_leaves_numpy_random_unloaded(cfg):

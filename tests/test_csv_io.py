@@ -16,7 +16,6 @@ import itertools
 import math
 import os
 import struct
-import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -31,7 +30,7 @@ from gridhmm.cli import _ROWS, _fmt, _fmt_index, _write_csv, main
 from gridhmm import config
 from gridhmm.config import _parse_chunk
 
-from conftest import reference_load, reference_write
+from conftest import fed_pipe, reference_load, reference_write
 
 # --- loader equivalence ---------------------------------------------------
 
@@ -263,28 +262,6 @@ def test_fast_reader_never_accepts_what_float_rejects(field):
 # than the pipe's buffer, so the writer thread runs while the loader reads.
 
 
-@contextlib.contextmanager
-def _pipe(data: bytes):
-    """The path ``/dev/fd/N`` of the read end of a real pipe that a thread feeds ``data``."""
-    read_fd, write_fd = os.pipe()
-
-    def feed():
-        try:
-            with open(write_fd, "wb") as sink:
-                sink.write(data)
-        except BrokenPipeError:  # the reader closed its end before the last byte
-            pass
-
-    writer = threading.Thread(target=feed, daemon=True)
-    writer.start()
-    try:
-        yield f"/dev/fd/{read_fd}"
-    finally:
-        os.close(read_fd)
-        writer.join(timeout=30)
-    assert not writer.is_alive()
-
-
 def _long_body(rows):
     return "k,z_hz\n" + "".join(f"{k},{50.0 + k / 8!r}\n" for k in range(1, rows + 1))
 
@@ -299,7 +276,7 @@ def test_pipe_loads_through_the_chunked_reader(tmp_path, monkeypatch, tail):
     want = _outcome(gh.load_measurements, path)
     spy = mock.Mock(wraps=config._parse_chunk)
     monkeypatch.setattr(config, "_parse_chunk", spy)
-    with _pipe(data) as piped:
+    with fed_pipe(data) as piped:
         got = _outcome(gh.load_measurements, piped)
     assert spy.call_count == 2  # one call a chunk of lines
     assert got == want
@@ -318,7 +295,7 @@ def test_bad_row_after_a_chunk_of_a_pipe_fails_as_in_a_file(tmp_path, capsys, ba
     want = capsys.readouterr()
     assert code == 1 and want.out == ""
     assert f"{path}: row {rows + 2}: " in want.err
-    with _pipe(data) as piped:
+    with fed_pipe(data) as piped:
         assert main(["detect", "--config", str(cfg_path), "--input", piped]) == code
     got = capsys.readouterr()
     assert got.out == ""
@@ -352,7 +329,7 @@ def test_pipe_loads_in_the_memory_of_a_file():
     # A pipe is read once, front to back, as a file is; holding its whole
     # text first cost about 25 B a row more.
     rows = 200_000
-    with _pipe(_long_body(rows).encode()) as piped:
+    with fed_pipe(_long_body(rows).encode()) as piped:
         assert _load_peak_per_row(piped, rows) < 26
 
 

@@ -9,11 +9,13 @@ import gridhmm as gh
 from gridhmm.viterbi import TIE_EPS
 from tests.conftest import (
     BRUTE_FORCE_MAX_LEN,
+    MODELS,
     REFERENCE_P,
     brute_force_mlse,
     compute_trellis,
     feasible_observation,
     random_model,
+    reference_joint_log_prob,
 )
 
 # --- independent oracle: scalar-product joint probability ---
@@ -57,6 +59,25 @@ def test_joint_log_prob_matches_oracle_randomized():
             assert math.isinf(got)
         else:
             assert abs(got - want) <= 1e-9
+
+
+@pytest.mark.parametrize("model_name", ["dense", "sticky"])
+@pytest.mark.parametrize(
+    "length", [1, 7, 8, 129, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5, 10**6]
+)
+def test_joint_log_prob_sums_as_the_whole_arrays_do(length, model_name):
+    # joint_log_prob makes at most _CHUNK = 2**14 terms at a time and
+    # splits its sums as numpy's pairwise sum splits a whole array, so it
+    # equals the whole-array formula bit for bit; chunk sums added left to
+    # right would not.  The sticky records cross a zero transition.
+    gen = np.random.default_rng(length)
+    model = random_model(gen, allow_zeros=False) if model_name == "dense" else MODELS["sticky"]
+    x, s = gen.integers(-1, 2, size=(2, length))
+    if model_name == "sticky" and length > 1:
+        s[length // 2 - 1 : length // 2 + 1] = (-1, 1)
+    want = reference_joint_log_prob(x, s, model)
+    assert math.isinf(want) == (model_name == "sticky" and length > 1)
+    assert gh.joint_log_prob(x, s, model) == want
 
 
 def test_joint_log_prob_zero_initial_is_minus_inf(ref_params):

@@ -9,7 +9,6 @@ problem.
 from __future__ import annotations
 
 import argparse
-import copy
 import logging
 import math
 import sys
@@ -20,11 +19,10 @@ import numpy as np
 
 from .config import ConfigError, _measurement_chunks, parse_config
 from .detector import classify, compute_thresholds
-from .gaussian import RngStream, _normal_law
+from .gaussian import RngStream
 from .model import build_emission_matrix
 from .simulate import (
     _chain,
-    _check_length,
     _expected_ht_accuracy,
     _propagate,
     _Tables,
@@ -381,23 +379,23 @@ def _cmd_simulate(args) -> int:
     time, so nothing held grows with K.  The chain's K uniforms are
     drawn a chunk at a time from the stream; the Gaussians, which the
     stream gives after those K uniforms, come a chunk at a time from a
-    copy of it advanced by K outputs, one for each uniform.  Every check
-    runs before the first byte is written.
+    second generator of the stream advanced by K outputs.  Every check,
+    those of the parsed config included, runs before the first byte is
+    written.
     """
     cfg = parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     tables = _Tables.of(cfg.model())
-    length = _check_length(cfg.length)
-    means, sigma = _normal_law(cfg.params.means, cfg.params.sigma)
+    means = np.array(cfg.params.means)
     thresholds = compute_thresholds(cfg.params)
-    uniforms = RngStream(seed, stream_index=0).generator
-    gaussians = copy.deepcopy(uniforms)
-    gaussians.bit_generator.advance(length)
+    uniforms = RngStream(seed).generator
+    gaussians = RngStream(seed).generator
+    gaussians.bit_generator.advance(cfg.length)
 
     def rows():
         lo = 0
-        for hidden in _chain(tables, uniforms, length):
-            z = gaussians.normal(means[hidden], sigma)
+        for hidden in _chain(tables, uniforms, cfg.length):
+            z = gaussians.normal(means[hidden], cfg.params.sigma)
             yield np.arange(lo + 1, lo + hidden.size + 1), hidden - 1, z, _symbols(z, thresholds)
             lo += hidden.size
 

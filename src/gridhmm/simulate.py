@@ -59,11 +59,11 @@ __all__ = [
 HIST_BINS = 101
 
 # Steps (trials x K) per batch of the Monte Carlo kernel.  Its working
-# arrays, the uniforms included, peak at about 48 bytes per step, so a
-# batch needs about 0.8 MB, while the vector operations across trials
-# (163 of them at K=100) amortise the per-step interpreter overhead.  A
-# batch holds at least one trial, however long; a batch of one trial is
-# decoded by the scalar loop of viterbi_decode.
+# arrays, the uniforms included, peak at 48 bytes per step (traced at K=100
+# and 1000), so a batch needs about 0.8 MB, while the vector operations
+# across trials (163 of them at K=100) amortise the per-step interpreter
+# overhead.  A batch holds at least one trial, however long; a batch of one
+# trial is decoded by the scalar loop of viterbi_decode.
 _BATCH_STEPS = 2**14
 
 
@@ -140,7 +140,7 @@ class _Tables(NamedTuple):
 
 
 def _sample_chain(tables: _Tables, u: np.ndarray, law: np.ndarray) -> np.ndarray:
-    """State paths (T, K) of the chain driven by the (K, T) uniforms ``u``.
+    """State paths (K, T) int8 of the chain driven by the (K, T) uniforms ``u``.
 
     The first step inverts the cumulative law ``law`` (3,), each later
     one the transition row of the state before it.
@@ -164,7 +164,7 @@ def _chain(tables: _Tables, generator, length: int):
     """
     law = tables.cum_init
     for lo in range(0, length, _CHUNK):
-        path = _sample_chain(tables, generator.random(min(_CHUNK, length - lo))[:, None], law)[0]
+        path = _sample_chain(tables, generator.random(min(_CHUNK, length - lo))[:, None], law)[:, 0]
         law = tables.cum_trans[path[-1]]
         yield path
 
@@ -172,7 +172,7 @@ def _chain(tables: _Tables, generator, length: int):
 def _run_batch(
     tables: _Tables, u: np.ndarray, memo: _Memo
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hidden, emitted and decoded state indices (T, K) int8, one trial per row of ``u``.
+    """Hidden, emitted and decoded state indices (K, T) int8 of the trials in the rows of ``u``.
 
     Row t of the uniforms ``u`` (T, 2K) holds trial t's K state draws,
     then its K emission draws, as :func:`simulate_states` and
@@ -187,8 +187,8 @@ def _run_batch(
     """
     length = u.shape[1] // 2
     hidden = _sample_chain(tables, u[:, :length].T, tables.cum_init)
-    emitted = _invert(tables.cum_emit[:, hidden], u[:, length:])
-    return hidden, emitted, _paths(memo, np.ascontiguousarray(emitted.T))
+    emitted = _invert(tables.cum_emit[:, hidden], u[:, length:].T)
+    return hidden, emitted, _paths(memo, emitted)
 
 
 def _check_length(length) -> int:
@@ -277,8 +277,8 @@ def run_monte_carlo(
         last = min(first + batch, trials)
         u = _stream_draws(generator, base_seed, first, last, 2 * length)
         hidden, emitted, decoded = _run_batch(tables, u, memo)
-        ht_counts[first:last] = np.count_nonzero(emitted == hidden, axis=1)
-        va_counts[first:last] = np.count_nonzero(decoded == hidden, axis=1)
+        ht_counts[first:last] = np.count_nonzero(emitted == hidden, axis=0)
+        va_counts[first:last] = np.count_nonzero(decoded == hidden, axis=0)
     ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, length)
     va_mean, va_std, va_hist = _percent_stats(va_counts, length)
     return MonteCarloSummary(

@@ -152,7 +152,7 @@ def _code(table: np.ndarray) -> np.ndarray:
 
 
 def _follow(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Paths (T, K) int8 from ``first``, each step applying the map coded ``codes[k, t]``.
+    """Paths (K, T) int8 from ``first``, written over the codes ``codes[k, t]`` of step k's maps.
 
     Composing maps is a lookup in ``_COMPOSE``.  Composition is
     associative, so the maps from step 0 to every step come out of a
@@ -161,22 +161,21 @@ def _follow(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
     steps and starts with the constant map to the state the previous
     chunk ended in (to ``first`` for the first chunk), so every prefix is
     a constant map to the state at its step.  Row 0 of ``codes`` is not
-    read.
+    read; it receives ``first``.  Returns ``codes``.
     """
     n, records = codes.shape
-    path = np.empty((records, n), dtype=np.int8)
-    path[:, 0] = first
+    codes[0] = first
     for start in range(1, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         scan = np.empty((stop - start + 1, records), dtype=np.intp)
-        scan[0] = 13 * path[:, start - 1]
+        scan[0] = 13 * codes[start - 1]
         scan[1:] = codes[start:stop]
         shift = 1
         while shift < len(scan):
             scan[shift:] = _COMPOSE.take(scan[shift:] * 27 + scan[:-shift])
             shift *= 2
-        path[:, start:stop] = _STATE.take(scan[1:]).T
-    return path
+        codes[start:stop] = _STATE.take(scan[1:])
+    return codes
 
 
 def _pick(c: list) -> int:
@@ -331,7 +330,7 @@ def _backward(memo: _Memo, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _paths(memo: _Memo, x: np.ndarray) -> np.ndarray:
-    """Decoded paths (T, K) int8 of state indices of the records in the columns of ``x``.
+    """Decoded paths (K, T) int8 of state indices of the records in the columns of ``x``.
 
     Raises :class:`InfeasibleObservationError` for the first record that
     no state sequence can produce.
@@ -363,9 +362,9 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     occurs: the row one step earlier, the step's successor map and the
     first state of a record that starts with the pair.  A step then
     costs one list lookup and leaves one int8 successor-map code, and
-    :func:`_follow` walks the codes from the first state.  The Monte
-    Carlo kernel decodes its trials with the same automaton and walk
-    (:func:`_paths`), a batch at a time.
+    :func:`_follow` walks the codes from the first state, writing the
+    path over them.  The Monte Carlo kernel decodes its trials with the
+    same automaton and walk (:func:`_paths`), a batch at a time.
     """
     return _decode(symbols, model).astype(np.int64)
 
@@ -374,6 +373,6 @@ def _decode(symbols, model: HmmModel) -> np.ndarray:
     """:func:`viterbi_decode` as int8 states -1..1: 1 B a step where int64 takes 8."""
     x = _symbol_indices(symbols, "symbols")[:, None]
     require_valid(model)
-    path = _paths(_Memo(model), x)[0]
+    path = _paths(_Memo(model), x)[:, 0]
     path -= 1
     return path

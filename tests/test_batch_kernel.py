@@ -1,7 +1,7 @@
 """The trial-batched Monte Carlo kernel against per-step references.
 
 For every trial of a batch, the kernel's hidden, emitted and decoded
-rows must equal a test-local per-step reference run on the same stream,
+columns must equal a test-local per-step reference run on the same stream,
 bit for bit.  The reference samples each state and each symbol
 with one ``sample_categorical`` call and decodes with
 ``reference_decode``; it shares no code with the kernel, which
@@ -45,8 +45,8 @@ def test_batch_rows_equal_single_sequence_functions(name, length):
     for t in range(trials):
         want = reference(model, length, gh.RngStream(5, stream_index=t))
         for got, expected in zip(batch, want):
-            assert got.shape == (trials, length)
-            assert np.array_equal(got[t] - 1, expected)
+            assert got.shape == (length, trials)
+            assert np.array_equal(got[:, t] - 1, expected)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -85,12 +85,12 @@ def test_monte_carlo_validates_the_model_once(monkeypatch):
 
 
 def _decode_batch(model, symbols, memo=None):
-    """Codes, first states and paths (T, K) of the records in the columns of ``symbols``."""
+    """Codes, first states and paths (K, T) of the records in the columns of ``symbols``."""
     x = np.asarray(symbols, dtype=np.int8) + 1
     if memo is None:
         memo = viterbi._Memo(model)
     codes, first = viterbi._backward(memo, x)
-    return codes, first, viterbi._follow(codes, first) - 1
+    return codes, first, viterbi._follow(codes.copy(), first) - 1
 
 
 def _records(model, length, count, gen):
@@ -110,8 +110,8 @@ def test_batch_decoder_equals_each_record_decoded_alone(name):
             alone = _decode_batch(model, symbols[:, [t]])
             assert np.array_equal(codes[:, t], alone[0][:, 0])
             assert first[t] == alone[1][0]
-            assert np.array_equal(paths[t], reference_decode(symbols[:, t], model))
-            assert np.array_equal(paths[t], gh.viterbi_decode(symbols[:, t], model))
+            assert np.array_equal(paths[:, t], reference_decode(symbols[:, t], model))
+            assert np.array_equal(paths[:, t], gh.viterbi_decode(symbols[:, t], model))
 
 
 def test_batch_decoder_learns_pairs_mid_batch(monkeypatch):
@@ -137,7 +137,7 @@ def test_batch_decoder_learns_pairs_mid_batch(monkeypatch):
     # Call i gathers the rows of step 58 - i from the pairs of step 59 - i.
     assert learned[59 - 25] > 0 and 0 in learned[: 59 - 25]
     for t in range(symbols.shape[1]):
-        assert np.array_equal(paths[t], reference_decode(symbols[:, t], model))
+        assert np.array_equal(paths[:, t], reference_decode(symbols[:, t], model))
 
 
 @pytest.mark.parametrize("name", ["sticky", "tie", "random"])
@@ -170,5 +170,5 @@ def test_batch_decoder_keeps_the_tie_rule_on_long_records():
     record = np.tile([-1, -1, 1, 1], 15_000)
     _, _, paths = _decode_batch(model, np.stack([record] * 3, axis=1))
     want = np.concatenate([[-1, 1], np.tile([0, 0, 1, -1], 15_000)[:-2]])
-    for path in paths:
+    for path in paths.T:
         assert np.array_equal(path, want)

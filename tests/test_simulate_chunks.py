@@ -65,7 +65,7 @@ def _reference(cfg, seed):
     generator = gh.RngStream(seed, 0).generator
     tables = simulate._Tables.of(cfg.model())
     u = generator.random(cfg.length)
-    hidden = simulate._sample_chain(tables, u[:, None], tables.cum_init)[0]
+    hidden = simulate._sample_chain(tables, u[:, None], tables.cum_init)[:, 0]
     z = generator.normal(np.asarray(cfg.params.means)[hidden], cfg.params.sigma)
     return hidden, z
 

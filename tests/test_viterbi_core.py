@@ -31,8 +31,8 @@ def test_follow_equals_per_record_walk(length, records):
     for offset in range(3):
         first = (np.arange(records) + offset) % 3  # every first state, in every record
         got = _follow(_code(table), first)
-        assert got.dtype == np.int8 and got.shape == (records, length)
-        assert np.array_equal(got, reference_follow(table, first))
+        assert got.dtype == np.int8 and got.shape == (length, records)
+        assert np.array_equal(got, reference_follow(table, first).T)
 
 
 def _near_ties(gen, log_trans, log_emit, x):

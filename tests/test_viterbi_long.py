@@ -55,6 +55,25 @@ def test_symbol_indices_make_one_int8_copy():
     assert (symbols == 1).all()
 
 
+def test_decode_traces_under_three_bytes_a_step():
+    # The shifted symbol indices and the successor-map codes, which the
+    # walk overwrites with the path: 2 B a step, plus chunk temporaries
+    # (2.47 traced).  A path beside the codes adds 1 B a step (3.44).
+    model = MODELS["sticky"]
+    length = 1_000_000
+    rng = gh.RngStream(5)
+    hidden = gh.simulate_states(model, length, rng)
+    symbols = gh.emit_symbols(hidden, model.emissions, rng).astype(np.int8)
+    tracemalloc.start()
+    try:
+        path = viterbi._decode(symbols, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(path, gh.viterbi_decode(symbols, model))
+    assert peak < 2.8 * length
+
+
 def test_long_infeasible_record_names_the_step():
     # Under the identity channel the symbols are the states, and the
     # sticky chain never moves from -1 to +1.

@@ -6,10 +6,15 @@ Everything downstream of this module draws randomness through
 draws on every platform, and distinct stream indices give statistically
 independent streams without any shared mutable state.  That property is
 what lets the Monte Carlo harness hand one stream to each trial and stay
-deterministic under any execution order.
+deterministic under any execution order.  The harness draws the
+uniforms of a batch of streams at once, without building their
+generators or loading ``numpy.random``: :func:`_stream_draws`
+reproduces each stream's seeding and PCG64 steps in exact uint64 array
+arithmetic, bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -94,11 +99,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = 2**32 - 1, 2**128 - 1
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
 def _hashmix(value, const: int):
-    """SeedSequence's ``hashmix`` of an int or uint32 array, and its next multiplier state."""
+    """SeedSequence's ``hashmix`` of an int, and its next multiplier state."""
     value = value ^ const
     const = const * _MULT_A & _M32
     value = value * const & _M32
@@ -110,17 +115,34 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _spawn_states(seed: int, first: int, last: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``RngStream(seed, t)`` for t in ``first..last-1``, t < 2**64.
+def _hash_words(words, consts) -> np.ndarray:
+    """Row i: the 32-bit ``words`` hashed with multiplier state ``consts[i]``, as by ``_hashmix``."""
+    value = words ^ np.array(consts[:-1], dtype=np.uint32)[:, None]
+    value *= np.array(consts[1:], dtype=np.uint32)[:, None]
+    return value ^ value >> 16
 
-    ``SeedSequence(seed, spawn_key=(t,))`` hashes the seed's two 32-bit
-    words, padded with zeros to its pool of four, into the pool, mixes
-    the pool words with each other, then mixes in the words of t: one
-    for t < 2**32, two above.  All of that but the last step is the same
-    for every t and runs once, on ints; the last step and
-    ``generate_state(4, uint64)`` run on uint32 arrays over t.  From the
-    state words (s, i), PCG64 takes ``inc = 2 i + 1`` and ``state =
-    (inc + s) * MULT + inc`` mod 2**128, in Python ints.
+
+def _consts(const: int, mult: int, count: int) -> list[int]:
+    """``const`` and the ``count`` multiplier states after it."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _M32)
+    return consts
+
+
+def _spawn_states(seed: int, first: int, last: int) -> tuple[np.ndarray, ...]:
+    """PCG64 seed words ``(s_hi, s_lo, i_hi, i_lo)`` of ``RngStream(seed, t)``, t in ``first..last-1``.
+
+    Each is a uint64 array over t < 2**64: the 128-bit state seed ``s``
+    and stream seed ``i`` that ``PCG64`` reads from
+    ``SeedSequence(seed, spawn_key=(t,)).generate_state(4, uint64)``.
+    That hashes the seed's two 32-bit words, padded with zeros to its
+    pool of four, into the pool, mixes the pool words with each other,
+    then mixes each word of t into every pool word: one word for t <
+    2**32, two above.  All of that but the last step is the same for
+    every t and runs once, on ints.  The last step and
+    ``generate_state`` run on uint32 arrays, one row per pool or output
+    word and one column per t.
     """
     const = _INIT_A
     pool = []
@@ -133,43 +155,102 @@ def _spawn_states(seed: int, first: int, last: int) -> list[tuple[int, int]]:
                 h, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], h)
     t = np.arange(first, last, dtype=np.uint64)
-    pool = [np.full(t.size, p, dtype=np.uint32) for p in pool]
-    low = (t & _M32).astype(np.uint32)
-    for dst in range(4):
-        h, const = _hashmix(low, const)
-        pool[dst] = _mix(pool[dst], h)
+    consts = _consts(const, _MULT_A, 8)
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hash_words(t.astype(np.uint32), consts[:5]))
     if last > 2**32:
         high = (t >> 32).astype(np.uint32)
-        for dst in range(4):
-            h, const = _hashmix(high, const)
-            pool[dst] = np.where(high > 0, _mix(pool[dst], h), pool[dst])
-    const = _INIT_B
-    words = np.empty((t.size, 8), dtype=np.uint64)
-    for i in range(8):
-        v = pool[i % 4] ^ const
-        const = const * _MULT_B & _M32
-        v = v * const & _M32
-        words[:, i] = v ^ v >> 16
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in (words[:, 0::2] | words[:, 1::2] << 32).tolist():
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128, inc))
-    return states
+        pool = np.where(high > 0, _mix(pool, _hash_words(high, consts[4:])), pool)
+    words = _hash_words(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _consts(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    return tuple(words[0::2] | words[1::2] << 32)
 
 
-def _stream_draws(generator, seed: int, first: int, last: int, count: int) -> np.ndarray:
-    """Uniforms (last - first, count): row i the first ``count`` of ``RngStream(seed, first + i)``.
+# Elements (steps x streams) per piece of the Monte Carlo draws.  A piece's
+# uint64 temporaries take about 90 B an element, 0.37 MB in all, which
+# keeps the draws below the peak of the batch they feed.
+_PIECE = 2**12
 
-    ``generator`` is a PCG64 ``numpy.random.Generator``; its state is set
-    to each stream's initial state in turn, which costs a fraction of
-    building the stream's ``SeedSequence``, ``PCG64`` and ``Generator``.
+
+def _limbs(values) -> np.ndarray:
+    """uint64 limbs (4, len(values)) of ints mod 2**128: rows hi, lo, lo & 0xFFFFFFFF, lo >> 32."""
+    return np.array(
+        [[v >> 64 & _M64 for v in values], [v & _M64 for v in values],
+         [v & _M32 for v in values], [v >> 32 & _M32 for v in values]],
+        dtype=np.uint64,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _sums(length: int) -> np.ndarray:
+    """Limbs (4, length + 2, 1) of ``G_m = MULT**0 + ... + MULT**(m-1)`` for m in 0..length+1."""
+    power, sums = 1, [0]
+    for _ in range(length + 1):
+        sums.append(sums[-1] + power)
+        power = power * _PCG_MULT & _M128
+    table = _limbs(sums)[:, :, None]
+    table.flags.writeable = False  # cached: every caller shares it
+    return table
+
+
+def _mul_add(a, hi, lo, b_hi, b_lo):
+    """``a * (hi, lo) + (b_hi, b_lo)`` mod 2**128, as uint64 words ``(hi, lo)``; ``a`` in limbs.
+
+    The high word of the 64-bit product ``a_lo * lo`` is summed from
+    32-bit partial products, none of which overflows.
     """
-    u = np.empty((last - first, count))
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for row, (s, inc) in zip(u, _spawn_states(seed, first, last)):
-        state["state"] = {"state": s, "inc": inc}
-        generator.bit_generator.state = state
-        generator.random(out=row)
+    a_hi, a_lo, a0, a1 = a
+    lo0, lo1 = lo & _M32, lo >> 32
+    mid = lo0 * a0
+    mid >>= 32
+    mid += lo1 * a0
+    cross = lo0 * a1
+    cross += mid & _M32
+    cross >>= 32
+    mid >>= 32
+    out_hi = lo1 * a1
+    out_hi += mid
+    out_hi += cross
+    out_hi += hi * a_lo
+    out_hi += lo * a_hi
+    out_hi += b_hi
+    out_lo = lo * a_lo
+    out_lo += b_lo
+    out_hi += out_lo < b_lo
+    return out_hi, out_lo
+
+
+def _stream_draws(seed: int, first: int, last: int, count: int) -> np.ndarray:
+    """Uniforms (count, last - first): column i ``RngStream(seed, first + i).generator.random(count)``.
+
+    PCG64 seeds ``inc = 2 i + 1`` and ``state = MULT x + inc`` with ``x =
+    s + inc``; each draw steps ``state <- MULT state + inc`` mod 2**128
+    and returns the top 53 bits of XSL-RR of the new state, times 2**-53
+    (O'Neill 2014, HMC-CS-2014-0905).  So draw j comes from the state
+    ``MULT**m x + G_m inc`` with m = j + 2, which is ``x + G_m v`` with
+    ``v = (MULT - 1) x + inc``, since ``MULT**m = 1 + (MULT - 1) G_m``
+    (Brown 1994, "Random number generation with arbitrary strides").
+    The first piece of ``rows`` draws takes that product with the table
+    of :func:`_sums`; each later piece is the piece before advanced by
+    ``rows`` steps, ``MULT**rows state + G_rows inc``.  A piece holds
+    about ``_PIECE`` elements, and all arithmetic is exact uint64.
+    """
+    s_hi, s_lo, i_hi, i_lo = _spawn_states(seed, first, last)
+    rows = max(1, min(count, _PIECE // (last - first)))
+    one, mult_less_one, advance = _limbs([1, _PCG_MULT - 1, pow(_PCG_MULT, rows, 2**128)]).T
+    sums = _sums(rows)
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    x = _mul_add(one, s_hi, s_lo, *inc)  # s + inc
+    v = _mul_add(mult_less_one, *x, *inc)
+    state = _mul_add(sums[:, 2 : rows + 2], *v, *x)
+    step = _mul_add(sums[:, rows, 0], *inc, 0, 0)
+    u = np.empty((count, last - first))
+    for row in range(0, count, rows):
+        if row:
+            n = min(rows, count - row)
+            state = _mul_add(advance, state[0][:n], state[1][:n], *step)
+        hi, lo = state
+        bits = hi ^ lo  # XSL-RR: the words' xor, rotated right by the state's top 6 bits
+        turn = hi >> 58
+        np.multiply((bits >> turn | bits << (64 - turn)) >> 11, 2.0**-53, out=u[row : row + rows])
     return u
 
 

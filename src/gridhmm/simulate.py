@@ -16,10 +16,12 @@ decides once per (score to go, symbol) pair, one memo serving every
 batch of a run.  :func:`~gridhmm.viterbi._follow` turns coded successor
 maps into paths by a prefix scan over their compositions, with no
 per-step Python loop.  In a batch each trial draws the uniforms of its
-own stream, seeded for the whole batch in one vector pass, in the order
-of :func:`simulate_states` and :func:`emit_symbols`, and every score is
-formed in the same order, so each trial equals those two functions and
-``viterbi_decode`` run on its own stream, bit for bit.
+own stream in the order of :func:`simulate_states` and
+:func:`emit_symbols`: :func:`~gridhmm.gaussian._stream_draws` seeds the
+batch's streams and jumps their PCG64 states ahead in closed form, in
+exact uint64 array arithmetic, without ``numpy.random``.  Every score
+is formed in the same order, so each trial equals those two functions
+and ``viterbi_decode`` run on its own stream, bit for bit.
 """
 from __future__ import annotations
 
@@ -58,12 +60,15 @@ __all__ = [
 # Accuracy histograms bin whole percentage points: [0,1), [1,2), ..., plus {100}.
 HIST_BINS = 101
 
-# Steps (trials x K) per batch of the Monte Carlo kernel.  Its working
-# arrays, the uniforms included, peak at 48 bytes per step (traced at K=100
-# and 1000), so a batch needs about 0.8 MB, while the vector operations
-# across trials (163 of them at K=100) amortise the per-step interpreter
-# overhead.  A batch holds at least one trial, however long; a batch of one
-# trial is decoded by the scalar loop of viterbi_decode.
+# Steps (trials x K) per batch of the Monte Carlo kernel.  Drawing and
+# running a batch peaks at 48 bytes per step (traced at K=100 and 1000),
+# most of it the uniforms (16) and the emission laws gathered for every
+# step (24); the draws alone, with their temporaries in pieces of
+# gaussian._PIECE elements, peak at 40.  So a batch needs about 0.8 MB,
+# while the vector operations across trials (163 of them at K=100)
+# amortise the per-step interpreter overhead.  A batch holds at least one
+# trial, however long; a batch of one trial is decoded by the scalar loop
+# of viterbi_decode.
 _BATCH_STEPS = 2**14
 
 
@@ -172,10 +177,10 @@ def _chain(tables: _Tables, generator, length: int):
 def _run_batch(
     tables: _Tables, u: np.ndarray, memo: _Memo
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hidden, emitted and decoded state indices (K, T) int8 of the trials in the rows of ``u``.
+    """Hidden, emitted and decoded state indices (K, T) int8 of the trials in the columns of ``u``.
 
-    Row t of the uniforms ``u`` (T, 2K) holds trial t's K state draws,
-    then its K emission draws, as :func:`simulate_states` and
+    Column t of the uniforms ``u`` (2K, T) holds trial t's K state
+    draws, then its K emission draws, as :func:`simulate_states` and
     :func:`emit_symbols` consume them from one stream.  Sampling runs
     through the same inversion, successor tables and prefix scan as those
     functions.  Decoding is :func:`~gridhmm.viterbi._paths`, the
@@ -185,9 +190,9 @@ def _run_batch(
     the first infeasible trial raises its error.  The model is not
     validated here.
     """
-    length = u.shape[1] // 2
-    hidden = _sample_chain(tables, u[:, :length].T, tables.cum_init)
-    emitted = _invert(tables.cum_emit[:, hidden], u[:, length:].T)
+    length = len(u) // 2
+    hidden = _sample_chain(tables, u[:length], tables.cum_init)
+    emitted = _invert(tables.cum_emit[:, hidden], u[length:])
     return hidden, emitted, _paths(memo, emitted)
 
 
@@ -257,9 +262,9 @@ def run_monte_carlo(
     (trials x length) at a time, and each trial equals
     :func:`simulate_states`, :func:`emit_symbols` and
     :func:`~gridhmm.viterbi.viterbi_decode` run on its stream.  A
-    batch's streams are seeded in one vector pass and drawn on one
-    generator, and one decoder memo serves every batch.  The model is
-    validated once per call.
+    batch's draws come from :func:`~gridhmm.gaussian._stream_draws`,
+    which computes them without ``numpy.random``, and one decoder memo
+    serves every batch.  The model is validated once per call.
     """
     tables = _Tables.of(model)
     trials = int(trials)
@@ -268,15 +273,15 @@ def run_monte_carlo(
     length = _check_length(length)
     base_seed = _check_seed(base_seed)
 
-    generator = np.random.Generator(np.random.PCG64(0))  # its state is set per trial
     memo = _Memo(model)
     batch = max(1, _BATCH_STEPS // length)
     ht_counts = np.empty(trials, dtype=np.int64)
     va_counts = np.empty(trials, dtype=np.int64)
     for first in range(0, trials, batch):
         last = min(first + batch, trials)
-        u = _stream_draws(generator, base_seed, first, last, 2 * length)
+        u = _stream_draws(base_seed, first, last, 2 * length)
         hidden, emitted, decoded = _run_batch(tables, u, memo)
+        del u  # so that the next batch draws without it
         ht_counts[first:last] = np.count_nonzero(emitted == hidden, axis=0)
         va_counts[first:last] = np.count_nonzero(decoded == hidden, axis=0)
     ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, length)

@@ -39,8 +39,7 @@ def test_batch_rows_equal_single_sequence_functions(name, length):
     model = MODELS[name]
     trials = 11
     tables = simulate._Tables.of(model)
-    generator = np.random.Generator(np.random.PCG64())
-    u = gaussian._stream_draws(generator, 5, 0, trials, 2 * length)
+    u = gaussian._stream_draws(5, 0, trials, 2 * length)
     batch = simulate._run_batch(tables, u, viterbi._Memo(model))
     for t in range(trials):
         want = reference(model, length, gh.RngStream(5, stream_index=t))

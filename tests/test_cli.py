@@ -402,6 +402,37 @@ def test_a_run_of_blank_lines_changes_no_byte(cfg, tmp_path, capsys, command):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("command", ["detect", "decode"])
+def test_a_piped_trace_decodes_as_the_file_does(cfg, tmp_path, capsys, command):
+    # A simulate trace of 20000 rows spans several chunks of the loader
+    # and the writer; by path and through a pipe its stdout must be the
+    # same bytes.  So must a timestamp copy that adds 0.5 past row 15000,
+    # whose early index chunks print as int64 cells and its late ones as
+    # text.  A bad last row fails either way with exit 1 and no stdout.
+    config = tmp_path / "long.cfg"
+    config.write_text(Path(cfg).read_text().replace("k = 20\n", "k = 20000\n"))
+    code, trace, _ = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 0
+    stamps = ["timestamp,z_hz\n"]
+    for line in trace.splitlines()[1:]:
+        k, _, z_hz, _ = line.split(",")
+        stamps.append(f"{int(k) + 0.5 if int(k) > 15000 else k},{z_hz}\n")
+    inputs = {"trace": trace, "stamps": "".join(stamps), "bad": trace + "1,0,50.0,0\n"}
+    for name, text in inputs.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        by_path = run_cli(capsys, command, "--config", str(config), "--input", str(path))
+        with fed_pipe(text.encode()) as piped:
+            by_pipe = run_cli(capsys, command, "--config", str(config), "--input", piped)
+        if name == "bad":
+            assert by_path[:2] == by_pipe[:2] == (1, "")
+        else:
+            assert by_path[0] == 0 and by_path[1].count("\n") == 20001
+            assert ("\n15001.5," in by_path[1]) == (name == "stamps")
+            assert by_pipe[:2] == by_path[:2]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("command", ["detect", "decode"])
 def test_a_bad_row_late_in_a_long_body_fails_before_any_output(cfg, tmp_path, capsys, command):
     # Every row is read and checked before the first byte is written, so
     # the last of 1e6 + 1 rows still fails with nothing on stdout, from a
@@ -438,22 +469,26 @@ def test_a_full_disk_under_the_spill_exits_2_before_any_output(
 
 
 def test_cli_leaves_numpy_random_unloaded(cfg):
-    # Loading numpy.random costs a process about 5 MB of RSS and some
-    # start-up time; only the commands that draw random numbers need it.
+    # Loading numpy.random costs a process about 6 MB of RSS and some
+    # start-up time; only simulate, which draws Gaussians, needs it.
+    # montecarlo draws its uniforms by its own PCG64 arithmetic.
     probe = (
         "import runpy, sys\n"
         "import gridhmm.cli\n"
         "assert 'numpy.random' not in sys.modules, 'on import gridhmm.cli'\n"
-        "sys.argv = ['gridhmm', 'emission', '--config', sys.argv[1]]\n"
-        "try:\n"
-        "    runpy.run_module('gridhmm', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        "assert 'numpy.random' not in sys.modules, 'after gridhmm emission'\n"
+        "config = sys.argv[1]\n"
+        "for command in ('emission', 'montecarlo'):\n"
+        "    sys.argv = ['gridhmm', command, '--config', config]\n"
+        "    try:\n"
+        "        runpy.run_module('gridhmm', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "    assert 'numpy.random' not in sys.modules, 'after gridhmm ' + command\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("emitted,given_neg,given_zero,given_pos\n")
+    assert "\nfield,bin,ht,va\ntrials,,40,40\n" in proc.stdout
 
 
 def test_decode_rejects_step_index_beyond_float_precision(cfg, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridhmm as gh
+from gridhmm import gaussian
 from gridhmm.gaussian import _cumulative, _invert, _spawn_states, _stream_draws, probability
 
 # --- independent oracle: trapezoidal integration of the normal density ---
@@ -117,20 +118,35 @@ def test_stream_validation():
         gh.RngStream(1, -1)
 
 
+# PCG64's default multiplier (O'Neill 2014, HMC-CS-2014-0905).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-def test_vectorised_streams_equal_rng_stream(seed):
+def test_vectorised_streams_equal_rng_stream(seed, monkeypatch):
     # A seed takes one 32-bit word below 2**32 and two from there; so
-    # does a stream index, which the last range crosses.
-    generator = np.random.Generator(np.random.PCG64())
-    for first, last in [(0, 4), (2**31, 2**31 + 1), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]:
-        states = _spawn_states(seed, first, last)
-        draws = _stream_draws(generator, seed, first, last, 9)
-        assert len(states) == draws.shape[0] == last - first and draws.shape[1] == 9
-        for t, state, row in zip(range(first, last), states, draws):
-            stream = gh.RngStream(seed, t)
-            want = stream.generator.bit_generator.state["state"]
-            assert state == (want["state"], want["inc"])
-            assert np.array_equal(row, stream.generator.random(9))
+    # does a stream index, which the third range crosses.  The last range
+    # ends at the largest index, 2**64 - 1.
+    ranges = [(0, 4), (2**31, 2**31 + 1), (2**32 - 2, 2**32 + 2), (2**64 - 3, 2**64)]
+    for first, last in ranges:
+        words = _spawn_states(seed, first, last)
+        assert len(words) == 4
+        assert all(w.dtype == np.uint64 and w.shape == (last - first,) for w in words)
+        for t, (s_hi, s_lo, i_hi, i_lo) in zip(range(first, last), zip(*(w.tolist() for w in words))):
+            want = gh.RngStream(seed, t).generator.bit_generator.state["state"]
+            inc = (i_hi << 65 | i_lo << 1 | 1) % 2**128
+            assert want["inc"] == inc
+            assert want["state"] == (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) % 2**128
+    # One draw; draws within one piece; and with pieces of 5 elements, so
+    # pieces of 5 steps for one stream and of 1 step for four, draws that
+    # cross piece seams.
+    for piece, count in [(gaussian._PIECE, 1), (gaussian._PIECE, 9), (5, 1), (5, 13)]:
+        monkeypatch.setattr(gaussian, "_PIECE", piece)
+        for first, last in ranges + [(2**64 - 1, 2**64)]:
+            draws = _stream_draws(seed, first, last, count)
+            assert draws.shape == (count, last - first)
+            for t, column in zip(range(first, last), draws.T):
+                assert np.array_equal(column, gh.RngStream(seed, t).generator.random(count))
 
 
 def test_sample_gaussian_moments():

@@ -9,6 +9,7 @@ problem.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from .config import ConfigError, _measurement_chunks, parse_config
 from .detector import classify, compute_thresholds
 from .gaussian import RngStream
-from .model import build_emission_matrix
+from .model import build_emission_matrix, require_valid
 from .simulate import (
     _chain,
     _expected_ht_accuracy,
@@ -29,7 +30,7 @@ from .simulate import (
     detection_sweep,
     run_monte_carlo,
 )
-from .viterbi import _decode, joint_log_prob
+from .viterbi import _log_params, _log_prob, _Memo, _paths
 
 __all__ = ["main"]
 
@@ -312,29 +313,33 @@ def _index_cells(index: np.ndarray) -> np.ndarray:
 
 
 def _spill(path, thresholds, spill) -> tuple[str, np.ndarray]:
-    """Load the measurement CSV ``path`` a chunk at a time: its index name and int8 symbols.
+    """Load the measurement CSV ``path`` a chunk at a time: its index name and symbol indices.
 
     The first of the two passes of ``detect`` and ``decode``.  Each
-    checked chunk is classified onto a growing int8 symbol column, and
-    its index and ``z_hz`` are appended to the file ``spill`` as raw
+    checked chunk is classified onto a growing int8 column of symbol
+    indices 0..2 (the symbols -1..1 plus 1, as the decoder reads them),
+    and its index and ``z_hz`` are appended to the file ``spill`` as raw
     (rows x 2) float64 bytes, which :func:`_trace` reads back.  So the
     pass holds 1 B a row, and every error of the input is raised here,
     before the first byte of output.
     """
-    symbols = bytearray()
+    indices = bytearray()
     with _measurement_chunks(path) as (index_name, chunks):
         for index, z in chunks:
-            symbols += _symbols(z, thresholds).data
+            x = _symbols(z, thresholds)
+            x += 1
+            indices += x.data
             spill.write(np.column_stack((index, z)))
-    return index_name, np.frombuffer(symbols, dtype=np.int8)
+    return index_name, np.frombuffer(indices, dtype=np.int8)
 
 
 def _trace(spill, *columns):
-    """The rows of ``spill`` and the equal-length ``columns`` as :func:`_write_csv` chunks.
+    """The rows of ``spill`` and the equal-length index ``columns`` as :func:`_write_csv` chunks.
 
     ``spill`` is read back from its start, _ROWS rows at a time, into
     one buffer that every chunk reuses, so a chunk's ``z_hz`` holds only
-    until the next chunk is taken.
+    until the next chunk is taken.  The int8 indices 0..2 of ``columns``
+    print as the symbols or states -1..1, one chunk at a time.
     """
     pairs = np.empty((_ROWS, 2))
     spill.seek(0)
@@ -343,32 +348,33 @@ def _trace(spill, *columns):
         rows = pairs[: total - lo]
         if spill.readinto(rows) != rows.nbytes:
             raise OSError("the spilled measurements were cut short")
-        yield _index_cells(rows[:, 0]), rows[:, 1], *(c[lo : lo + _ROWS] for c in columns)
+        yield _index_cells(rows[:, 0]), rows[:, 1], *(c[lo : lo + _ROWS] - 1 for c in columns)
 
 
 def _cmd_detect(args) -> int:
     cfg = parse_config(args.config)
     with tempfile.TemporaryFile() as spill:
-        index_name, symbols = _spill(args.input, compute_thresholds(cfg.params), spill)
-        _write_csv(args.output, [index_name, "z_hz", "x"], _trace(spill, symbols))
-    _summary("detect", rows=symbols.size)
+        index_name, x = _spill(args.input, compute_thresholds(cfg.params), spill)
+        _write_csv(args.output, [index_name, "z_hz", "x"], _trace(spill, x))
+    _summary("detect", rows=x.size)
     return 0
 
 
 def _cmd_decode(args) -> int:
+    """``viterbi_decode`` of ``--input``, run on the symbol indices that :func:`_spill` keeps."""
     cfg = parse_config(args.config)
     with tempfile.TemporaryFile() as spill:
-        index_name, symbols = _spill(args.input, compute_thresholds(cfg.params), spill)
+        index_name, x = _spill(args.input, compute_thresholds(cfg.params), spill)
         model = cfg.model()
-        states = _decode(symbols, model)
+        require_valid(model)
+        states = _paths(_Memo(model), x[:, None])[:, 0]
         header = [index_name, "z_hz", "x", "s_star"]
-        _write_csv(args.output, header, _trace(spill, symbols, states))
-    _summary(
-        "decode",
-        rows=symbols.size,
-        log_prob=joint_log_prob(symbols, states, model),
-        corrected=int(np.count_nonzero(states != symbols)),
-    )
+        _write_csv(args.output, header, _trace(spill, x, states))
+    corrected = 0  # a chunk at a time: comparing whole columns would hold 1 B a row more
+    for lo in range(0, x.size, _ROWS):
+        corrected += np.count_nonzero(states[lo : lo + _ROWS] != x[lo : lo + _ROWS])
+    log_prob = _log_prob(x, states, _log_params(model))
+    _summary("decode", rows=x.size, log_prob=log_prob, corrected=corrected)
     return 0
 
 
@@ -463,9 +469,14 @@ def _cmd_predict(args) -> int:
         problems.append("'horizon' is required for predict")
     if problems:
         raise ConfigError(problems)
-    forecasts = np.array([*_propagate(np.array(cfg.params.priors), cfg.transitions, cfg.horizon)])
-    m = np.arange(cfg.horizon + 1)
-    _write_csv(args.output, ["m", "p_neg", "p_zero", "p_pos"], [(m, *forecasts.T)])
+    forecasts = _propagate(np.array(cfg.params.priors), cfg.transitions, cfg.horizon)
+
+    def rows():  # _ROWS forecasts at a time, so nothing held grows with the horizon
+        for lo in range(0, cfg.horizon + 1, _ROWS):
+            chunk = np.array([*itertools.islice(forecasts, _ROWS)])
+            yield np.arange(lo, lo + len(chunk)), *chunk.T
+
+    _write_csv(args.output, ["m", "p_neg", "p_zero", "p_pos"], rows())
     _summary("predict", horizon=cfg.horizon)
     return 0
 

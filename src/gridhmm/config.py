@@ -9,6 +9,7 @@ in one error rather than stopping at the first.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import logging
 import math
@@ -49,6 +50,14 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # held as ``str``, about 75 B a line; 2e5 rows load as fast with 2**12
 # lines per call as with 2**14.
 _LOAD_ROWS = 2**12
+
+# The message of each rule of :func:`_first_bad`, worded from the row.
+_RULES = (
+    "values must be finite, got {row!r}",
+    "step index must be an integer, got {field!r}",
+    "step index {field!r} is out of range: its magnitude must be below 2**53",
+    "index {field!r} does not increase (previous {previous!r})",
+)
 
 _SCALAR_KEYS = {
     "means",
@@ -217,24 +226,18 @@ def parse_config(path) -> RunConfig:
         violations.append(f"line {lineno}: expected 'key = value', a [section], or a matrix row")
     close_section()
 
-    def floats_of(key: str) -> list[float] | None:
+    def value_of(key: str, parse=_parse_floats):
         if key not in assigned:
             return None
         raw_val, lineno = assigned[key]
-        return _parse_floats(raw_val, key, lineno, violations)
+        return parse(raw_val, key, lineno, violations)
 
-    def int_of(key: str) -> int | None:
-        if key not in assigned:
-            return None
-        raw_val, lineno = assigned[key]
-        return _parse_int(raw_val, key, lineno, violations)
-
-    means_val = floats_of("means")
-    f0_val = floats_of("f0")
-    dmin_val = floats_of("delta_f_min")
-    dmax_val = floats_of("delta_f_max")
-    sigma_val = floats_of("sigma")
-    priors_val = floats_of("priors")
+    means_val = value_of("means")
+    f0_val = value_of("f0")
+    dmin_val = value_of("delta_f_min")
+    dmax_val = value_of("delta_f_max")
+    sigma_val = value_of("sigma")
+    priors_val = value_of("priors")
 
     offset_keys = [k for k in ("f0", "delta_f_min", "delta_f_max") if k in assigned]
     means: tuple[float, float, float] | None = None
@@ -294,21 +297,21 @@ def parse_config(path) -> RunConfig:
         except ValueError as exc:
             violations.append(str(exc))
 
-    length = int_of("k")
+    length = value_of("k", _parse_int)
     if length is not None and length < 1:
         violations.append(f"'k' must be >= 1, got {length}")
-    trials = int_of("trials")
+    trials = value_of("trials", _parse_int)
     if trials is not None and trials < 1:
         violations.append(f"'trials' must be >= 1, got {trials}")
-    seed = int_of("seed")
+    seed = value_of("seed", _parse_int)
     if seed is not None and not (0 <= seed < 2**64):
         violations.append(f"'seed' must fit in an unsigned 64-bit integer, got {seed}")
-    horizon = int_of("horizon")
+    horizon = value_of("horizon", _parse_int)
     if horizon is not None and horizon < 0:
         violations.append(f"'horizon' must be >= 0, got {horizon}")
 
-    snr_db_grid = floats_of("snr_db")
-    sigma_grid = floats_of("sigma_grid")
+    snr_db_grid = value_of("snr_db")
+    sigma_grid = value_of("sigma_grid")
     if snr_db_grid is not None and sigma_grid is not None:
         violations.append("give at most one of 'snr_db' and 'sigma_grid'")
     if sigma_grid is not None and any(v <= 0 for v in sigma_grid):
@@ -361,17 +364,31 @@ class MeasurementSeries:
     z_hz: np.ndarray
 
 
+def _first_bad(index: np.ndarray, z: np.ndarray, integer_index: bool, last: float):
+    """The position of the first row that breaks a rule, and the rule's number in ``_RULES``.
+
+    The rules: finite values; for a ``k`` index, an integer of magnitude
+    below 2**53; an index above the one before it (``last``, for row 0).
+    """
+    kept = {0: np.isfinite(index) & np.isfinite(z), 3: index > np.append(last, index[:-1])}
+    if integer_index:
+        kept.update({1: np.trunc(index) == index, 2: np.abs(index) < _K_LIMIT})
+    good = functools.reduce(np.logical_and, kept.values())
+    if good.all():
+        return None
+    pos = int(good.argmin())
+    return pos, min(rule for rule, ok in kept.items() if not ok[pos])
+
+
 def _parse_chunk(lines, width: int, idx_col: int, z_col: int, integer_index: bool, last: float):
     """The index and ``z_hz`` columns of a chunk of body lines, as contiguous arrays; or None.
 
-    None is doubt, and the row loop of :func:`_body_chunks` must
-    read the chunk: numpy rejected a field (it takes fewer spellings
-    than ``float``: no ``1_0``, no non-ASCII digits, no quoted fields),
-    the rows are ragged or of the wrong width, a value fails a check
-    (the first index must exceed ``last``, the previous chunk's last),
-    or the chunk holds a character of ``_SEPARATORS``.  Without
-    ``usecols``, loadtxt rejects ragged rows instead of ignoring their
-    extra fields.  A chunk of blank lines gives two empty columns.
+    None is doubt, and :func:`_parse_rows` must read the chunk: numpy
+    rejected a field (it takes fewer spellings than ``float``: no
+    ``1_0``, no non-ASCII digits, no quoted fields), the rows are ragged
+    or of the wrong width (loadtxt, without ``usecols``, checks that), a
+    row breaks a rule of :func:`_first_bad`, or the chunk holds a
+    character of ``_SEPARATORS``.  Blank lines alone give empty columns.
     """
     text = "".join(lines)
     if any(c in text for c in _SEPARATORS):
@@ -388,11 +405,56 @@ def _parse_chunk(lines, width: int, idx_col: int, z_col: int, integer_index: boo
     if table.shape[1] != width:
         return None
     index, z = np.ascontiguousarray(table[:, idx_col]), np.ascontiguousarray(table[:, z_col])
-    ok = np.isfinite(index).all() and np.isfinite(z).all()
-    ok = ok and (index[:1] > last).all() and (index[1:] > index[:-1]).all()
-    if ok and integer_index:
-        ok = (np.trunc(index) == index).all() and (np.abs(index) < _K_LIMIT).all()
-    return (index, z) if ok else None
+    return None if _first_bad(index, z, integer_index, last) else (index, z)
+
+
+def _kept(fh, lines: list[str]):
+    """The lines of ``fh``, each appended to ``lines`` as it is read."""
+    for line in fh:
+        lines.append(line)
+        yield line
+
+
+def _parse_rows(lines, width, idx_col, z_col, integer_index, last, fh, path, first: int):
+    """The checked columns of a chunk that numpy doubts, and its number of rows (csv records).
+
+    ``csv.reader`` reads ``lines``, then the lines of ``fh`` that close a
+    quoted field still open at their end, appending them to ``lines``.
+    An error names its row, counted from ``first``; a row that breaks a
+    rule of :func:`_first_bad` is named before a later unreadable one.
+    """
+    reader = csv.reader(itertools.chain(lines, _kept(fh, lines)))
+    index, values = [], []
+    rows, problem = 0, None
+    try:
+        for rows, row in enumerate(reader, start=1):
+            if len(row) == width:
+                try:
+                    idx, z = float(row[idx_col]), float(row[z_col])
+                except ValueError:
+                    problem = f"fields must be numbers, got {row!r}"
+                    break
+                index.append(idx)
+                values.append(z)
+            elif row and (len(row) > 1 or row[0].strip()):  # a blank line is skipped
+                problem = f"expected {width} fields, got {len(row)}"
+                break
+            if reader.line_num == len(lines):  # every line held is read
+                break
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        rows, problem = rows + 1, str(exc)
+    columns = np.array(index), np.array(values)
+    bad = _first_bad(*columns, integer_index, last)
+    if bad is not None:  # the fields of the row are read again for the message
+        pos, rule = bad
+        data = (item for item in enumerate(csv.reader(lines)) if len(item[1]) == width)
+        number, row = next(itertools.islice(data, pos, None))
+        previous = float(columns[0][pos - 1]) if pos else last
+        message = _RULES[rule].format(row=row, field=row[idx_col], previous=previous)
+        raise MeasurementFormatError(f"{path}: row {first + number}: {message}")
+    if problem is not None:
+        raise MeasurementFormatError(f"{path}: row {first + rows - 1}: {problem}")
+    return columns, rows
 
 
 @contextmanager
@@ -400,99 +462,50 @@ def _measurement_chunks(path):
     """The index name of the measurement CSV ``path`` and an iterator of its body's chunks.
 
     Reads and checks the header on entry; the iterator then reads the
-    body once, front to back, so a pipe loads as a file does.  It yields
-    the checked index and ``z_hz`` columns of at most ``_LOAD_ROWS`` rows
-    at a time as contiguous float64 arrays, never an empty chunk, and
-    raises :class:`MeasurementFormatError` at the first bad row or, at
-    the end, when there are no data rows.  The file stays open until the
-    ``with`` block ends.
+    body once, front to back (:func:`_body_chunks`), so a pipe loads as a
+    file does.  The file stays open until the ``with`` block ends.
     """
-    with open(path, newline="") as fh:
-        try:
-            header = [cell.strip() for cell in next(csv.reader(fh))]
-        except StopIteration:
-            raise MeasurementFormatError(f"{path}: empty file") from None
-        index_candidates = [name for name in ("k", "timestamp") if name in header]
-        if len(index_candidates) != 1 or "z_hz" not in header:
-            raise MeasurementFormatError(
-                f"{path}: header must name 'z_hz' and exactly one of 'k' or 'timestamp', "
-                f"got {','.join(header)!r}"
-            )
-        index_name = index_candidates[0]
-        yield index_name, _body_chunks(fh, path, header, index_name)
+    try:
+        with open(path, newline="") as fh:
+            try:
+                header = [cell.strip() for cell in next(csv.reader(fh))]
+            except StopIteration:
+                raise MeasurementFormatError(f"{path}: empty file") from None
+            except csv.Error as exc:  # a field over csv.field_size_limit()
+                raise MeasurementFormatError(f"{path}: row 1: {exc}") from None
+            index_candidates = [name for name in ("k", "timestamp") if name in header]
+            if len(index_candidates) != 1 or "z_hz" not in header:
+                raise MeasurementFormatError(
+                    f"{path}: header must name 'z_hz' and exactly one of 'k' or 'timestamp', "
+                    f"got {','.join(header)!r}"
+                )
+            index_name = index_candidates[0]
+            yield index_name, _body_chunks(fh, path, header, index_name)
+    except UnicodeDecodeError as exc:  # bytes the file's encoding cannot decode
+        raise MeasurementFormatError(f"{path}: {exc}") from None
 
 
 def _body_chunks(fh, path, header: list[str], index_name: str):
-    """The checked body chunks of :func:`_measurement_chunks`, read from ``fh``.
+    """The checked index and ``z_hz`` columns of the body of ``fh``, ``_LOAD_ROWS`` lines at a time.
 
-    Each chunk of ``_LOAD_ROWS`` lines is parsed by ``np.loadtxt`` and
-    checked as arrays (:func:`_parse_chunk`).  From the first chunk that
-    this cannot vouch for on, a row loop reads the rest: it also takes
-    what ``float`` takes and numpy does not (``1_0``, full-width digits,
-    quoted fields, also when a quoted newline crosses a chunk's end),
-    words every error, and yields its rows ``_LOAD_ROWS`` at a time.
-    Both give the same values for any input both accept.
+    A chunk is parsed by numpy (:func:`_parse_chunk`), or if numpy
+    doubts it by :func:`_parse_rows`, which also takes ``1_0``, full-width
+    digits and quoted fields and words every error; both give the same
+    values for any input both accept.  A body without rows is an error.
     """
-    idx_col = header.index(index_name)
-    z_col = header.index("z_hz")
-    integer_index = index_name == "k"
+    spec = len(header), header.index(index_name), header.index("z_hz"), index_name == "k"
     last = -math.inf  # the last index yielded
     first = 2  # the row number of the chunk's first line
     while lines := list(itertools.islice(fh, _LOAD_ROWS)):
-        columns = _parse_chunk(lines, len(header), idx_col, z_col, integer_index, last)
+        # A chunk that numpy takes has no quote, so each of its lines is one row.
+        columns, rows = _parse_chunk(lines, *spec, last), len(lines)
         if columns is None:
-            break
-        first += len(lines)
+            columns, rows = _parse_rows(lines, *spec, last, fh, path, first)
+        first += rows
         del lines  # so that the next chunk is read without this one's text
         if columns[0].size:  # a chunk of blank lines has none
             last = float(columns[0][-1])
             yield columns
-    # The doubted chunk and the rest of the body, if any; a chunk taken
-    # above has no quote, so each of its lines is one row.
-    index: list[float] = []
-    values: list[float] = []
-    for rownum, row in enumerate(csv.reader(itertools.chain(lines, fh)), start=first):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise MeasurementFormatError(
-                f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            idx = float(row[idx_col])
-            z = float(row[z_col])
-        except ValueError:
-            raise MeasurementFormatError(
-                f"{path}: row {rownum}: fields must be numbers, got {row!r}"
-            ) from None
-        if not (math.isfinite(idx) and math.isfinite(z)):
-            raise MeasurementFormatError(
-                f"{path}: row {rownum}: values must be finite, got {row!r}"
-            )
-        if integer_index:
-            if idx != int(idx):
-                raise MeasurementFormatError(
-                    f"{path}: row {rownum}: step index must be an integer, "
-                    f"got {row[idx_col]!r}"
-                )
-            if not -_K_LIMIT < idx < _K_LIMIT:
-                raise MeasurementFormatError(
-                    f"{path}: row {rownum}: step index {row[idx_col]!r} is out of range: "
-                    "its magnitude must be below 2**53"
-                )
-        if idx <= last:
-            raise MeasurementFormatError(
-                f"{path}: row {rownum}: index {row[idx_col]!r} does not increase "
-                f"(previous {last!r})"
-            )
-        index.append(idx)
-        values.append(z)
-        last = idx
-        if len(index) == _LOAD_ROWS:
-            yield np.array(index), np.array(values)
-            index, values = [], []
-    if index:
-        yield np.array(index), np.array(values)
     if last == -math.inf:
         raise MeasurementFormatError(f"{path}: no data rows")
 
@@ -501,18 +514,13 @@ def load_measurements(path) -> MeasurementSeries:
     """Read a measurement CSV with header ``k,z_hz`` or ``timestamp,z_hz``.
 
     Columns are located by name, so files carrying extra columns (a
-    simulated ``k,s,z_hz,x`` trace, say) load too; only the index and
-    ``z_hz`` columns are read.  Raises
+    simulated ``k,s,z_hz,x`` trace, say) load too.  Raises
     :class:`MeasurementFormatError` naming the offending row for
     malformed, non-finite, or non-increasing input, and for a ``k``
-    index that is not an integer or whose magnitude reaches 2**53 (from
-    there on a float cannot hold every integer); propagates OSError
-    when the file cannot be read.
-
-    The input is read once, front to back, so a pipe loads as a file
-    does: the checked chunks of :func:`_measurement_chunks` are appended
-    to two growing ``array('d')`` columns, so loading holds little more
-    than the 16 bytes a row of the result.
+    index that is not an integer or of magnitude 2**53 or more;
+    propagates OSError when the file cannot be read.  The checked chunks
+    are appended to two growing ``array('d')`` columns, so loading holds
+    little more than the 16 bytes a row of the result.
     """
     index, values = array("d"), array("d")
     with _measurement_chunks(path) as (index_name, chunks):

@@ -86,7 +86,15 @@ def joint_log_prob(symbols, states, model: HmmModel) -> float:
     s = _symbol_indices(states, "states")
     if x.shape != s.shape:
         raise ValueError(f"length mismatch: {x.size} symbols vs {s.size} states")
-    log_init, log_trans, log_emit = _log_params(model)
+    return _log_prob(x, s, _log_params(model))
+
+
+def _log_prob(x: np.ndarray, s: np.ndarray, logs) -> float:
+    """:func:`joint_log_prob` of symbol indices ``x`` and state indices ``s``, unchecked.
+
+    ``logs`` are the model's log parameters (:func:`_log_params`).
+    """
+    log_init, log_trans, log_emit = logs
     emit = _sum(lambda lo, hi: log_emit[x[lo:hi], s[lo:hi]], 0, x.size)
     trans = _sum(lambda lo, hi: log_trans[s[lo:hi], s[lo + 1 : hi + 1]], 0, s.size - 1)
     return float(log_init[s[0]] + emit + trans)
@@ -364,15 +372,11 @@ def viterbi_decode(symbols, model: HmmModel) -> np.ndarray:
     costs one list lookup and leaves one int8 successor-map code, and
     :func:`_follow` walks the codes from the first state, writing the
     path over them.  The Monte Carlo kernel decodes its trials with the
-    same automaton and walk (:func:`_paths`), a batch at a time.
+    same automaton and walk (:func:`_paths`), a batch at a time, and so
+    does the CLI's ``decode`` on the symbol indices it classifies.
     """
-    return _decode(symbols, model).astype(np.int64)
-
-
-def _decode(symbols, model: HmmModel) -> np.ndarray:
-    """:func:`viterbi_decode` as int8 states -1..1: 1 B a step where int64 takes 8."""
     x = _symbol_indices(symbols, "symbols")[:, None]
     require_valid(model)
     path = _paths(_Memo(model), x)[:, 0]
     path -= 1
-    return path
+    return path.astype(np.int64)

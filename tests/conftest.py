@@ -273,27 +273,38 @@ def reference_follow(table, first):
 def reference_load(path):
     """The measurement loader written the plain way: one ``float`` call per field.
 
-    The row loop that ``load_measurements`` falls back to, run on every
-    input: same header rule, same checks in the same order, same
-    messages.
+    One row loop over the whole body, where ``load_measurements`` reads
+    with ``csv`` only the chunks numpy doubts: same header rule, same
+    checks in the same order, same messages.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise MeasurementFormatError(f"{path}: empty file") from None
-        index_candidates = [name for name in ("k", "timestamp") if name in header]
-        if len(index_candidates) != 1 or "z_hz" not in header:
-            raise MeasurementFormatError(
-                f"{path}: header must name 'z_hz' and exactly one of 'k' or 'timestamp', "
-                f"got {','.join(header)!r}"
-            )
-        index_name = index_candidates[0]
-        idx_col = header.index(index_name)
-        z_col = header.index("z_hz")
-        index: list[float] = []
-        values: list[float] = []
+    try:
+        with open(path, newline="") as fh:
+            return _reference_rows(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise MeasurementFormatError(f"{path}: {exc}") from None
+
+
+def _reference_rows(path, reader):
+    """The series that the csv ``reader`` of the file ``path`` holds, checked row by row."""
+    try:
+        header = [cell.strip() for cell in next(reader)]
+    except StopIteration:
+        raise MeasurementFormatError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise MeasurementFormatError(f"{path}: row 1: {exc}") from None
+    index_candidates = [name for name in ("k", "timestamp") if name in header]
+    if len(index_candidates) != 1 or "z_hz" not in header:
+        raise MeasurementFormatError(
+            f"{path}: header must name 'z_hz' and exactly one of 'k' or 'timestamp', "
+            f"got {','.join(header)!r}"
+        )
+    index_name = index_candidates[0]
+    idx_col = header.index(index_name)
+    z_col = header.index("z_hz")
+    index: list[float] = []
+    values: list[float] = []
+    rownum = 1  # the header's
+    try:
         for rownum, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -330,6 +341,8 @@ def reference_load(path):
                 )
             index.append(idx)
             values.append(z)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), in the row after rownum
+        raise MeasurementFormatError(f"{path}: row {rownum + 1}: {exc}") from None
     if not index:
         raise MeasurementFormatError(f"{path}: no data rows")
     return MeasurementSeries(index_name=index_name, index=np.array(index), z_hz=np.array(values))

@@ -255,14 +255,16 @@ def test_decode_status_reports_decoder_diagnostics(tmp_path, capsys):
 def _peak_per_row(command, cfg, tmp_path, index_name="k", offset=0, first=None):
     """Traced peak bytes a row of ``command`` on 2e5 rows, output included.
 
-    ``simulate`` draws its rows (``k`` of ``cfg`` set to 2e5); ``detect``
-    and ``decode`` read them from a file indexed ``k + offset``, the
-    first row's index replaced by ``first`` when given.
+    ``simulate`` draws its rows (``k`` of ``cfg`` set to 2e5) and
+    ``predict`` forecasts them (``horizon`` set to 2e5); ``detect`` and
+    ``decode`` read them from a file indexed ``k + offset``, the first
+    row's index replaced by ``first`` when given.
     """
     rows = 200_000
-    if command == "simulate":
+    if command in ("simulate", "predict"):
         config = tmp_path / "long.cfg"
-        config.write_text(Path(cfg).read_text().replace("k = 20\n", f"k = {rows}\n"))
+        text = Path(cfg).read_text().replace("k = 20\n", f"k = {rows}\n")
+        config.write_text(text.replace("horizon = 3\n", f"horizon = {rows}\n"))
         argv = [command, "--config", str(config)]
     else:
         gen = np.random.default_rng(5)
@@ -329,6 +331,14 @@ def test_simulate_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
     # a row is under 3 MB in all.  Holding the whole columns (uniforms,
     # states, measurements, symbols and k) took 7 MB at K=2e5.
     assert _peak_per_row("simulate", cfg, tmp_path) < 15
+
+
+def test_predict_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
+    # predict takes its forecasts from the v·P generator one chunk of rows
+    # at a time: about 8.5 B a row at horizon 2e5, output included, and
+    # flat in the horizon.  Holding all horizon + 1 of them, as a list of
+    # small arrays and then one (horizon + 1, 3) array, took about 200.
+    assert _peak_per_row("predict", cfg, tmp_path) < 15
 
 
 @pytest.mark.slow

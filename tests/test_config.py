@@ -337,7 +337,7 @@ def test_load_rejects_long_row(tmp_path, body):
 
 
 def test_load_accepts_what_float_accepts(tmp_path):
-    # numpy's reader refuses these spellings; the row loop reads them as float does.
+    # numpy's reader refuses these spellings; the row parser reads them as float does.
     path = write(tmp_path, "k,z_hz\r1_0,5_0.5\r\uff11\uff11,\"49.5\"\r\u0663\u0669,50\r", "m.csv")
     series = gh.load_measurements(path)
     assert series.index.tolist() == [10.0, 11.0, 39.0]

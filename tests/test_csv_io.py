@@ -1,10 +1,11 @@
 """CSV input and output: the chunked array loader against the row loop, and the row writer.
 
 ``load_measurements`` reads a body in chunks of ``config._LOAD_ROWS``
-lines, each parsed by ``np.loadtxt``, and from the first chunk that
-parser cannot vouch for on reads the rest with the row loop of
-``conftest.reference_load``.  Either both give bitwise-equal arrays, or
-both raise the same error.  The writer lays out each chunk of rows as a
+lines, each parsed by ``np.loadtxt``; a chunk that parser cannot vouch
+for, and only that chunk, is read by ``config._parse_rows`` with
+``csv`` and ``float``.  Both check their columns by one array function.
+Against the row loop of ``conftest.reference_load``, either both give
+bitwise-equal arrays, or both raise the same error.  The writer lays out each chunk of rows as a
 byte matrix; every cell must read as ``format(v, ".17g")`` for floats
 and ``"%d"`` for integers, and every file as ``conftest.reference_write``,
 the ``%``-format row writer, writes it.
@@ -152,14 +153,16 @@ def test_fast_reader_takes_plain_bodies(body):
 
 
 # --- chunk seams ------------------------------------------------------------
-# With two lines per np.loadtxt call, every other line of a body starts a chunk.
+# With two or three lines per np.loadtxt call, most rows of a body lie
+# next to a chunk's end, and a quoted newline often crosses one.
 
 
+@pytest.mark.parametrize("load_rows", [2, 3])
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(csv_bodies())
-def test_loader_matches_row_loop_in_chunks_of_two(csv_path, body):
+@given(body=csv_bodies())
+def test_loader_matches_row_loop_in_small_chunks(csv_path, load_rows, body):
     csv_path.write_bytes(body.encode())
-    with mock.patch.object(config, "_LOAD_ROWS", 2):
+    with mock.patch.object(config, "_LOAD_ROWS", load_rows):
         assert _outcome(gh.load_measurements, csv_path) == _outcome(reference_load, csv_path)
 
 
@@ -203,8 +206,8 @@ def test_index_must_increase_across_a_chunk_seam(tmp_path, monkeypatch, ks, mess
 
 @pytest.mark.parametrize("last_z", ["fifty", "5_0.5"])
 def test_field_numpy_rejects_in_the_last_chunk(tmp_path, monkeypatch, last_z):
-    # Two chunks are taken before the third fails; the row loop then reads
-    # on from that chunk: it rejects "fifty" by its row and takes "5_0.5".
+    # Two chunks are taken before numpy doubts the third; the row parser
+    # reads that chunk: it rejects "fifty" by its row and takes "5_0.5".
     monkeypatch.setattr(config, "_LOAD_ROWS", 2)
     body = _body(range(1, 6), last_z=last_z)
     assert _read_body(body) is None
@@ -234,6 +237,91 @@ def test_fast_reader_reads_across_chunk_seams(monkeypatch, newline, rows):
     assert index.tolist() == ks
     assert z.tolist() == [50.0 + k / 8 for k in ks]
     assert index.flags.c_contiguous and z.flags.c_contiguous
+
+
+# --- the row parser takes one chunk ----------------------------------------
+# numpy doubts a chunk with a quoted field.  The row parser reads that chunk
+# alone, plus the lines that a quoted field still open at its end takes,
+# and numpy is asked first for the next chunk again.
+
+
+def _records(ks, quoted=None, newline=False):
+    """The lines of a ``k,z_hz`` body; step ``quoted``'s ``z_hz`` in quotes, a newline in them."""
+    cells = {k: repr(50.0 + k / 8) for k in ks}
+    if quoted is not None:
+        cells[quoted] = f'"{cells[quoted]}\n"' if newline else f'"{cells[quoted]}"'
+    return [f"{k},{cells[k]}\n" for k in ks]
+
+
+@pytest.mark.parametrize("quoted", [1, 14, 30])  # the first, a middle and the last row
+def test_row_parser_reads_only_the_chunk_numpy_doubts(tmp_path, monkeypatch, quoted):
+    monkeypatch.setattr(config, "_LOAD_ROWS", 8)
+    ks = range(1, 31)  # chunks of 8, 8, 8 and 6 rows
+    plain, path = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("k,z_hz\n" + "".join(_records(ks)))
+    lines = _records(ks, quoted)
+    path.write_text("k,z_hz\n" + "".join(lines))
+    want = _outcome(gh.load_measurements, plain)
+    rows, chunks = mock.Mock(wraps=config._parse_rows), mock.Mock(wraps=config._parse_chunk)
+    monkeypatch.setattr(config, "_parse_rows", rows)
+    monkeypatch.setattr(config, "_parse_chunk", chunks)
+    assert _outcome(gh.load_measurements, path) == want
+    assert chunks.call_count == 4  # numpy is asked first for every chunk
+    start = (quoted - 1) // 8 * 8
+    assert rows.call_count == 1 and rows.call_args.args[0] == lines[start : start + 8]
+
+
+def test_quoted_newline_across_a_chunk_end_keeps_the_row_numbers(tmp_path, monkeypatch):
+    # Step 8, in row 9, ends the first chunk with a quote that closes on the
+    # next line.  The row parser takes that line too, and numpy the next
+    # chunk, which starts at step 9 in row 10 (on line 11 of the file).
+    monkeypatch.setattr(config, "_LOAD_ROWS", 8)
+    text = "".join(_records(range(1, 21), quoted=8, newline=True))
+    path = tmp_path / "m.csv"
+    path.write_text("k,z_hz\n" + text)
+    spy = mock.Mock(wraps=config._parse_rows)
+    monkeypatch.setattr(config, "_parse_rows", spy)
+    series = gh.load_measurements(path)
+    assert series.index.tolist() == list(range(1, 21))
+    assert series.z_hz.tolist() == [50.0 + k / 8 for k in range(1, 21)]
+    assert spy.call_count == 1 and spy.call_args.args[0] == text.splitlines(True)[:9]
+    # A step repeated in that next chunk is named by its row, 13, not by its line, 14.
+    path.write_text("k,z_hz\n" + text.replace("\n12,", "\n11,"))
+    with pytest.raises(gh.MeasurementFormatError) as exc:
+        gh.load_measurements(path)
+    assert str(exc.value) == f"{path}: row 13: index '11' does not increase (previous 11.0)"
+    assert _outcome(gh.load_measurements, path) == _outcome(reference_load, path)
+
+
+def test_a_broken_rule_is_named_before_a_later_unreadable_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text('k,z_hz\n1,50.0\n1,"50.0"\n2,fifty\n')
+    with pytest.raises(gh.MeasurementFormatError) as exc:
+        gh.load_measurements(path)
+    assert str(exc.value) == f"{path}: row 3: index '1' does not increase (previous 1.0)"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # numpy reads the long number as inf, so csv reads the chunk.
+        (b"k,z_hz\n1,50.0\n2," + b"9" * 200_000 + b"\n", "row 3: field larger than field limit"),
+        (b"k,z_hz," + b"x" * 200_000 + b"\n1,50.0\n", "row 1: field larger than field limit"),
+        (b"k,z_hz\n1,50.0\n2,\xff\n", "codec can't decode byte 0xff"),
+    ],
+    ids=["long-field", "long-header", "undecodable"],
+)
+def test_unreadable_input_fails_with_the_file_and_row(tmp_path, capsys, data, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG)
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    assert main(["detect", "--config", str(cfg_path), "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert len(err.splitlines()) == 1  # no traceback
+    assert _outcome(gh.load_measurements, path) == _outcome(reference_load, path)
 
 
 # Characters of numbers, and any character but the ones that end a field.
@@ -269,7 +357,7 @@ def _long_body(rows):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("tail", ["", "1_0000000,50.0\n"])
 def test_pipe_loads_through_the_chunked_reader(tmp_path, monkeypatch, tail):
-    # A body the chunked reader takes, and one whose last row only the row loop takes.
+    # A body the chunked reader takes, and one whose last row only the row parser takes.
     data = (_long_body(config._LOAD_ROWS + 5) + tail).encode()
     path = tmp_path / "m.csv"
     path.write_bytes(data)
@@ -315,7 +403,7 @@ def _load_peak_per_row(path, rows):
 
 
 def test_row_loop_from_a_late_chunk_holds_little_more_than_the_columns(tmp_path):
-    # Only the row loop takes the last row ("200_001"); it reads on from that
+    # Only the row parser takes the last row ("200_001"); it reads that
     # row's chunk into the same float columns, 8 B a value.  Reading the body
     # again from the top into lists of Python floats held about 80 B a row.
     rows = 200_000

@@ -38,8 +38,9 @@ def test_decode_equals_per_step_reference(name, length):
     got = gh.viterbi_decode(symbols, model)
     assert got.dtype == np.int64
     assert np.array_equal(got, reference_decode(symbols, model))
-    narrow = viterbi._decode(symbols, model)
-    assert narrow.dtype == np.int8 and np.array_equal(narrow, got)
+    x = (symbols + 1).astype(np.int8)[:, None]  # the indices that the CLI's decode reads
+    narrow = viterbi._paths(viterbi._Memo(model), x)[:, 0]
+    assert narrow.dtype == np.int8 and np.array_equal(narrow - 1, got)
 
 
 def test_symbol_indices_make_one_int8_copy():
@@ -56,9 +57,9 @@ def test_symbol_indices_make_one_int8_copy():
 
 
 def test_decode_traces_under_three_bytes_a_step():
-    # The shifted symbol indices and the successor-map codes, which the
-    # walk overwrites with the path: 2 B a step, plus chunk temporaries
-    # (2.47 traced).  A path beside the codes adds 1 B a step (3.44).
+    # The symbol indices and the successor-map codes, which the walk
+    # overwrites with the path: 2 B a step, plus chunk temporaries (2.47
+    # traced).  A path beside the codes adds 1 B a step (3.44).
     model = MODELS["sticky"]
     length = 1_000_000
     rng = gh.RngStream(5)
@@ -66,11 +67,12 @@ def test_decode_traces_under_three_bytes_a_step():
     symbols = gh.emit_symbols(hidden, model.emissions, rng).astype(np.int8)
     tracemalloc.start()
     try:
-        path = viterbi._decode(symbols, model)
+        x = symbols + 1
+        path = viterbi._paths(viterbi._Memo(model), x[:, None])[:, 0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(path, gh.viterbi_decode(symbols, model))
+    assert np.array_equal(path - 1, gh.viterbi_decode(symbols, model))
     assert peak < 2.8 * length
 
 

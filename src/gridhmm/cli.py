@@ -68,8 +68,8 @@ _POW5 = np.array([5**p for p in range(21)], dtype=np.uint64)
 _TENS = np.array([10**i for i in range(1, 20)], dtype=np.uint64)
 # _SUFFIX[n] marks the last n of 20 places: where an n-digit magnitude prints.
 _SUFFIX = np.arange(19, -1, -1) < np.arange(21)[:, None]
-# _PREFIX[n] marks the first n of the 22 places after a float cell's sign.
-_PREFIX = np.arange(22) < np.arange(23)[:, None]
+# _PREFIX[n] marks the first n of the 23 places after a float cell's sign.
+_PREFIX = np.arange(23) < np.arange(23)[:, None]
 # The two digit characters of 0..99, as one uint16 each.
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
 
@@ -84,21 +84,19 @@ def _digits(magnitude: np.ndarray, pairs: int) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def _fill_text(strings: list, cells: np.ndarray, mask: np.ndarray) -> None:
-    """The encoded ``strings``, left-aligned, into ``cells`` (rows x width) uint8 and ``mask``.
+def _fill_text(strings: list, cells: np.ndarray) -> None:
+    """The encoded ``strings``, left-aligned and NUL-padded, into ``cells`` (rows x width) uint8.
 
     The bytes go straight into the slots through an ``S{width}`` view of
-    them, so no rows x width temporary is made: one wide string costs a
-    chunk its own bytes, not ``width`` bytes a row.
+    them, which pads each with NUL, so no rows x width temporary is
+    made: one wide string costs a chunk its own bytes, not ``width``
+    bytes a row.  The strings hold no NUL of their own.
     """
-    data = [s.encode() for s in strings]
-    width = cells.shape[1]
-    cells.view(f"S{width}")[:, 0] = data
-    np.less(np.arange(width), np.fromiter(map(len, data), np.intp, len(data))[:, None], out=mask)
+    cells.view(f"S{cells.shape[1]}")[:, 0] = [s.encode() for s in strings]
 
 
-def _fill_ints(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
-    """Integers ``v`` as '%d' into ``cells`` and ``mask``: a sign, then right-aligned digits.
+def _fill_ints(v: np.ndarray, cells: np.ndarray) -> None:
+    """Integers ``v`` as '%d' into ``cells``: a sign or NUL, then NULs and right-aligned digits.
 
     ``v`` is of any integer dtype, its values of magnitude below 2**63;
     it is converted to int64 here.
@@ -107,12 +105,10 @@ def _fill_ints(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
     negative = v < 0
     u = v.view(np.uint64)
     magnitude = np.where(negative, np.uint64(0) - u, u)  # exact for -2**63 too
-    cells[:, 0] = ord("-")
-    mask[:, 0] = negative
+    cells[:, 0] = negative * ord("-")
     places = cells.shape[1] - 1
-    cells[:, 1:] = _digits(magnitude, places // 2)
     digits = 1 + _TENS[: places - 1].searchsorted(magnitude, side="right")
-    mask[:, 1:] = _SUFFIX[:, -places:].take(digits, axis=0)
+    cells[:, 1:] = _digits(magnitude, places // 2) * _SUFFIX[:, -places:].take(digits, axis=0)
 
 
 def _round17(m: np.ndarray, e: np.ndarray, x: np.ndarray):
@@ -140,8 +136,8 @@ def _round17(m: np.ndarray, e: np.ndarray, x: np.ndarray):
     return truncated, truncated + up
 
 
-def _fill_floats(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
-    """Floats ``v`` as '%.17g' into ``cells`` (rows x _FLOAT_WIDTH) and ``mask``.
+def _fill_floats(v: np.ndarray, cells: np.ndarray) -> None:
+    """Floats ``v`` as '%.17g' into ``cells`` (rows x _FLOAT_WIDTH): a sign or NUL, text, NULs.
 
     ``v`` is converted to float64 here.  A finite value of magnitude in
     [1e-4, 1e17) prints in fixed notation from the 17 digits
@@ -167,7 +163,7 @@ def _fill_floats(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
     # for X >= 0, "0.000dddd" (-X-1 zeros) for X < 0.
     digits = _digits(n, 9)[:, 1:]
     zeros = np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # trailing zero digits
-    body = cells[:, 1:-1]
+    body = cells[:, 1:]
     counts = np.bincount(x + 4, minlength=21)
     for ex in np.flatnonzero(counts) - 4:
         rows = slice(None) if counts[ex + 4] == x.size else x == ex
@@ -181,19 +177,17 @@ def _fill_floats(v: np.ndarray, cells: np.ndarray, mask: np.ndarray) -> None:
             body[rows, 1 - ex : 18 - ex] = digits[rows]
     fraction = 16 - x - zeros  # digits after the point that are kept
     length = np.maximum(x, 0) + 1 + np.where(fraction > 0, fraction + 1, 0)
-    cells[:, 0] = ord("-")
-    mask[:, 0] = np.signbit(v)
-    mask[:, 1:-1] = _PREFIX.take(length, axis=0)
-    mask[:, -1] = False
+    cells[:, 0] = np.signbit(v) * ord("-")
+    body *= _PREFIX.take(length, axis=0)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text, flags = cells[slow], mask[slow]
-        _fill_text(["%.17g" % f for f in v[slow].tolist()], text, flags)
-        cells[slow], mask[slow] = text, flags
+        text = cells[slow]
+        _fill_text(["%.17g" % f for f in v[slow].tolist()], text)
+        cells[slow] = text
 
 
 def _format(column: np.ndarray):
-    """The format ``(width, fill)`` of a column chunk; ``fill(values, cells, mask)`` lays out rows.
+    """The format ``(width, fill)`` of a column chunk; ``fill(values, cells)`` lays out rows.
 
     Floats print as '%.17g', integers as '%d' in slots as wide as the
     chunk's extremes need, anything else through ``str``.  Numeric rows
@@ -207,8 +201,8 @@ def _format(column: np.ndarray):
         return 1 + digits + digits % 2, _fill_ints
     width = max(len(str(c).encode()) for c in column.tolist()) or 1
 
-    def fill(values, cells, mask):
-        _fill_text([str(c) for c in values.tolist()], cells, mask)
+    def fill(values, cells):
+        _fill_text([str(c) for c in values.tolist()], cells)
 
     return width, fill
 
@@ -221,14 +215,14 @@ def _write_csv(target: str, header: list[str], chunks) -> None:
     :func:`_format` of that chunk.  ``target`` is a path, or
     '-'/'stdout' for stdout.  Each _ROWS rows of a chunk are laid out in
     one (rows x line width) byte matrix: every cell in a fixed-width
-    slot, then a comma, the last one a newline.  A mask marks the bytes
-    that belong to the line, so those rows' text is ``matrix[mask]``,
-    written as one string.  The matrix and mask are kept from chunk to
-    chunk and reallocated only for a chunk that needs more bytes, so
-    what a write holds beside its chunks is bounded by _ROWS rows of its
-    widest line.
+    slot, then a comma, the last one a newline.  A fill writes NUL into
+    the bytes of its slots that its cells leave, so those rows' text is
+    the nonzero bytes of the block, written as one string.  The matrix
+    is kept from chunk to chunk and reallocated only for a chunk that
+    needs more bytes, so what a write holds beside its chunks is bounded
+    by _ROWS rows of its widest line.
     """
-    lines, flags = np.empty(0, dtype=np.uint8), np.empty(0, dtype=bool)
+    lines = np.empty(0, dtype=np.uint8)
     to_stdout = target in ("-", "stdout")
     with nullcontext(sys.stdout) if to_stdout else open(target, "w", newline="") as out:
         out.write(",".join(header) + "\n")
@@ -238,19 +232,16 @@ def _write_csv(target: str, header: list[str], chunks) -> None:
             total = len(chunk[0])
             size = min(total, _ROWS) * ends[-1]
             if lines.size < size:
-                lines, flags = np.empty(size, dtype=np.uint8), np.empty(size, dtype=bool)
+                lines = np.empty(size, dtype=np.uint8)
             matrix = lines[:size].reshape(-1, ends[-1])
-            mask = flags[:size].reshape(matrix.shape)
-            # A fill sets the whole mask of its slots; the bytes between slots stay commas.
-            matrix.fill(ord(","))
+            matrix.fill(ord(","))  # the fills overwrite all but the bytes between slots
             matrix[:, -1] = ord("\n")
-            mask.fill(True)
             for lo in range(0, total, _ROWS):
                 rows = min(_ROWS, total - lo)
                 for (width, fill), end, column in zip(formats, ends, chunk):
-                    cell = np.s_[:rows, end - 1 - width : end - 1]
-                    fill(column[lo : lo + rows], matrix[cell], mask[cell])
-                out.write(matrix[:rows][mask[:rows]].tobytes().decode())
+                    fill(column[lo : lo + rows], matrix[:rows, end - 1 - width : end - 1])
+                block = matrix[:rows]
+                out.write(block[block != 0].tobytes().decode())
 
 
 def _summary(command: str, **fields) -> None:
@@ -305,10 +296,14 @@ def _index_cells(index: np.ndarray) -> np.ndarray:
     """A chunk of the index as cells that print as :func:`_fmt_index` prints it.
 
     int64 when every value is whole and of magnitude below 2**63 (every
-    ``k``), otherwise the :func:`_fmt_index` strings.
+    ``k``).  Otherwise float64 when every magnitude is below 1e17, where
+    '%.17g' prints a whole value as its digits; adding 0.0 turns -0.0
+    into 0.0.  Otherwise the :func:`_fmt_index` strings.
     """
     if (np.trunc(index) == index).all() and -(2.0**63) < index.min() and index.max() < 2.0**63:
         return index.astype(np.int64)
+    if np.abs(index).max() < 1e17:
+        return index + 0.0
     return np.array([_fmt_index(v) for v in index.tolist()], dtype=object)
 
 

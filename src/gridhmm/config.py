@@ -387,11 +387,15 @@ def _parse_chunk(lines, width: int, idx_col: int, z_col: int, integer_index: boo
     rejected a field (it takes fewer spellings than ``float``: no
     ``1_0``, no non-ASCII digits, no quoted fields), the rows are ragged
     or of the wrong width (loadtxt, without ``usecols``, checks that), a
-    row breaks a rule of :func:`_first_bad`, or the chunk holds a
-    character of ``_SEPARATORS``.  Blank lines alone give empty columns.
+    row breaks a rule of :func:`_first_bad`, the chunk holds a character
+    of ``_SEPARATORS``, or a line longer than ``csv.field_size_limit()``,
+    which may hold a field that csv rejects.  Blank lines alone give
+    empty columns.
     """
-    text = "".join(lines)
+    text, limit = "".join(lines), csv.field_size_limit()
     if any(c in text for c in _SEPARATORS):
+        return None
+    if len(text) > limit and any(len(line) > limit for line in lines):
         return None
     del text  # not held while numpy parses the chunk
     with warnings.catch_warnings():

@@ -309,18 +309,19 @@ def test_detect_peak_memory_per_row(cfg, tmp_path):
 
 def test_decode_peak_memory_per_row_with_a_fractional_index(cfg, tmp_path):
     # A timestamp such as 1.5 prints through '%.17g', one chunk of rows
-    # at a time (about 9.6 B a row); formatting the whole column up front
+    # at a time (about 7.9 B a row); formatting the whole column up front
     # held a string and an object pointer a row, about 90 B more.
     assert _peak_per_row("decode", cfg, tmp_path, "timestamp", 0.5) < 12
 
 
 def test_decode_peak_memory_with_one_wide_timestamp(cfg, tmp_path):
-    # A first timestamp of -1e301 prints as 303 characters, so the
-    # writer's line matrix and mask for that chunk widen by 303 B a row
-    # each: 2.5 MB, 12.4 B a row of the 2e5, and 13.2 measured.  Its text
-    # cells go straight into the matrix; an S303 array and a second mask
-    # of the chunk, built first, took 23.9 B a row more than the plain
-    # index.
+    # A first timestamp of -1e301 prints as 303 characters, so for that
+    # chunk the writer's line matrix and its `block != 0` compaction
+    # widen by 303 B a row each: at most 2.5 MB, 12.4 B a row of the
+    # 2e5, and 10.1 measured.
+    # Its text cells go straight into the matrix; an S303 array and a
+    # second mask of the chunk, built first, took 23.9 B a row more than
+    # the plain index.
     wide = _peak_per_row("decode", cfg, tmp_path, "timestamp", 0, first=-1e301)
     assert wide - _peak_per_row("decode", cfg, tmp_path, "timestamp", 0) < 16
 
@@ -364,7 +365,7 @@ def test_simulate_rss_does_not_grow_with_k(cfg, tmp_path):
 @pytest.mark.skipif(shutil.which("cat") is None, reason="needs cat")
 def test_decode_and_detect_rss_do_not_grow_with_rows(cfg, tmp_path):
     # Peak RSS of a 1e7-row decode through a pipe and a 1e7-row detect by
-    # path, stdout to /dev/null: about 70 and 41 MB.  The float columns
+    # path, stdout to /dev/null: about 51.5 and 41 MB.  The float columns
     # wait in a temporary file, and what stays in memory is 1 B a row an
     # int8 array; holding the loaded columns took 222 and 194 MB.  The
     # helper process starts the CLI, as in the simulate test above.

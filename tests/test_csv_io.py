@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gridhmm as gh
-from gridhmm.cli import _ROWS, _fmt, _fmt_index, _write_csv, main
+from gridhmm.cli import _ROWS, _fmt, _fmt_index, _index_cells, _write_csv, main
 from gridhmm import config
 from gridhmm.config import _parse_chunk
 
@@ -306,10 +306,16 @@ def test_a_broken_rule_is_named_before_a_later_unreadable_row(tmp_path):
     [
         # numpy reads the long number as inf, so csv reads the chunk.
         (b"k,z_hz\n1,50.0\n2," + b"9" * 200_000 + b"\n", "row 3: field larger than field limit"),
+        # numpy reads this one as 50.5; csv, which reads it if another row
+        # of its chunk is quoted, must reject it in every chunk.
+        (
+            b"k,z_hz\n1,50.0\n2," + b"0" * 200_000 + b"50.5\n",
+            "row 3: field larger than field limit",
+        ),
         (b"k,z_hz," + b"x" * 200_000 + b"\n1,50.0\n", "row 1: field larger than field limit"),
         (b"k,z_hz\n1,50.0\n2,\xff\n", "codec can't decode byte 0xff"),
     ],
-    ids=["long-field", "long-header", "undecodable"],
+    ids=["long-field", "long-zero-padded-field", "long-header", "undecodable"],
 )
 def test_unreadable_input_fails_with_the_file_and_row(tmp_path, capsys, data, message):
     cfg_path = tmp_path / "run.cfg"
@@ -485,6 +491,28 @@ def test_float_cells_at_powers_of_ten_and_range_ends():
 def test_int_cells_match_percent_d(values):
     values += [0, -1, 2**63 - 1, -(2**63)]
     assert _cells(values, np.int64) == ["%d" % v for v in values]
+
+
+def _ulps_from(base, steps):
+    for _ in range(abs(steps)):
+        base = math.nextafter(base, math.copysign(math.inf, steps))
+    return base
+
+
+INDEX_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+    st.builds(_ulps_from, st.sampled_from([1e17, -1e17, 2.0**63, -(2.0**63)]), st.integers(-3, 3)),
+    st.integers(-(10**6), 10**6).map(lambda k: k + 0.5),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(INDEX_VALUES, min_size=1, max_size=40))
+def test_index_cells_print_like_fmt_index(values):
+    # A chunk's index cells are int64, float64 or text; each prints as
+    # _fmt_index prints its value.
+    assert _cells(_index_cells(np.array(values)), None) == [_fmt_index(v) for v in values]
 
 
 TEXT = ["trials", "", "hist", "1.5", "-0", "nan", "1e+20", "0.10000000000000001", "x" * 30]

@@ -301,15 +301,13 @@ def _backward(memo: _Memo, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     For one record a step costs one list lookup; for T records it is one
     gather over the vector of their ids, ``nxt.take(ids + x[k])``, which
     learns the pairs it meets first.  Per-step numpy calls would cost
-    about ten times the list lookup for one record.  One record's codes
-    are taken from the memo's ``code`` byte by byte as each step is
-    decided; T records' come from one lookup per chunk of ``_CHUNK``
-    steps.  The first states come from the memo's ``first`` at the keys
-    of step 0; a first state is -1 for a record that no state sequence
-    can produce.  A memo of more than ``_MEMO_ROWS`` rows is cleared at
-    the next chunk boundary and restarts from the current rows, so it
-    never holds more than ``_MEMO_ROWS + T * _CHUNK`` rows; the codes
-    are the same either way.
+    about ten times the list lookup for one record.  The codes come from
+    one lookup in the memo's ``code`` per chunk of ``_CHUNK`` steps, the
+    first states from one in its ``first`` at step 0; a first state is
+    -1 for a record that no state sequence can produce.  A memo of more
+    than ``_MEMO_ROWS`` rows is cleared at the next chunk boundary and
+    restarts from the current rows, so it never holds more than
+    ``_MEMO_ROWS + T * _CHUNK`` rows; the codes are the same either way.
     """
     n, records = x.shape
     codes = np.empty((n, records), dtype=np.int8)
@@ -319,15 +317,15 @@ def _backward(memo: _Memo, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cur = memo.trim(cur)
         symbols = x[lo:hi][::-1]
         if records == 1:
-            nxt, code, row, steps = memo.nxt, memo.code, cur[0], bytearray()
+            nxt, keys, row = memo.nxt, [], cur[0]
+            append = keys.append
             for s in symbols[:, 0].tolist():
                 key = row + s
+                append(key)
                 row = nxt[key]
                 if row < 0:  # the pair's first occurrence
                     row = memo.learn(key)
-                steps.append(code[key])
-            codes[lo:hi, 0] = np.frombuffer(steps, dtype=np.int8)[::-1]
-            last, cur = [key], [row]
+            keys, cur = np.fromiter(keys, np.intp, len(keys))[:, None], [row]
         else:
             keys = symbols.astype(np.intp)
             row = np.array(cur, dtype=np.intp)
@@ -335,9 +333,8 @@ def _backward(memo: _Memo, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 key += row
                 row = memo.gather(key)
             cur = row.tolist()
-            codes[lo:hi] = np.frombuffer(bytes(memo.code), dtype=np.int8).take(keys[::-1])
-            last = keys[-1]
-    return codes, np.frombuffer(bytes(memo.first), dtype=np.int8).take(last)
+        codes[lo:hi] = np.frombuffer(bytes(memo.code), dtype=np.int8).take(keys[::-1])
+    return codes, np.frombuffer(bytes(memo.first), dtype=np.int8).take(keys[-1])
 
 
 def _paths(memo: _Memo, x: np.ndarray) -> np.ndarray:

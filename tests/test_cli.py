@@ -318,10 +318,8 @@ def test_decode_peak_memory_with_one_wide_timestamp(cfg, tmp_path):
     # A first timestamp of -1e301 prints as 303 characters, so for that
     # chunk the writer's line matrix and its `block != 0` compaction
     # widen by 303 B a row each: at most 2.5 MB, 12.4 B a row of the
-    # 2e5, and 10.1 measured.
-    # Its text cells go straight into the matrix; an S303 array and a
-    # second mask of the chunk, built first, took 23.9 B a row more than
-    # the plain index.
+    # 2e5, and 10.1 measured.  Its text cells go straight into the
+    # matrix.
     wide = _peak_per_row("decode", cfg, tmp_path, "timestamp", 0, first=-1e301)
     assert wide - _peak_per_row("decode", cfg, tmp_path, "timestamp", 0) < 16
 

@@ -7,13 +7,14 @@ The Monte Carlo driver derives one stream per trial index from a base
 seed, which makes results independent of execution order.
 
 One core serves a single record and a batch of trials alike: a uniform
-becomes a category only in :func:`~gridhmm.gaussian._invert`, the
-sampled chain comes from a successor table (the state at each step
-given each state at the step before) built by array operations, and
-the Viterbi path from the successor maps and first states that the
-normalised, memoised automaton of :func:`~gridhmm.viterbi.viterbi_decode`
-decides once per (score to go, symbol) pair, one memo serving every
-batch of a run.  :func:`~gridhmm.viterbi._follow` turns coded successor
+becomes a category by counting the cumulative weights at or below it,
+in :func:`~gridhmm.gaussian._invert` or, for a batch's emissions, one
+weight of every step's law at a time; the sampled chain comes from a
+successor table (the state at each step given each state at the step
+before) built by array operations, and the Viterbi path from the
+successor maps and first states that the normalised, memoised
+automaton of :func:`~gridhmm.viterbi.viterbi_decode` decides once per
+(score to go, symbol) pair, one memo serving every batch of a run.  :func:`~gridhmm.viterbi._follow` turns coded successor
 maps into paths by a prefix scan over their compositions, with no
 per-step Python loop.  In a batch each trial draws the uniforms of its
 own stream in the order of :func:`simulate_states` and
@@ -21,7 +22,11 @@ own stream in the order of :func:`simulate_states` and
 batch's streams and jumps their PCG64 states ahead in closed form, in
 exact uint64 array arithmetic, without ``numpy.random``.  Every score
 is formed in the same order, so each trial equals those two functions
-and ``viterbi_decode`` run on its own stream, bit for bit.
+and ``viterbi_decode`` run on its own stream, bit for bit.  The CLI's
+``simulate`` also runs without ``numpy.random``: it passes
+:func:`_chain` the uniforms of the stream's first K words and draws the
+Gaussians from the words after them with numpy's ziggurat,
+:func:`~gridhmm.gaussian._normals`.
 """
 from __future__ import annotations
 
@@ -61,10 +66,10 @@ __all__ = [
 HIST_BINS = 101
 
 # Steps (trials x K) per batch of the Monte Carlo kernel.  Drawing and
-# running a batch peaks at 48 bytes per step (traced at K=100 and 1000),
-# most of it the uniforms (16) and the emission laws gathered for every
-# step (24); the draws alone, with their temporaries in pieces of
-# gaussian._PIECE elements, peak at 40.  So a batch needs about 0.8 MB,
+# running a batch peaks at 44 bytes per step (traced at K=100 and 1000):
+# the uniforms (16) and the successor tables that sample the chain (28);
+# the draws alone, with their temporaries in pieces of gaussian._PIECE
+# elements, peak at 42.  So a batch needs about 0.7 MB,
 # while the vector operations across trials (163 of them at K=100)
 # amortise the per-step interpreter overhead.  A batch holds at least one
 # trial, however long; a batch of one trial is decoded by the scalar loop
@@ -81,7 +86,7 @@ def simulate_states(model: HmmModel, length: int, rng: RngStream) -> np.ndarray:
     """
     tables = _Tables.of(model)
     length = _check_length(length)
-    states = np.concatenate(list(_chain(tables, rng.generator, length)), dtype=np.int64)
+    states = np.concatenate(list(_chain(tables, rng.generator.random, length)), dtype=np.int64)
     states -= 1
     return states
 
@@ -156,11 +161,12 @@ def _sample_chain(tables: _Tables, u: np.ndarray, law: np.ndarray) -> np.ndarray
     return _follow(_code(successor), first)
 
 
-def _chain(tables: _Tables, generator, length: int):
+def _chain(tables: _Tables, draw, length: int):
     """One record's state indices (int8), ``_CHUNK`` steps at a time.
 
-    Draws one uniform a step from ``generator``, a chunk at a time, so
-    the draws and the stream's state after them are those of one
+    Takes one uniform a step, a chunk at a time, from ``draw(n)``, which
+    returns the next n uniforms of a stream: so a generator's ``random``
+    gives the draws, and leaves the stream in the state, of one
     ``random(length)``.  The first chunk starts from the initial law,
     each later one from the transition row of the state the chunk
     before ended in, as :func:`~gridhmm.viterbi._follow` carries the
@@ -169,7 +175,7 @@ def _chain(tables: _Tables, generator, length: int):
     """
     law = tables.cum_init
     for lo in range(0, length, _CHUNK):
-        path = _sample_chain(tables, generator.random(min(_CHUNK, length - lo))[:, None], law)[:, 0]
+        path = _sample_chain(tables, draw(min(_CHUNK, length - lo))[:, None], law)[:, 0]
         law = tables.cum_trans[path[-1]]
         yield path
 
@@ -192,7 +198,11 @@ def _run_batch(
     """
     length = len(u) // 2
     hidden = _sample_chain(tables, u[:length], tables.cum_init)
-    emitted = _invert(tables.cum_emit[:, hidden], u[length:])
+    # _invert's count of cumulative entries <= u, one entry of every
+    # step's law at a time: no (3, K, T) gather of the laws.
+    emitted = np.zeros_like(hidden)
+    for row in tables.cum_emit:
+        emitted += row[hidden] <= u[length:]
     return hidden, emitted, _paths(memo, emitted)
 
 

@@ -343,7 +343,7 @@ def test_predict_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
 @pytest.mark.slow
 def test_simulate_rss_does_not_grow_with_k(cfg, tmp_path):
     # Peak RSS of a K=1e7 simulate process, stdout to /dev/null: about
-    # 37.5 MB, as at K=100; whole columns took about 285 MB.  A small
+    # 33.2 MB, against 31.4 at K=100; whole columns took about 285 MB.  A small
     # helper process starts the CLI, because Linux counts the peak RSS of
     # the process that starts a child into the child's own.
     config = tmp_path / "long.cfg"
@@ -479,14 +479,15 @@ def test_a_full_disk_under_the_spill_exits_2_before_any_output(
 
 def test_cli_leaves_numpy_random_unloaded(cfg):
     # Loading numpy.random costs a process about 6 MB of RSS and some
-    # start-up time; only simulate, which draws Gaussians, needs it.
-    # montecarlo draws its uniforms by its own PCG64 arithmetic.
+    # start-up time, and no command needs it: montecarlo and simulate
+    # compute their PCG64 words, and simulate its Gaussians by numpy's
+    # ziggurat, themselves.
     probe = (
         "import runpy, sys\n"
         "import gridhmm.cli\n"
         "assert 'numpy.random' not in sys.modules, 'on import gridhmm.cli'\n"
         "config = sys.argv[1]\n"
-        "for command in ('emission', 'montecarlo'):\n"
+        "for command in ('emission', 'montecarlo', 'simulate'):\n"
         "    sys.argv = ['gridhmm', command, '--config', config]\n"
         "    try:\n"
         "        runpy.run_module('gridhmm', run_name='__main__', alter_sys=True)\n"
@@ -498,6 +499,7 @@ def test_cli_leaves_numpy_random_unloaded(cfg):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("emitted,given_neg,given_zero,given_pos\n")
     assert "\nfield,bin,ht,va\ntrials,,40,40\n" in proc.stdout
+    assert "\nk,s,z_hz,x\n1," in proc.stdout
 
 
 def test_decode_rejects_step_index_beyond_float_precision(cfg, tmp_path):

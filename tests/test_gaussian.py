@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import gridhmm as gh
 from gridhmm import gaussian
-from gridhmm.gaussian import _cumulative, _invert, _spawn_states, _stream_draws, probability
+from gridhmm.gaussian import _cumulative, _drawer, _invert, _normals, _spawn_states, _stream_draws
+from gridhmm.gaussian import _stream_normals, _stream_words, probability
 
 # --- independent oracle: trapezoidal integration of the normal density ---
 
@@ -147,6 +148,105 @@ def test_vectorised_streams_equal_rng_stream(seed, monkeypatch):
             assert draws.shape == (count, last - first)
             for t, column in zip(range(first, last), draws.T):
                 assert np.array_equal(column, gh.RngStream(seed, t).generator.random(count))
+
+
+# --- raw words and the ziggurat ---
+
+_SEEDS = [0, 1, 2**32 - 1, 2**64 - 1]
+_OFFSETS = [0, 7, 2**14, 2**40]
+
+
+def _pcg64(seed, start=0):
+    """The numpy bit generator of ``RngStream(seed)``, advanced by ``start`` words."""
+    bit_generator = gh.RngStream(seed).generator.bit_generator
+    bit_generator.advance(start)
+    return bit_generator
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_stream_words_equal_random_raw(seed, monkeypatch):
+    # Pieces of 5 words make every count but the first cross piece seams.
+    for piece, count in [(gaussian._PIECE, 1), (gaussian._PIECE, 9), (5, 1), (5, 13)]:
+        monkeypatch.setattr(gaussian, "_PIECE", piece)
+        for start in _OFFSETS:
+            pieces = list(_stream_words(seed, 0, 1, count, start))
+            assert all(p.dtype == np.uint64 and p.shape[1] == 1 for p in pieces)
+            assert np.array_equal(np.concatenate(pieces)[:, 0], _pcg64(seed, start).random_raw(count))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_normals_equal_standard_normal(seed, monkeypatch):
+    # The normals, and the stream state after them, are numpy's; pieces of
+    # 5 words cut wedge and tail attempts at the seams, often.
+    for piece, count in [(gaussian._PIECE, 3000), (5, 400)]:
+        monkeypatch.setattr(gaussian, "_PIECE", piece)
+        for start in _OFFSETS:
+            want = np.random.Generator(_pcg64(seed, start))
+            assert np.array_equal(_drawer(_stream_normals(seed, start))(count), want.standard_normal(count))
+            words = _pcg64(seed, start).random_raw(count)
+            normals, used = _normals(words)
+            want = np.random.Generator(_pcg64(seed, start))
+            assert np.array_equal(normals, want.standard_normal(normals.size))
+            assert want.bit_generator.state == _pcg64(seed, start + used).state
+
+
+def test_normal_is_mean_plus_sigma_times_standard_normal():
+    means = np.array([49.0, 50.0, 51.0] * 700)
+    normals = _drawer(_stream_normals(3, 0))(means.size)
+    want = np.random.Generator(_pcg64(3)).normal(means, 0.35)
+    assert np.array_equal(means + 0.35 * normals, want)
+
+
+_MULT_INV = pow(_PCG_MULT, -1, 2**128)
+
+
+def _next_word_is(word, inc):
+    """A PCG64 bit generator whose next raw word is ``word``.
+
+    The state it steps to has a high word of 0, so XSL-RR neither mixes
+    nor rotates: its output is the low word.
+    """
+    bit_generator = gh.RngStream(0).generator.bit_generator
+    state = (word - inc) * _MULT_INV % 2**128
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_generator
+
+
+def test_normals_at_every_layer_boundary():
+    # A word below its layer's ki returns ±rabs·wi at once, exactly; a
+    # word at ki or above is a wedge (layers 1..255) or the tail (layer
+    # 0), and numpy decides it from the words that follow.  A wedge at
+    # ki sits by the curve and is accepted; at the largest rabs it sits
+    # far from it and is mostly rejected.  The tail's sign is bit 8 of
+    # rabs, not the word's sign bit, so both bits take both values.
+    ki = gaussian._KI[:256].tolist()
+    wi = gaussian._WI[:256].tolist()
+    inc = 2 * 0x5851F42D4C957F2D + 1
+    outcomes = set()
+    for layer in range(256):
+        for rabs in {ki[layer] - 1, ki[layer], ki[layer] + 256, 2**52 - 1} - {-1}:
+            for sign in (0, 1):
+                word = layer | sign << 8 | rabs << 9
+                normals, used = _normals(_next_word_is(word, inc).random_raw(64))
+                want = np.random.Generator(_next_word_is(word, inc))
+                assert np.array_equal(normals, want.standard_normal(normals.size))
+                assert want.bit_generator.state == _next_word_is(word, inc).advance(used).state
+                if rabs < ki[layer]:
+                    assert normals[0] == (-rabs if sign else rabs) * wi[layer]
+                    outcomes.add("fast")
+                elif layer == 0:
+                    assert math.copysign(1.0, normals[0]) == (-1.0 if rabs >> 8 & 1 else 1.0)
+                    assert abs(normals[0]) >= gaussian._R
+                    outcomes.add("tail")
+                else:
+                    x = (-rabs if sign else rabs) * wi[layer]
+                    outcomes.add("wedge accepted" if normals[0] == x else "wedge rejected")
+    assert outcomes == {"fast", "tail", "wedge accepted", "wedge rejected"}
 
 
 def test_sample_gaussian_moments():

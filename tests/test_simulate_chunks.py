@@ -2,11 +2,11 @@
 
 ``gridhmm simulate`` samples the chain ``simulate._CHUNK`` steps at a
 time, carrying the last state into the next chunk, and draws the
-Gaussians a chunk at a time from a copy of the stream advanced past the
-chain's K uniforms.  The reference here draws the same stream in one
-piece, as ``simulate_states`` and ``synthesize_measurements`` once did:
-``random(K)``, the chain from those uniforms, then ``normal`` around
-each state's mean.  Lengths sit on and around the chunk seams.
+Gaussians a chunk at a time from the stream's words after the chain's K
+uniforms, all computed without ``numpy.random``.  The reference here
+draws the same stream in one piece, as ``simulate_states`` and
+``synthesize_measurements`` once did: ``random(K)``, the chain from
+those uniforms, then ``normal`` around each state's mean.  Lengths sit on and around the chunk seams.
 """
 import contextlib
 import io

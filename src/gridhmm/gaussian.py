@@ -266,10 +266,9 @@ def _stream_words(seed: int, first: int, last: int, count: int, start: int = 0):
     """
     s_hi, s_lo, i_hi, i_lo = _spawn_states(seed, first, last)
     rows = max(1, min(count, _PIECE // (last - first)))
-    jump, total = _powers(start)
-    advance, step = _powers(rows)
+    power, total = _powers(start)
     # x advanced start steps: MULT**start (s + inc) + G_start inc = MULT**start s + G_(start+1) inc.
-    jump, lead, mult_less_one, advance, step = _limbs([jump, jump + total, _PCG_MULT - 1, advance, step]).T
+    jump, lead, mult_less_one, advance, step = _limbs([power, power + total, _PCG_MULT - 1, *_powers(rows)]).T
     inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
     x = _mul_add(jump, s_hi, s_lo, *_mul_add(lead, *inc, 0, 0))
     v = _mul_add(mult_less_one, *x, *inc)

@@ -343,9 +343,9 @@ def test_predict_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
 @pytest.mark.slow
 def test_simulate_rss_does_not_grow_with_k(cfg, tmp_path):
     # Peak RSS of a K=1e7 simulate process, stdout to /dev/null: about
-    # 33.2 MB, against 31.4 at K=100; whole columns took about 285 MB.  A small
-    # helper process starts the CLI, because Linux counts the peak RSS of
-    # the process that starts a child into the child's own.
+    # 33.2 MB, against 31.4 at K=100; whole columns took about 285 MB.  A
+    # small helper process starts the CLI, because Linux counts the peak
+    # RSS of the process that starts a child into the child's own.
     config = tmp_path / "long.cfg"
     config.write_text(Path(cfg).read_text().replace("k = 20\n", "k = 10000000\n"))
     probe = (

@@ -6,7 +6,8 @@ Gaussians a chunk at a time from the stream's words after the chain's K
 uniforms, all computed without ``numpy.random``.  The reference here
 draws the same stream in one piece, as ``simulate_states`` and
 ``synthesize_measurements`` once did: ``random(K)``, the chain from
-those uniforms, then ``normal`` around each state's mean.  Lengths sit on and around the chunk seams.
+those uniforms, then ``normal`` around each state's mean.  Lengths sit
+on and around the chunk seams.
 """
 import contextlib
 import io

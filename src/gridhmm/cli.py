@@ -4,7 +4,7 @@ Data goes to the output stream as CSV (LF line endings, ``.`` decimal
 point, floats at 17 significant digits so they parse back bit-exactly);
 diagnostics and a final ``status=... command=...`` summary line go to
 the error stream.  Exit codes: 0 success, 1 validation problem, 2 I/O
-problem.
+or resource problem.
 """
 from __future__ import annotations
 
@@ -358,10 +358,10 @@ def _cmd_detect(args) -> int:
 def _cmd_decode(args) -> int:
     """``viterbi_decode`` of ``--input``, run on the symbol indices that :func:`_spill` keeps."""
     cfg = parse_config(args.config)
+    model = cfg.model()
+    require_valid(model)
     with tempfile.TemporaryFile() as spill:
         index_name, x = _spill(args.input, compute_thresholds(cfg.params), spill)
-        model = cfg.model()
-        require_valid(model)
         states = _paths(_Memo(model), x[:, None])[:, 0]
         header = [index_name, "z_hz", "x", "s_star"]
         _write_csv(args.output, header, _trace(spill, x, states))
@@ -538,7 +538,7 @@ def main(argv=None) -> int:
         # Usage errors, ConfigError, model/measurement validation, infeasible observations.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

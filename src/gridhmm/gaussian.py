@@ -626,23 +626,6 @@ def _cumulative(w: np.ndarray, axis: int = 0) -> np.ndarray:
     return cum
 
 
-def _invert(cum: np.ndarray, u) -> np.ndarray:
-    """Category index of each uniform draw.
-
-    ``cum`` holds cumulative weights along its first axis, and its other
-    axes broadcast against ``u``.  Inversion counts cumulative entries
-    <= u, which skips zero-width (zero-probability) categories even when
-    u hits a boundary exactly; this is ``searchsorted(side="right")``.
-    The count is int8 whenever it fits, which keeps successor tables small.
-    Past 128 categories ``cum`` must be one vector (its other axes of
-    length 1); it is then searched instead of compared with every draw,
-    which gives the same count without a ``len(cum)``-fold temporary.
-    """
-    if len(cum) <= 128:
-        return (cum <= u).sum(axis=0, dtype=np.int8)
-    return np.searchsorted(cum.reshape(len(cum)), u, side="right").astype(np.int64)
-
-
 def sample_categorical(weights, rng: RngStream, size=None):
     """Draw category indices with the given probabilities on the stream.
 
@@ -657,9 +640,10 @@ def sample_categorical(weights, rng: RngStream, size=None):
     problem = _vector_violation(w, "weights")
     if problem is not None:
         raise ValueError(problem)
-    cum = _cumulative(w)
     u = rng.generator.random(size)
-    idx = _invert(cum.reshape(cum.shape + (1,) * np.ndim(u)), u)
+    # Counts the cumulative weights <= u, which skips zero-width categories
+    # even when u hits a boundary; exact, as the weights never decrease.
+    idx = np.searchsorted(_cumulative(w), u, side="right")
     if size is None:
         return int(idx)
     return idx.astype(np.int64)

@@ -6,23 +6,24 @@ number of variates from it, so callers can reason about stream state.
 The Monte Carlo driver derives one stream per trial index from a base
 seed, which makes results independent of execution order.
 
-One core serves a single record and a batch of trials alike: a uniform
-becomes a category by counting the cumulative weights at or below it,
-in :func:`~gridhmm.gaussian._invert` or, for a batch's emissions, one
-weight of every step's law at a time; the sampled chain comes from a
-successor table (the state at each step given each state at the step
-before) built by array operations, and the Viterbi path from the
+One core serves a single record and a batch of trials alike.  Every
+three-state draw, of a state or of a symbol, is :func:`_invert`: a
+uniform becomes a category by counting the cumulative weights at or
+below it, one weight at a time.  The sampled chain comes from each
+step's successor map, the three transition rows inverted at that
+step's uniform and coded as one int8, and the Viterbi path from the
 successor maps and first states that the normalised, memoised
 automaton of :func:`~gridhmm.viterbi.viterbi_decode` decides once per
-(score to go, symbol) pair, one memo serving every batch of a run.  :func:`~gridhmm.viterbi._follow` turns coded successor
-maps into paths by a prefix scan over their compositions, with no
-per-step Python loop.  In a batch each trial draws the uniforms of its
-own stream in the order of :func:`simulate_states` and
-:func:`emit_symbols`: :func:`~gridhmm.gaussian._stream_draws` seeds the
-batch's streams and jumps their PCG64 states ahead in closed form, in
-exact uint64 array arithmetic, without ``numpy.random``.  Every score
-is formed in the same order, so each trial equals those two functions
-and ``viterbi_decode`` run on its own stream, bit for bit.  The CLI's
+(score to go, symbol) pair, one memo serving every batch of a run.
+:func:`~gridhmm.viterbi._follow` turns coded successor maps into paths
+by a prefix scan over their compositions, with no per-step Python loop.
+In a batch each trial draws the uniforms of its own stream in the order
+of :func:`simulate_states` and :func:`emit_symbols`:
+:func:`~gridhmm.gaussian._stream_draws` seeds the batch's streams and
+jumps their PCG64 states ahead in closed form, in exact uint64 array
+arithmetic, without ``numpy.random``.  Every score is formed in the
+same order, so each trial equals those two functions and
+``viterbi_decode`` run on its own stream, bit for bit.  The CLI's
 ``simulate`` also runs without ``numpy.random``: it passes
 :func:`_chain` the uniforms of the stream's first K words and draws the
 Gaussians from the words after them with numpy's ziggurat,
@@ -42,10 +43,10 @@ from .detector import (
     compute_thresholds,
     detection_probabilities,
 )
-from .gaussian import RngStream, _check_seed, _cumulative, _invert, _matrix_violation
+from .gaussian import RngStream, _check_seed, _cumulative, _matrix_violation
 from .gaussian import _stream_draws, _vector_violation, sample_gaussian
 from .model import HmmModel, require_valid
-from .viterbi import _CHUNK, _Memo, _code, _follow, _paths, _symbol_indices
+from .viterbi import _CHUNK, _Memo, _follow, _paths, _symbol_indices
 
 __all__ = [
     "HIST_BINS",
@@ -65,11 +66,12 @@ __all__ = [
 # Accuracy histograms bin whole percentage points: [0,1), [1,2), ..., plus {100}.
 HIST_BINS = 101
 
-# Steps (trials x K) per batch of the Monte Carlo kernel.  Drawing and
-# running a batch peaks at 44 bytes per step (traced at K=100 and 1000):
-# the uniforms (16) and the successor tables that sample the chain (28);
-# the draws alone, with their temporaries in pieces of gaussian._PIECE
-# elements, peak at 42.  So a batch needs about 0.7 MB,
+# Steps (trials x K) per batch of the Monte Carlo kernel.  Running a
+# batch peaks at 43 bytes per step (traced at K=100 and 1000): the
+# uniforms (16), the hidden and emitted columns (2) and viterbi._follow's
+# intp prefix scan and take temporaries (25), which also set the chain's
+# peak; the draws alone, in pieces of gaussian._PIECE elements, peak at
+# 42.  So a batch needs about 0.7 MB,
 # while the vector operations across trials (163 of them at K=100)
 # amortise the per-step interpreter overhead.  A batch holds at least one
 # trial, however long; a batch of one trial is decoded by the scalar loop
@@ -108,7 +110,7 @@ def emit_symbols(hidden, emissions, rng: RngStream) -> np.ndarray:
         raise ValueError(problem)
     hid = _symbol_indices(hidden, "hidden")
     u = rng.generator.random(hid.size)
-    return _invert(_cumulative(r)[:, hid], u).astype(np.int64) - 1
+    return _invert((row[hid] for row in _cumulative(r)), u).astype(np.int64) - 1
 
 
 def synthesize_measurements(hidden, params: DetectorParams, rng: RngStream) -> np.ndarray:
@@ -149,16 +151,32 @@ class _Tables(NamedTuple):
         )
 
 
+def _invert(cum, u) -> np.ndarray:
+    """Category index (int8, shaped like ``u``) of each uniform draw ``u``.
+
+    Counts the entries of ``cum``, at most 127 cumulative weights that
+    each broadcast against ``u``, that are <= u, one entry at a time:
+    ``searchsorted(side="right")``, which skips a zero-width category
+    even when u is on its boundary.
+    """
+    count = np.zeros(np.shape(u), dtype=np.int8)
+    for c in cum:
+        count += c <= u
+        del c  # so that a generator's next entry is not made beside this one
+    return count
+
+
 def _sample_chain(tables: _Tables, u: np.ndarray, law: np.ndarray) -> np.ndarray:
     """State paths (K, T) int8 of the chain driven by the (K, T) uniforms ``u``.
 
     The first step inverts the cumulative law ``law`` (3,), each later
-    one the transition row of the state before it.
+    one the transition row of the state before it.  Step k's successor
+    map sends state i to ``_invert(cum_trans[i], u[k])``; its code
+    ``f(0) + 3 f(1) + 9 f(2)``, which :func:`~gridhmm.viterbi._follow`
+    walks, is summed one transition row at a time.
     """
-    first = _invert(law[:, None], u[0])
-    # successor[k, i, t]: the state at step k of record t when step k-1 is in state i.
-    successor = _invert(tables.cum_trans.T[:, None, :, None], u[:, None, :])
-    return _follow(_code(successor), first)
+    codes = sum(3**i * _invert(row, u) for i, row in enumerate(tables.cum_trans))
+    return _follow(codes, _invert(law, u[0]))
 
 
 def _chain(tables: _Tables, draw, length: int):
@@ -187,22 +205,18 @@ def _run_batch(
 
     Column t of the uniforms ``u`` (2K, T) holds trial t's K state
     draws, then its K emission draws, as :func:`simulate_states` and
-    :func:`emit_symbols` consume them from one stream.  Sampling runs
-    through the same inversion, successor tables and prefix scan as those
-    functions.  Decoding is :func:`~gridhmm.viterbi._paths`, the
-    automaton and walk of :func:`~gridhmm.viterbi.viterbi_decode`, over
-    the vector of trials with ``memo`` (built on the same model); so
-    every path equals ``viterbi_decode`` of its record, at any K, and
-    the first infeasible trial raises its error.  The model is not
-    validated here.
+    :func:`emit_symbols` consume them from one stream.  Sampling and
+    emitting run through the same :func:`_sample_chain` and
+    :func:`_invert` as those functions.  Decoding is
+    :func:`~gridhmm.viterbi._paths`, the automaton and walk of
+    :func:`~gridhmm.viterbi.viterbi_decode`, over the vector of trials
+    with ``memo`` (built on the same model); so every path equals
+    ``viterbi_decode`` of its record, at any K, and the first infeasible
+    trial raises its error.  The model is not validated here.
     """
     length = len(u) // 2
     hidden = _sample_chain(tables, u[:length], tables.cum_init)
-    # _invert's count of cumulative entries <= u, one entry of every
-    # step's law at a time: no (3, K, T) gather of the laws.
-    emitted = np.zeros_like(hidden)
-    for row in tables.cum_emit:
-        emitted += row[hidden] <= u[length:]
+    emitted = _invert((row[hidden] for row in tables.cum_emit), u[length:])
     return hidden, emitted, _paths(memo, emitted)
 
 

@@ -154,11 +154,6 @@ _COMPOSE = np.array(
 _STATE = np.array([f[0] for f in _MAPS], dtype=np.int8)
 
 
-def _code(table: np.ndarray) -> np.ndarray:
-    """Codes (..., T) int8 of the successor maps ``i -> table[..., i, t]`` of a table."""
-    return table[..., 0, :] + 3 * table[..., 1, :] + 9 * table[..., 2, :]
-
-
 def _follow(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Paths (K, T) int8 from ``first``, written over the codes ``codes[k, t]`` of step k's maps.
 

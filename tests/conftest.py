@@ -252,6 +252,11 @@ def reference_choices(log_trans, log_emit, x, to_go):
     return choice
 
 
+def _code(table):
+    """Codes (..., T) int8 of the successor maps ``i -> table[..., i, t]`` of a table."""
+    return table[..., 0, :] + 3 * table[..., 1, :] + 9 * table[..., 2, :]
+
+
 def reference_follow(table, first):
     """The successor walk written the plain way: one step at a time per record.
 

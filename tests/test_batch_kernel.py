@@ -14,9 +14,12 @@ its memo is fresh, shared with an earlier batch, or capped.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridhmm as gh
 from gridhmm import gaussian, simulate, viterbi
+from gridhmm.gaussian import _cumulative
 
 from conftest import MODELS, feasible_observation, reference_decode, sparse_model
 
@@ -46,6 +49,53 @@ def test_batch_rows_equal_single_sequence_functions(name, length):
         for got, expected in zip(batch, want):
             assert got.shape == (length, trials)
             assert np.array_equal(got[:, t] - 1, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=2, max_size=8).filter(
+        lambda w: 0.0 in w and sum(w) > 0.0
+    ),
+    st.data(),
+)
+def test_invert_counts_boundaries_like_searchsorted_right(raw, data):
+    # Every u sits on a cumulative boundary, where "<= u" and "< u" part:
+    # a zero-width category must be skipped, never drawn.
+    cum = _cumulative(np.array(raw) / sum(raw))
+    boundaries = [0.0, *cum[:-1].tolist()]
+    u = np.array(data.draw(st.lists(st.sampled_from(boundaries), min_size=1, max_size=16)))
+    want = np.searchsorted(cum, u, side="right")
+    assert np.array_equal(simulate._invert(cum, u), want)
+    assert simulate._invert(cum, u[0]) == want[0]
+
+
+_STICKY = simulate._Tables.of(MODELS["sticky"])
+# 0.0 and every cumulative entry of the sticky chain below 1: its zero
+# transitions make zero-width categories, which a draw on their boundary skips.
+_STICKY_BOUNDARIES = sorted({0.0, *np.concatenate([t.ravel() for t in _STICKY]).tolist()} - {1.0})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 5), st.data())
+def test_boundary_draws_through_the_chain_and_the_emissions(length, trials, data):
+    cells = st.lists(
+        st.sampled_from(_STICKY_BOUNDARIES), min_size=2 * length * trials, max_size=2 * length * trials
+    )
+    u = np.array(data.draw(cells)).reshape(2 * length, trials)
+    cum_trans, cum_emit = _STICKY.cum_trans, _STICKY.cum_emit
+    want = np.empty((length, trials), dtype=np.int64)
+    want[0] = np.searchsorted(_STICKY.cum_init, u[0], side="right")
+    for k in range(1, length):
+        for t in range(trials):
+            want[k, t] = np.searchsorted(cum_trans[want[k - 1, t]], u[k, t], side="right")
+    assert np.array_equal(simulate._sample_chain(_STICKY, u[:length], _STICKY.cum_init), want)
+
+    hidden, emitted, _ = simulate._run_batch(_STICKY, u, viterbi._Memo(MODELS["sticky"]))
+    assert np.array_equal(hidden, want)
+    for k in range(length):
+        for t in range(trials):
+            h = want[k, t]
+            assert emitted[k, t] == np.searchsorted(cum_emit[:, h], u[length + k, t], side="right")
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

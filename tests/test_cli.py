@@ -657,6 +657,31 @@ def test_missing_input_file_exits_2(cfg, capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("k, trials", [(20, 10**15), (10**14, 2)])
+def test_montecarlo_out_of_memory_exits_2(tmp_path, capsys, k, trials):
+    # The trial counts (8 B a trial) or one trial's uniforms (16 B a step)
+    # need more than 2**47 bytes, which fails at once on 64-bit Linux
+    # under any overcommit mode.
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CFG.replace("k = 20", f"k = {k}").replace("trials = 40", f"trials = {trials}"))
+    code, out, err = run_cli(capsys, "montecarlo", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_decode_checks_its_model_before_reading_the_input(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CFG.split("[transitions]")[0])
+    code, out, err = run_cli(
+        capsys, "decode", "--config", str(path), "--input", str(tmp_path / "no.csv")
+    )
+    assert code == 1
+    assert out == ""
+    assert "a [transitions] block is required" in err
+
+
 def test_unwritable_output_exits_2(cfg, capsys, tmp_path):
     dest = tmp_path / "missing-dir" / "out.csv"
     code, _, err = run_cli(capsys, "emission", "--config", cfg, "--output", str(dest))

@@ -1,5 +1,6 @@
 """Gaussian toolkit: Q-function accuracy and stream reproducibility."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import gridhmm as gh
 from gridhmm import gaussian
-from gridhmm.gaussian import _cumulative, _drawer, _invert, _normals, _spawn_states, _stream_draws
+from gridhmm.gaussian import _cumulative, _drawer, _normals, _spawn_states, _stream_draws
 from gridhmm.gaussian import _stream_normals, _stream_words, probability
 
 # --- independent oracle: trapezoidal integration of the normal density ---
@@ -324,38 +325,23 @@ def test_sample_categorical_in_range(raw, seed):
     assert idx.min() >= 0 and idx.max() < len(weights)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=2, max_size=8).filter(
-        lambda w: 0.0 in w and sum(w) > 0.0
-    ),
-    st.data(),
-)
-def test_invert_counts_boundaries_like_searchsorted_right(raw, data):
-    # Every u sits on a cumulative boundary, where "<= u" and "< u" part:
-    # a zero-width category must be skipped, never drawn.
-    cum = _cumulative(np.array(raw) / sum(raw))
-    boundaries = [0.0, *cum[:-1].tolist()]
-    u = np.array(data.draw(st.lists(st.sampled_from(boundaries), min_size=1, max_size=16)))
-    want = np.searchsorted(cum, u, side="right")
-    assert np.array_equal(_invert(cum[:, None], u), want)
-    assert _invert(cum, u[0]) == want[0]
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(129, 400), st.integers(0, 2**32 - 1), st.data())
-def test_invert_many_categories_counts_like_the_comparison(n, seed, data):
-    # Past 128 categories the count comes from a search; on boundary
+def test_sample_categorical_many_categories_counts_like_the_comparison(n, seed, data):
+    # With many categories the count comes from a search; on boundary
     # draws and zero-width categories it must equal the comparison count.
     weights = np.random.default_rng(seed).random(n)
     weights[weights < 0.3] = 0.0
     weights[-1] += 1.0
-    cum = _cumulative(weights / weights.sum())
+    weights /= weights.sum()
+    cum = _cumulative(weights)
     boundaries = [0.0, *cum[:-1].tolist()]
     u = np.array(data.draw(st.lists(st.sampled_from(boundaries), min_size=1, max_size=16)))
     want = (cum[:, None] <= u).sum(axis=0)
-    assert np.array_equal(_invert(cum[:, None], u), want)
-    assert _invert(cum, u[0]) == want[0]
+    # A stream stand-in whose draws are the boundaries.
+    rng = SimpleNamespace(generator=SimpleNamespace(random=lambda size: u[0] if size is None else u))
+    assert np.array_equal(gh.sample_categorical(weights, rng, size=u.size), want)
+    assert gh.sample_categorical(weights, rng) == want[0]
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,9 +10,9 @@ choice builder and the per-record ``bytes`` walk.
 import numpy as np
 import pytest
 
-from gridhmm.viterbi import _CHUNK, TIE_EPS, _code, _follow, _step
+from gridhmm.viterbi import _CHUNK, TIE_EPS, _follow, _step
 
-from conftest import reference_choices, reference_follow
+from conftest import _code, reference_choices, reference_follow
 
 
 def _table(gen, length, records):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, _measurement_chunks, parse_config
 from .detector import classify, compute_thresholds
-from .gaussian import _drawer, _stream_normals, _stream_words, _uniforms
+from .gaussian import RngStream
 from .model import build_emission_matrix, require_valid
 from .simulate import (
     _chain,
@@ -377,12 +377,10 @@ def _cmd_simulate(args) -> int:
     """The trace of :func:`simulate_states`, then :func:`synthesize_measurements`, on one stream.
 
     The trace is drawn, classified and written one chunk of rows at a
-    time, so nothing held grows with K.  The draws are those of
-    ``RngStream(seed)``, computed without ``numpy.random``: the chain
-    takes the stream's words 0..K-1 a chunk at a time, and the
-    Gaussians, which the stream gives after those K uniforms, come from
-    numpy's ziggurat on the words from K on; ``Generator.normal`` is
-    ``mean + sigma * standard_normal``.  Every check, those of the
+    time, so nothing held grows with K.  The chain takes its uniforms
+    from ``RngStream(seed)``, and the Gaussians, ``mean + sigma *
+    standard_normal``, come from a second one moved past the chain's K
+    words: one engine makes every draw.  Every check, those of the
     parsed config included, runs before the first byte is written.
     """
     cfg = parse_config(args.config)
@@ -390,13 +388,13 @@ def _cmd_simulate(args) -> int:
     tables = _Tables.of(cfg.model())
     means = np.array(cfg.params.means)
     thresholds = compute_thresholds(cfg.params)
-    uniforms = _drawer(_uniforms(words[:, 0]) for words in _stream_words(seed, 0, 1, cfg.length))
-    normals = _drawer(_stream_normals(seed, cfg.length))
+    chain, noise = RngStream(seed), RngStream(seed)
+    noise._skip(cfg.length)
 
     def rows():
         lo = 0
-        for hidden in _chain(tables, uniforms, cfg.length):
-            z = means[hidden] + cfg.params.sigma * normals(hidden.size)
+        for hidden in _chain(tables, chain, cfg.length):
+            z = means[hidden] + cfg.params.sigma * noise.standard_normal(hidden.size)
             yield np.arange(lo + 1, lo + hidden.size + 1), hidden - 1, z, _symbols(z, thresholds)
             lo += hidden.size
 

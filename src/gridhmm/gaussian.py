@@ -1,18 +1,16 @@
 """Scalar Gaussian utilities and reproducible random streams.
 
 Everything downstream of this module draws randomness through
-:class:`RngStream`, which addresses an independent generator by
+:class:`RngStream`, which addresses an independent stream by
 ``(seed, stream_index)``.  Identical addresses give bitwise-identical
 draws on every platform, and distinct stream indices give statistically
 independent streams without any shared mutable state.  That property is
 what lets the Monte Carlo harness hand one stream to each trial and stay
-deterministic under any execution order.  The harness and the CLI's
-``simulate`` compute their draws without building a generator or
-loading ``numpy.random``: :func:`_stream_words` reproduces each
-stream's seeding and raw PCG64 words from any offset in exact uint64
-array arithmetic, :func:`_stream_draws` makes the uniforms of
-``Generator.random`` of them, and :func:`_normals` ports numpy's
-ziggurat for ``Generator.standard_normal``, bit for bit.
+deterministic under any execution order.  One engine makes every draw,
+without ``numpy.random``: :func:`_stream_words` reproduces numpy's
+seeding and raw PCG64 words from any offset in exact uint64 array
+arithmetic, and :func:`_uniforms` and the ziggurat of :func:`_normals`
+make ``Generator.random`` and ``standard_normal`` of them, bit for bit.
 """
 from __future__ import annotations
 
@@ -63,15 +61,11 @@ def q_function(x: float) -> float:
 class RngStream:
     """One reproducible random stream addressed by ``(seed, stream_index)``.
 
-    Backed by a PCG64 generator keyed through a seed sequence with the
-    stream index as spawn key, so each index yields an independent
-    stream derived directly from the root seed; creating stream ``t``
-    never advances or touches stream ``u``.  Gaussian draws use the
-    generator's native (ziggurat) sampler.  The Monte Carlo kernel and
-    the CLI's ``simulate`` reproduce these draws without the generator
-    (:func:`_stream_draws`, :func:`_normals`), so that they need not load
-    ``numpy.random``; this generator is the reference they are tested
-    against.
+    It is numpy's PCG64 stream of ``SeedSequence(seed, spawn_key=(stream_index,))``,
+    so creating stream ``t`` never touches stream ``u``.  Its draws are
+    made of the words of :func:`_stream_words`, the one engine of every
+    draw, and equal those of numpy's ``Generator``, bit for bit and word
+    for word.  ``_offset`` counts the words handed out.
 
     A stream is single-owner state: never advance the same stream from
     two threads.  Distinct streams may be advanced concurrently.
@@ -82,14 +76,71 @@ class RngStream:
         stream_index = int(stream_index)
         if stream_index < 0:
             raise ValueError(f"stream_index must be non-negative, got {stream_index}")
+        if stream_index >= 2**64:
+            raise ValueError(f"stream_index must fit in an unsigned 64-bit integer, got {stream_index}")
         self.seed = seed
         self.stream_index = stream_index
-        self.generator = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream_index,)))
-        )
+        self._offset = 0
+        self._skip(0)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
+
+    def _skip(self, n: int) -> None:
+        """Move the stream past its next ``n`` words without making them."""
+        self._offset += n
+        self._held = np.empty(0, dtype=np.uint64)
+        t = self.stream_index
+        self._pieces = _stream_words(self.seed, t, t + 1, _PERIOD, self._offset)
+
+    def _peek(self, n: int) -> np.ndarray:
+        """The stream's next ``n`` words, left in the stream."""
+        held, have = [self._held], len(self._held)
+        while have < n:
+            held.append(next(self._pieces)[:, 0])
+            have += len(held[-1])
+        if len(held) > 1:
+            self._held = np.concatenate(held)
+        return self._held[:n]
+
+    def _take(self, n: int) -> np.ndarray:
+        """The stream's next ``n`` words, handed out."""
+        words = self._peek(n)
+        rest = self._held[n:]
+        self._held = rest.copy() if n > _PIECE else rest  # a view would keep a large draw's words
+        self._offset += n
+        return words
+
+    def random(self, size=None):
+        """Doubles in [0, 1) as ``Generator.random``: one word each, its top 53 bits."""
+        u = _uniforms(self._take(_count(size)))
+        return float(u[0]) if size is None else u.reshape(size)
+
+    def standard_normal(self, size=None):
+        """Standard normals as ``Generator.standard_normal``: numpy's ziggurat on the words.
+
+        Each pass keeps the normals :func:`_normals` finds in about a piece
+        of the coming words, and looks further when it finds none.
+        """
+        count = _count(size)
+        out, slack = [np.empty(0)], 8
+        while count:
+            n = min(count, _PIECE)
+            normals, ends = _normals(self._peek(n + n // 16 + slack))
+            normals = normals[:count]
+            if normals.size:
+                self._take(int(ends[normals.size - 1]))
+            else:
+                slack *= 2
+            out.append(normals)
+            count -= normals.size
+        z = np.concatenate(out)
+        return float(z[0]) if size is None else z.reshape(size)
+
+
+def _count(size) -> int:
+    """Draws in an array of shape ``size``; one for None."""
+    return 1 if size is None else math.prod(np.atleast_1d(size).tolist())
 
 
 def _check_seed(seed) -> int:
@@ -198,7 +249,7 @@ def _powers(n: int) -> tuple[int, int]:
     return power & _M128, (power - 1) // (_PCG_MULT - 1)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)  # a stream's pieces and a Monte Carlo batch's
 def _sums(length: int) -> np.ndarray:
     """Limbs (4, length + 2, 1) of ``G_m`` for m in 0..length+1.
 
@@ -290,11 +341,7 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 
 
 def _stream_draws(seed: int, first: int, last: int, count: int) -> np.ndarray:
-    """Uniforms (count, last - first): column i ``RngStream(seed, first + i).generator.random(count)``.
-
-    ``Generator.random`` makes one double of each word of
-    :func:`_stream_words`.
-    """
+    """Uniforms (count, last - first): column i ``RngStream(seed, first + i).random(count)``."""
     u = np.empty((count, last - first))
     row = 0
     for words in _stream_words(seed, first, last, count):
@@ -448,8 +495,8 @@ _R = 3.6541528853610087963519472518
 _INV_R = 0.27366123732975827203338247596
 
 
-def _normals(words: np.ndarray) -> tuple[np.ndarray, int]:
-    """Standard normals of the raw PCG64 ``words`` as ``Generator.standard_normal`` makes them, and the words used.
+def _normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard normals of the raw PCG64 ``words`` as ``Generator.standard_normal`` makes them, and where each one's words end.
 
     numpy's ``random_standard_normal`` is a ziggurat (Marsaglia & Tsang
     2000, "The Ziggurat Method for Generating Random Variables").  Each
@@ -462,9 +509,10 @@ def _normals(words: np.ndarray) -> tuple[np.ndarray, int]:
     new attempt.  The first test runs on all words at once.  One loop,
     in order, over the words that fail it finds those that start an
     attempt and decides them with the same libm ``exp`` and ``log1p`` as
-    numpy's C code.  The count of words used ends at the last normal, so
-    an attempt cut off by the end of ``words``, or rejected after the
-    last normal, is left for the words that follow.
+    numpy's C code.  Normal i's words end before word ``ends[i]``; the
+    words after the last normal's, an attempt cut off by the end of
+    ``words`` or rejected after the last normal, are left for the words
+    that follow.
     """
     cell = (words & 0x1FF).astype(np.intp)
     rabs = words >> 9 & (2**52 - 1)
@@ -505,53 +553,9 @@ def _normals(words: np.ndarray) -> tuple[np.ndarray, int]:
     keep[list(ends)] = True
     keep[cut:] = False
     x[list(tails)] = list(tails.values())
-    normals = x[keep]
-    if not normals.size:
-        return normals, 0
-    last = n - 1 - int(keep[::-1].argmax())
-    return normals, ends.get(last, last + 1)
-
-
-def _stream_normals(seed: int, start: int):
-    """Yield the standard normals of ``RngStream(seed)`` from word ``start`` on, in pieces.
-
-    Joined, they are ``standard_normal`` after ``PCG64.advance(start)``:
-    each piece of :func:`_stream_words` goes through :func:`_normals`
-    behind the words the piece before left unused.
-    """
-    rest = np.empty(0, dtype=np.uint64)
-    for words in _stream_words(seed, 0, 1, _PERIOD, start):
-        words = np.concatenate([rest, words[:, 0]])
-        normals, used = _normals(words)
-        rest = words[used:]
-        yield normals
-
-
-def _drawer(pieces):
-    """``draw(n)``: the next n values of the arrays that ``pieces`` yields, joined in order."""
-    held = []
-
-    def draw(n: int) -> np.ndarray:
-        have = sum(map(len, held))
-        while have < n:
-            held.append(next(pieces))
-            have += len(held[-1])
-        values = np.concatenate(held)
-        held[:] = [values[n:]]
-        return values[:n]
-
-    return draw
-
-
-def _normal_law(mean, sigma) -> tuple[np.ndarray, float]:
-    """``mean`` as a float array and ``sigma`` as a float, checked: finite means, positive sigma."""
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    mean = np.asarray(mean, dtype=float)
-    if not np.all(np.isfinite(mean)):
-        raise ValueError("mean must be finite")
-    return mean, sigma
+    stop = np.arange(1, n + 1)
+    stop[list(ends)] = list(ends.values())
+    return x[keep], stop[keep]
 
 
 def sample_gaussian(mean, sigma: float, rng: RngStream, size=None):
@@ -561,11 +565,15 @@ def sample_gaussian(mean, sigma: float, rng: RngStream, size=None):
     element in order.  Returns a float for scalar input, an ndarray
     otherwise.
     """
-    mean_arr, sigma = _normal_law(mean, sigma)
-    out = rng.generator.normal(mean_arr, sigma, size=size)
-    if size is None and mean_arr.ndim == 0:
-        return float(out)
-    return out
+    sigma = float(sigma)
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    mean = np.asarray(mean, dtype=float)
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("mean must be finite")
+    shape = mean.shape if size is None else size
+    out = np.broadcast_to(mean, shape) + sigma * rng.standard_normal(shape)
+    return float(out) if size is None and mean.ndim == 0 else out
 
 
 def _vector_violation(vec: np.ndarray, name: str) -> str | None:
@@ -640,7 +648,7 @@ def sample_categorical(weights, rng: RngStream, size=None):
     problem = _vector_violation(w, "weights")
     if problem is not None:
         raise ValueError(problem)
-    u = rng.generator.random(size)
+    u = rng.random(size)
     # Counts the cumulative weights <= u, which skips zero-width categories
     # even when u hits a boundary; exact, as the weights never decrease.
     idx = np.searchsorted(_cumulative(w), u, side="right")

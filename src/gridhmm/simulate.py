@@ -21,13 +21,9 @@ In a batch each trial draws the uniforms of its own stream in the order
 of :func:`simulate_states` and :func:`emit_symbols`:
 :func:`~gridhmm.gaussian._stream_draws` seeds the batch's streams and
 jumps their PCG64 states ahead in closed form, in exact uint64 array
-arithmetic, without ``numpy.random``.  Every score is formed in the
-same order, so each trial equals those two functions and
-``viterbi_decode`` run on its own stream, bit for bit.  The CLI's
-``simulate`` also runs without ``numpy.random``: it passes
-:func:`_chain` the uniforms of the stream's first K words and draws the
-Gaussians from the words after them with numpy's ziggurat,
-:func:`~gridhmm.gaussian._normals`.
+arithmetic, the engine of every :class:`~gridhmm.gaussian.RngStream`.
+Every score is formed in the same order, so each trial equals those two
+functions and ``viterbi_decode`` run on its own stream, bit for bit.
 """
 from __future__ import annotations
 
@@ -67,9 +63,9 @@ __all__ = [
 HIST_BINS = 101
 
 # Steps (trials x K) per batch of the Monte Carlo kernel.  Running a
-# batch peaks at 43 bytes per step (traced at K=100 and 1000): the
+# batch peaks at 36 bytes per step (traced at K=100 and 1000): the
 # uniforms (16), the hidden and emitted columns (2) and viterbi._follow's
-# intp prefix scan and take temporaries (25), which also set the chain's
+# int16 prefix scan and take temporaries (18), which also set the chain's
 # peak; the draws alone, in pieces of gaussian._PIECE elements, peak at
 # 42.  So a batch needs about 0.7 MB,
 # while the vector operations across trials (163 of them at K=100)
@@ -88,7 +84,7 @@ def simulate_states(model: HmmModel, length: int, rng: RngStream) -> np.ndarray:
     """
     tables = _Tables.of(model)
     length = _check_length(length)
-    states = np.concatenate(list(_chain(tables, rng.generator.random, length)), dtype=np.int64)
+    states = np.concatenate(list(_chain(tables, rng, length)), dtype=np.int64)
     states -= 1
     return states
 
@@ -109,7 +105,7 @@ def emit_symbols(hidden, emissions, rng: RngStream) -> np.ndarray:
     if problem is not None:
         raise ValueError(problem)
     hid = _symbol_indices(hidden, "hidden")
-    u = rng.generator.random(hid.size)
+    u = rng.random(hid.size)
     return _invert((row[hid] for row in _cumulative(r)), u).astype(np.int64) - 1
 
 
@@ -179,21 +175,19 @@ def _sample_chain(tables: _Tables, u: np.ndarray, law: np.ndarray) -> np.ndarray
     return _follow(codes, _invert(law, u[0]))
 
 
-def _chain(tables: _Tables, draw, length: int):
+def _chain(tables: _Tables, rng: RngStream, length: int):
     """One record's state indices (int8), ``_CHUNK`` steps at a time.
 
-    Takes one uniform a step, a chunk at a time, from ``draw(n)``, which
-    returns the next n uniforms of a stream: so a generator's ``random``
-    gives the draws, and leaves the stream in the state, of one
-    ``random(length)``.  The first chunk starts from the initial law,
-    each later one from the transition row of the state the chunk
-    before ended in, as :func:`~gridhmm.viterbi._follow` carries the
-    state across its chunks; so the chunks joined are the path that one
-    chunk of ``length`` steps gives.
+    Takes one uniform a step from ``rng``, a chunk at a time: the same
+    draws, and the same stream state after them, as ``rng.random(length)``.
+    The first chunk starts from the initial law, each later one from the
+    transition row of the state the chunk before ended in, as
+    :func:`~gridhmm.viterbi._follow` carries the state across its chunks:
+    so the chunks joined are one chunk of ``length`` steps.
     """
     law = tables.cum_init
     for lo in range(0, length, _CHUNK):
-        path = _sample_chain(tables, draw(min(_CHUNK, length - lo))[:, None], law)[:, 0]
+        path = _sample_chain(tables, rng.random(min(_CHUNK, length - lo))[:, None], law)[:, 0]
         law = tables.cum_trans[path[-1]]
         yield path
 
@@ -286,9 +280,8 @@ def run_monte_carlo(
     (trials x length) at a time, and each trial equals
     :func:`simulate_states`, :func:`emit_symbols` and
     :func:`~gridhmm.viterbi.viterbi_decode` run on its stream.  A
-    batch's draws come from :func:`~gridhmm.gaussian._stream_draws`,
-    which computes them without ``numpy.random``, and one decoder memo
-    serves every batch.  The model is validated once per call.
+    batch's draws come from :func:`~gridhmm.gaussian._stream_draws`, one
+    decoder memo serves every batch, and the model is validated once.
     """
     tables = _Tables.of(model)
     trials = int(trials)

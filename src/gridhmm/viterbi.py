@@ -145,11 +145,12 @@ def _infeasible(x: np.ndarray, log_init, log_trans, log_emit) -> InfeasibleObser
 # Successor maps of the three states are coded c = f(0) + 3 f(1) + 9 f(2);
 # _MAPS[c] is (f(0), f(1), f(2)).  _COMPOSE[27 * a + b] is the code of
 # i -> a(b(i)).  The constant map to state j has code 13 j, and
-# _STATE[13 * j] is j.  Built from Python ints: numpy's integer division
-# and matmul loops would add about 0.4 MB of code pages to every process.
+# _STATE[13 * j] is j.  Codes and their sums fit int16: 27 a + b <= 728.
+# Built from Python ints: numpy's integer division and matmul loops would
+# add about 0.4 MB of code pages to every process.
 _MAPS = [[c // 3**i % 3 for i in range(3)] for c in range(27)]
 _COMPOSE = np.array(
-    [a[b[0]] + 3 * a[b[1]] + 9 * a[b[2]] for a in _MAPS for b in _MAPS], dtype=np.intp
+    [a[b[0]] + 3 * a[b[1]] + 9 * a[b[2]] for a in _MAPS for b in _MAPS], dtype=np.int16
 )
 _STATE = np.array([f[0] for f in _MAPS], dtype=np.int8)
 
@@ -170,7 +171,7 @@ def _follow(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
     codes[0] = first
     for start in range(1, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        scan = np.empty((stop - start + 1, records), dtype=np.intp)
+        scan = np.empty((stop - start + 1, records), dtype=np.int16)
         scan[0] = 13 * codes[start - 1]
         scan[1:] = codes[start:stop]
         shift = 1

@@ -74,6 +74,19 @@ def ref_model(ref_params) -> gh.HmmModel:
     )
 
 
+def oracle_generator(seed: int, stream_index: int = 0, start: int = 0) -> np.random.Generator:
+    """numpy's Generator for the stream ``RngStream(seed, stream_index)``, advanced by ``start`` words.
+
+    The independent oracle of the stream tests: numpy's own seeding,
+    PCG64 and samplers, in its C code, which ``RngStream`` reproduces
+    bit for bit without loading ``numpy.random``.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(stream_index,))
+    bit_generator = np.random.PCG64(seq)
+    bit_generator.advance(start)
+    return np.random.Generator(bit_generator)
+
+
 def random_model(gen: np.random.Generator, allow_zeros: bool = True) -> gh.HmmModel:
     """Random valid model; optionally sparsified to exercise -inf factors."""
     p = gen.dirichlet(np.ones(3), size=3)

@@ -1,16 +1,22 @@
 """Gaussian toolkit: Q-function accuracy and stream reproducibility."""
+import itertools
 import math
+import subprocess
+import sys
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridhmm as gh
 from gridhmm import gaussian
-from gridhmm.gaussian import _cumulative, _drawer, _normals, _spawn_states, _stream_draws
-from gridhmm.gaussian import _stream_normals, _stream_words, probability
+from gridhmm.gaussian import _cumulative, _normals, _spawn_states, _stream_draws, _stream_words
+from gridhmm.gaussian import probability
+
+from conftest import oracle_generator
 
 # --- independent oracle: trapezoidal integration of the normal density ---
 
@@ -86,28 +92,32 @@ def test_probability_bounds():
 def test_stream_determinism_bitwise():
     a = gh.RngStream(42, 3)
     b = gh.RngStream(42, 3)
-    assert np.array_equal(a.generator.random(1000), b.generator.random(1000))
+    assert np.array_equal(a.random(1000), b.random(1000))
     a2 = gh.RngStream(42, 3)
     b2 = gh.RngStream(42, 3)
     assert np.array_equal(
-        a2.generator.normal(0.0, 1.0, 1000), b2.generator.normal(0.0, 1.0, 1000)
+        gh.sample_gaussian(0.0, 1.0, a2, 1000), gh.sample_gaussian(0.0, 1.0, b2, 1000)
     )
 
 
 def test_stream_pinned_values():
     # Frozen draws; a change here means reproducibility across versions broke.
-    assert gh.RngStream(0, 0).generator.random() == 0.9429375528828794
-    assert gh.RngStream(0, 0).generator.normal(0.0, 1.0) == 1.4436909546981256
-    assert gh.RngStream(12345, 6).generator.random() == 0.25344637142828963
+    assert gh.RngStream(0, 0).random() == 0.9429375528828794
+    assert gh.sample_gaussian(0.0, 1.0, gh.RngStream(0, 0)) == 1.4436909546981256
+    assert gh.RngStream(12345, 6).random() == 0.25344637142828963
+    # So does the tests' oracle, numpy's Generator.
+    assert oracle_generator(0, 0).random() == 0.9429375528828794
+    assert oracle_generator(0, 0).normal(0.0, 1.0) == 1.4436909546981256
+    assert oracle_generator(12345, 6).random() == 0.25344637142828963
 
 
 def test_stream_independence_across_indices():
-    draws = [gh.RngStream(7, t).generator.random(4).tolist() for t in range(5)]
+    draws = [gh.RngStream(7, t).random(4).tolist() for t in range(5)]
     for i in range(5):
         for j in range(i + 1, 5):
             assert draws[i] != draws[j]
     # Creating stream t must not depend on whether other streams exist.
-    fresh = gh.RngStream(7, 3).generator.random(4).tolist()
+    fresh = gh.RngStream(7, 3).random(4).tolist()
     assert fresh == draws[3]
 
 
@@ -116,8 +126,11 @@ def test_stream_validation():
         gh.RngStream(-1, 0)
     with pytest.raises(ValueError):
         gh.RngStream(2**64, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         gh.RngStream(1, -1)
+    # The seed hash takes at most two 32-bit words of a stream index.
+    with pytest.raises(ValueError, match=r"stream_index must fit in an unsigned 64-bit integer, got 18446744073709551616"):
+        gh.RngStream(1, 2**64)
 
 
 # PCG64's default multiplier (O'Neill 2014, HMC-CS-2014-0905).
@@ -135,7 +148,7 @@ def test_vectorised_streams_equal_rng_stream(seed, monkeypatch):
         assert len(words) == 4
         assert all(w.dtype == np.uint64 and w.shape == (last - first,) for w in words)
         for t, (s_hi, s_lo, i_hi, i_lo) in zip(range(first, last), zip(*(w.tolist() for w in words))):
-            want = gh.RngStream(seed, t).generator.bit_generator.state["state"]
+            want = oracle_generator(seed, t).bit_generator.state["state"]
             inc = (i_hi << 65 | i_lo << 1 | 1) % 2**128
             assert want["inc"] == inc
             assert want["state"] == (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) % 2**128
@@ -148,7 +161,7 @@ def test_vectorised_streams_equal_rng_stream(seed, monkeypatch):
             draws = _stream_draws(seed, first, last, count)
             assert draws.shape == (count, last - first)
             for t, column in zip(range(first, last), draws.T):
-                assert np.array_equal(column, gh.RngStream(seed, t).generator.random(count))
+                assert np.array_equal(column, oracle_generator(seed, t).random(count))
 
 
 # --- raw words and the ziggurat ---
@@ -159,9 +172,7 @@ _OFFSETS = [0, 7, 2**14, 2**40]
 
 def _pcg64(seed, start=0):
     """The numpy bit generator of ``RngStream(seed)``, advanced by ``start`` words."""
-    bit_generator = gh.RngStream(seed).generator.bit_generator
-    bit_generator.advance(start)
-    return bit_generator
+    return oracle_generator(seed, start=start).bit_generator
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
@@ -183,18 +194,21 @@ def test_normals_equal_standard_normal(seed, monkeypatch):
         monkeypatch.setattr(gaussian, "_PIECE", piece)
         for start in _OFFSETS:
             want = np.random.Generator(_pcg64(seed, start))
-            assert np.array_equal(_drawer(_stream_normals(seed, start))(count), want.standard_normal(count))
+            stream = gh.RngStream(seed)
+            stream._skip(start)
+            assert np.array_equal(stream.standard_normal(count), want.standard_normal(count))
+            assert want.bit_generator.state == _pcg64(seed, stream._offset).state
             words = _pcg64(seed, start).random_raw(count)
-            normals, used = _normals(words)
+            normals, ends = _normals(words)
             want = np.random.Generator(_pcg64(seed, start))
             assert np.array_equal(normals, want.standard_normal(normals.size))
-            assert want.bit_generator.state == _pcg64(seed, start + used).state
+            assert want.bit_generator.state == _pcg64(seed, start + int(ends[-1])).state
 
 
 def test_normal_is_mean_plus_sigma_times_standard_normal():
     means = np.array([49.0, 50.0, 51.0] * 700)
-    normals = _drawer(_stream_normals(3, 0))(means.size)
-    want = np.random.Generator(_pcg64(3)).normal(means, 0.35)
+    normals = gh.RngStream(3).standard_normal(means.size)
+    want = oracle_generator(3).normal(means, 0.35)
     assert np.array_equal(means + 0.35 * normals, want)
 
 
@@ -207,7 +221,7 @@ def _next_word_is(word, inc):
     The state it steps to has a high word of 0, so XSL-RR neither mixes
     nor rotates: its output is the low word.
     """
-    bit_generator = gh.RngStream(0).generator.bit_generator
+    bit_generator = oracle_generator(0).bit_generator
     state = (word - inc) * _MULT_INV % 2**128
     bit_generator.state = {
         "bit_generator": "PCG64",
@@ -233,10 +247,10 @@ def test_normals_at_every_layer_boundary():
         for rabs in {ki[layer] - 1, ki[layer], ki[layer] + 256, 2**52 - 1} - {-1}:
             for sign in (0, 1):
                 word = layer | sign << 8 | rabs << 9
-                normals, used = _normals(_next_word_is(word, inc).random_raw(64))
+                normals, ends = _normals(_next_word_is(word, inc).random_raw(64))
                 want = np.random.Generator(_next_word_is(word, inc))
                 assert np.array_equal(normals, want.standard_normal(normals.size))
-                assert want.bit_generator.state == _next_word_is(word, inc).advance(used).state
+                assert want.bit_generator.state == _next_word_is(word, inc).advance(int(ends[-1])).state
                 if rabs < ki[layer]:
                     assert normals[0] == (-rabs if sign else rabs) * wi[layer]
                     outcomes.add("fast")
@@ -248,6 +262,109 @@ def test_normals_at_every_layer_boundary():
                     x = (-rabs if sign else rabs) * wi[layer]
                     outcomes.add("wedge accepted" if normals[0] == x else "wedge rejected")
     assert outcomes == {"fast", "tail", "wedge accepted", "wedge rejected"}
+
+
+def _seam_words(word, inc):
+    """A PCG64 bit generator whose raw word 4 is ``word``."""
+    bit_generator = _next_word_is(word, inc)
+    bit_generator.advance(-4)
+    return bit_generator
+
+
+@pytest.mark.parametrize("layer, rabs", [(0, 2**52 - 1), (200, None), (200, 2**52 - 1)])
+def test_stream_normal_whose_words_cross_a_piece_seam(layer, rabs):
+    # The stream reads its words in pieces of 5, and word 4, the last of
+    # the first piece, starts a tail or wedge attempt (at ki, or far from
+    # the curve) that reads on into the next piece.
+    rabs = int(gaussian._KI[layer]) if rabs is None else rabs
+    word = layer | rabs << 9
+    inc = 2 * 0x5851F42D4C957F2D + 1
+    assert _seam_words(word, inc).random_raw(5)[4] == word
+    source = _seam_words(word, inc)
+    stream = gh.RngStream(0)
+    stream._pieces = (source.random_raw(5)[:, None] for _ in itertools.count())
+    want = np.random.Generator(_seam_words(word, inc))
+    assert np.array_equal(stream.random(4), want.random(4))
+    assert np.array_equal(stream.standard_normal(3), want.standard_normal(3))
+    assert stream.standard_normal() == want.standard_normal()
+    assert want.bit_generator.state == _seam_words(word, inc).advance(stream._offset).state
+
+
+_WEIGHTS = np.array([0.2, 0.0, 0.5, 0.3])
+_SIZES = st.none() | st.integers(0, 40)
+_DRAWS = st.lists(
+    st.tuples(st.just("random"), _SIZES | st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    | st.tuples(st.just("standard_normal"), st.integers(0, 300))
+    | st.tuples(st.sampled_from(["sample_gaussian", "sample_categorical"]), _SIZES),
+    max_size=10,
+)
+
+
+def _means(size):
+    return 50.0 if size is None else 49.0 + np.arange(size) % 3
+
+
+def _draw(stream, kind, size):
+    """One draw of the library from ``stream``."""
+    if kind == "sample_gaussian":
+        return gh.sample_gaussian(_means(size), 0.35, stream)
+    if kind == "sample_categorical":
+        return gh.sample_categorical(_WEIGHTS, stream, size)
+    return getattr(stream, kind)(size)
+
+
+def _oracle_draw(oracle, kind, size):
+    """The same draw as numpy's Generator ``oracle`` makes it."""
+    if kind == "sample_gaussian":
+        return oracle.normal(_means(size), 0.35)
+    if kind == "sample_categorical":
+        u = np.asarray(oracle.random(size))
+        return (np.cumsum(_WEIGHTS) <= u[..., None]).sum(axis=-1)
+    return getattr(oracle, kind)(size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.sampled_from([5, gaussian._PIECE]), _DRAWS)
+@example(seed=1, index=2, piece=5, draws=[
+    ("random", 0), ("standard_normal", 0), ("sample_gaussian", 0), ("sample_categorical", 0), ("random", (0, 3)),
+])
+def test_interleaved_draws_equal_the_oracle(seed, index, piece, draws):
+    # Every draw equals numpy's, bit for bit, and the stream hands out
+    # exactly the words numpy's bit generator steps through.
+    with mock.patch.object(gaussian, "_PIECE", piece):
+        stream = gh.RngStream(seed, index)
+        oracle = oracle_generator(seed, index)
+        for kind, size in draws:
+            got, want = _draw(stream, kind, size), _oracle_draw(oracle, kind, size)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want), (kind, size)
+    assert oracle.bit_generator.state == oracle_generator(seed, index, stream._offset).bit_generator.state
+
+
+def test_library_draws_leave_numpy_random_unloaded(tmp_path):
+    # One engine: no draw of the library or the CLI builds numpy's Generator.
+    config = tmp_path / "run.cfg"
+    config.write_text("means = 49 50 51\nsigma = 0.2\npriors = 0.1 0.8 0.1\nk = 30\ntrials = 7\nseed = 3\n"
+                      "[transitions]\n0.2 0.7 0.1\n0.1 0.8 0.1\n0.1 0.7 0.2\n")
+    probe = (
+        "import sys, numpy as np\n"
+        "import gridhmm as gh\n"
+        "from gridhmm.cli import main\n"
+        "params = gh.DetectorParams(m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.2, priors=(0.1, 0.8, 0.1))\n"
+        "p = np.array([[0.2, 0.7, 0.1], [0.1, 0.8, 0.1], [0.1, 0.7, 0.2]])\n"
+        "model = gh.HmmModel(transitions=p, emissions=gh.build_emission_matrix(params), initial=np.array(params.priors))\n"
+        "rng = gh.RngStream(5, 1)\n"
+        "gh.sample_gaussian(50.0, 0.2, rng, size=3), gh.sample_categorical([0.5, 0.5], rng, size=3)\n"
+        "hidden = gh.simulate_states(model, 50, rng)\n"
+        "gh.emit_symbols(hidden, model.emissions, rng), gh.synthesize_measurements(hidden, params, rng)\n"
+        "gh.run_monte_carlo(model, 20, 5, 9)\n"
+        "for command in ('simulate', 'montecarlo'):\n"
+        "    assert main([command, '--config', sys.argv[1]]) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, str(config)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "\nfield,bin,ht,va\ntrials,,7,7\n" in proc.stdout
 
 
 def test_sample_gaussian_moments():
@@ -339,7 +456,7 @@ def test_sample_categorical_many_categories_counts_like_the_comparison(n, seed, 
     u = np.array(data.draw(st.lists(st.sampled_from(boundaries), min_size=1, max_size=16)))
     want = (cum[:, None] <= u).sum(axis=0)
     # A stream stand-in whose draws are the boundaries.
-    rng = SimpleNamespace(generator=SimpleNamespace(random=lambda size: u[0] if size is None else u))
+    rng = SimpleNamespace(random=lambda size: u[0] if size is None else u)
     assert np.array_equal(gh.sample_categorical(weights, rng, size=u.size), want)
     assert gh.sample_categorical(weights, rng) == want[0]
 

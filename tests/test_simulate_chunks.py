@@ -20,7 +20,7 @@ from gridhmm import simulate
 from gridhmm.cli import main
 from gridhmm.config import parse_config
 
-from conftest import reference_write
+from conftest import oracle_generator, reference_write
 
 ROWS = simulate._CHUNK
 
@@ -62,8 +62,8 @@ def _config(tmp_path, name, length, seed):
 
 
 def _reference(cfg, seed):
-    """Hidden state indices and measurements drawn whole from the stream."""
-    generator = gh.RngStream(seed, 0).generator
+    """Hidden state indices and measurements drawn whole from the stream by numpy's Generator."""
+    generator = oracle_generator(seed, 0)
     tables = simulate._Tables.of(cfg.model())
     u = generator.random(cfg.length)
     hidden = simulate._sample_chain(tables, u[:, None], tables.cum_init)[:, 0]
@@ -100,6 +100,7 @@ def test_simulate_states_draws_as_one_array(tmp_path, name, length):
     states = gh.simulate_states(cfg.model(), length, rng)
     assert states.dtype == np.int64
     assert np.array_equal(states, hidden.astype(np.int64) - 1)
-    whole = gh.RngStream(seed, 0).generator
+    whole = oracle_generator(seed, 0)
     whole.random(length)
-    assert rng.generator.bit_generator.state == whole.bit_generator.state
+    assert oracle_generator(seed, 0, rng._offset).bit_generator.state == whole.bit_generator.state
+    assert np.array_equal(rng.random(5), whole.random(5))

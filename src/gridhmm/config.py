@@ -36,7 +36,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_SECTIONS = ("transitions", "emission_matrix")
+# The matrix sections: the RunConfig field each sets, and the axis along which it sums to 1.
+_SECTIONS = {"transitions": ("transitions", 1), "emission_matrix": ("emissions_override", 0)}
 
 # Step indices are read as floats, which hold every integer of magnitude
 # below 2**53 exactly; larger ones would be rounded onto a neighbour.
@@ -59,19 +60,21 @@ _RULES = (
     "index {field!r} does not increase (previous {previous!r})",
 )
 
+# The keys of ``key = value`` lines.  An integer key maps to the RunConfig
+# field it sets, its range [low, high) and how a violation words that range.
 _SCALAR_KEYS = {
-    "means",
-    "f0",
-    "delta_f_min",
-    "delta_f_max",
-    "sigma",
-    "priors",
-    "k",
-    "trials",
-    "seed",
-    "horizon",
-    "snr_db",
-    "sigma_grid",
+    "means": None,
+    "f0": None,
+    "delta_f_min": None,
+    "delta_f_max": None,
+    "sigma": None,
+    "priors": None,
+    "k": ("length", 1, math.inf, "be >= 1"),
+    "trials": ("trials", 1, math.inf, "be >= 1"),
+    "seed": ("seed", 0, 2**64, "fit in an unsigned 64-bit integer"),
+    "horizon": ("horizon", 0, math.inf, "be >= 0"),
+    "snr_db": None,
+    "sigma_grid": None,
 }
 
 
@@ -297,18 +300,14 @@ def parse_config(path) -> RunConfig:
         except ValueError as exc:
             violations.append(str(exc))
 
-    length = value_of("k", _parse_int)
-    if length is not None and length < 1:
-        violations.append(f"'k' must be >= 1, got {length}")
-    trials = value_of("trials", _parse_int)
-    if trials is not None and trials < 1:
-        violations.append(f"'trials' must be >= 1, got {trials}")
-    seed = value_of("seed", _parse_int)
-    if seed is not None and not (0 <= seed < 2**64):
-        violations.append(f"'seed' must fit in an unsigned 64-bit integer, got {seed}")
-    horizon = value_of("horizon", _parse_int)
-    if horizon is not None and horizon < 0:
-        violations.append(f"'horizon' must be >= 0, got {horizon}")
+    fields: dict = {}  # the RunConfig fields set so far; an unset one takes its default
+    for key, rule in _SCALAR_KEYS.items():
+        if rule is None or (value := value_of(key, _parse_int)) is None:
+            continue
+        field, low, high, wording = rule
+        fields[field] = value
+        if not low <= value < high:
+            violations.append(f"{key!r} must {wording}, got {value}")
 
     snr_db_grid = value_of("snr_db")
     sigma_grid = value_of("sigma_grid")
@@ -317,38 +316,19 @@ def parse_config(path) -> RunConfig:
     if sigma_grid is not None and any(v <= 0 for v in sigma_grid):
         violations.append("'sigma_grid' values must be positive")
 
-    transitions: np.ndarray | None = None
-    if "transitions" in matrices and len(matrices["transitions"]) == 3:
-        t = np.array(matrices["transitions"], dtype=float)
-        problem = _matrix_violation(t, "[transitions]", 1)
-        if problem is None:
-            transitions = t
-        else:
-            violations.append(problem)
-
-    emissions_override: np.ndarray | None = None
-    if "emission_matrix" in matrices and len(matrices["emission_matrix"]) == 3:
-        r = np.array(matrices["emission_matrix"], dtype=float)
-        problem = _matrix_violation(r, "[emission_matrix]", 0)
-        if problem is None:
-            emissions_override = r
-        else:
-            violations.append(problem)
+    for name, (field, axis) in _SECTIONS.items():
+        if len(matrices.get(name, ())) == 3:
+            mat = np.array(matrices[name], dtype=float)
+            problem = _matrix_violation(mat, f"[{name}]", axis)
+            if problem is None:
+                fields[field] = mat
+            else:
+                violations.append(problem)
 
     if violations:
         raise ConfigError(violations)
     assert params is not None
-    counts = {"length": length, "trials": trials, "seed": seed}
-    return RunConfig(
-        params=params,
-        transitions=transitions,
-        emissions_override=emissions_override,
-        horizon=horizon,
-        snr_db_grid=snr_db_grid,
-        sigma_grid=sigma_grid,
-        # Unset counts take the dataclass defaults.
-        **{name: value for name, value in counts.items() if value is not None},
-    )
+    return RunConfig(params, snr_db_grid=snr_db_grid, sigma_grid=sigma_grid, **fields)
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,11 @@ class RngStream:
 
 
 def _count(size) -> int:
-    """Draws in an array of shape ``size``; one for None."""
-    return 1 if size is None else math.prod(np.atleast_1d(size).tolist())
+    """Draws in an array of shape ``size``; one for None.  A negative dimension fails, as in numpy."""
+    dims = [] if size is None else np.atleast_1d(size).tolist()
+    if any(d < 0 for d in dims):
+        raise ValueError("negative dimensions are not allowed")
+    return math.prod(dims)
 
 
 def _check_seed(seed) -> int:

@@ -61,20 +61,31 @@ class HmmModel:
     initial: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.array(self.transitions, dtype=float)
-        r = np.array(self.emissions, dtype=float)
-        pi = np.array(self.initial, dtype=float)
-        if t.shape != (N_STATES, N_STATES):
-            raise InvalidModelError(f"transitions must be 3x3, got shape {t.shape}")
-        if r.shape != (N_STATES, N_STATES):
-            raise InvalidModelError(f"emissions must be 3x3, got shape {r.shape}")
-        if pi.shape != (N_STATES,):
-            raise InvalidModelError(f"initial must have 3 entries, got shape {pi.shape}")
-        for arr in (t, r, pi):
+        t, r, pi = (np.array(a, dtype=float) for a in (self.transitions, self.emissions, self.initial))
+        checked = _matrix(t, "transitions"), _matrix(r, "emissions"), _law(pi, "initial")
+        for name, arr in zip(("transitions", "emissions", "initial"), checked):
             arr.flags.writeable = False
-        object.__setattr__(self, "transitions", t)
-        object.__setattr__(self, "emissions", r)
-        object.__setattr__(self, "initial", pi)
+            object.__setattr__(self, name, arr)
+
+
+def _matrix(value, name: str, sum_axis: int | None = None) -> np.ndarray:
+    """``value`` as a float 3x3 array, checked stochastic along ``sum_axis`` if one is given."""
+    mat = np.asarray(value, dtype=float)
+    if mat.shape != (N_STATES, N_STATES):
+        raise InvalidModelError(f"{name} must be 3x3, got shape {mat.shape}")
+    if sum_axis is not None and (problem := _matrix_violation(mat, name, sum_axis)):
+        raise InvalidModelError(problem)
+    return mat
+
+
+def _law(value, name: str, stochastic: bool = False) -> np.ndarray:
+    """``value`` as a float array of 3 entries, checked as a probability vector if ``stochastic``."""
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (N_STATES,):
+        raise InvalidModelError(f"{name} must have 3 entries, got shape {vec.shape}")
+    if stochastic and (problem := _vector_violation(vec, name)):
+        raise InvalidModelError(problem)
+    return vec
 
 
 def build_emission_matrix(params: DetectorParams) -> np.ndarray:
@@ -123,12 +134,7 @@ def stationary_distribution(transitions) -> np.ndarray:
     raise :class:`NonConvergenceError` rather than returning a spurious
     vector.
     """
-    p = np.asarray(transitions, dtype=float)
-    if p.shape != (N_STATES, N_STATES):
-        raise InvalidModelError(f"transitions must be 3x3, got shape {p.shape}")
-    problem = _matrix_violation(p, "transitions", 1)
-    if problem is not None:
-        raise InvalidModelError(problem)
+    p = _matrix(transitions, "transitions", 1)
     v = np.full(N_STATES, 1.0 / N_STATES)
     change = np.inf
     for _ in range(_MAX_ITER):

@@ -39,9 +39,9 @@ from .detector import (
     compute_thresholds,
     detection_probabilities,
 )
-from .gaussian import RngStream, _check_seed, _cumulative, _matrix_violation
-from .gaussian import _stream_draws, _vector_violation, sample_gaussian
-from .model import HmmModel, require_valid
+from .gaussian import RngStream, _check_seed, _cumulative, _stream_draws, _vector_violation
+from .gaussian import sample_gaussian
+from .model import HmmModel, _law, _matrix, require_valid
 from .viterbi import _CHUNK, _Memo, _follow, _paths, _symbol_indices
 
 __all__ = [
@@ -96,14 +96,9 @@ def emit_symbols(hidden, emissions, rng: RngStream) -> np.ndarray:
     under true state j.  Draws are independent across positions and use
     the same single-uniform inversion as
     :func:`~gridhmm.gaussian.sample_categorical`, consuming one uniform
-    per position.
+    per position.  Other ``emissions`` raise InvalidModelError (a ValueError).
     """
-    r = np.asarray(emissions, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"emissions must be 3x3, got shape {r.shape}")
-    problem = _matrix_violation(r, "emissions", 0)
-    if problem is not None:
-        raise ValueError(problem)
+    r = _matrix(emissions, "emissions", 0)
     hid = _symbol_indices(hidden, "hidden")
     u = rng.random(hid.size)
     return _invert((row[hid] for row in _cumulative(r)), u).astype(np.int64) - 1
@@ -404,26 +399,15 @@ def predict(transitions, initial, horizon: int) -> PredictionVector:
     Applies the forward equation ``v <- v P`` once per step, so
     predicting a steps and then feeding the result forward b more steps
     reproduces the (a+b)-step prediction bit for bit.  Horizon 0 returns
-    the initial distribution unchanged.
+    the initial distribution unchanged.  Raises InvalidModelError (a ValueError) unless
+    ``transitions`` is a row-stochastic 3x3 matrix and ``initial`` a law of 3 entries.
     """
-    p = np.asarray(transitions, dtype=float)
-    if p.shape != (3, 3):
-        raise ValueError(f"transitions must be 3x3, got shape {p.shape}")
-    problem = _matrix_violation(p, "transitions", 1)
-    if problem is not None:
-        raise ValueError(problem)
-    v = np.asarray(initial, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"initial must have 3 entries, got shape {v.shape}")
-    problem = _vector_violation(v, "initial")
-    if problem is not None:
-        raise ValueError(problem)
+    p = _matrix(transitions, "transitions", 1)
+    v = _law(initial, "initial", stochastic=True)
     horizon = int(horizon)
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
     for out in _propagate(v.copy(), p, horizon):
         pass
-    return PredictionVector(probs=out, horizon=horizon)
+    return PredictionVector(probs=out, horizon=horizon)  # which rejects a negative horizon
 
 
 def _power_sum(p: np.ndarray, m: int) -> np.ndarray:

@@ -213,7 +213,8 @@ def test_simulate_trace_feeds_decode(cfg, capsys, tmp_path):
     assert header == ["k", "z_hz", "x", "s_star"]
     assert len(rows) == 20
     # The decode must agree with the library pipeline on the same data.
-    sim_rows = list(csv.reader(trace.open()))[1:]
+    with trace.open() as fh:
+        sim_rows = list(csv.reader(fh))[1:]
     z = np.array([float(r[2]) for r in sim_rows])
     cfg_obj = gh.parse_config(cfg)
     x = gh.classify(z, gh.compute_thresholds(cfg_obj.params))

@@ -145,6 +145,41 @@ horizon = -2
         assert v in str(info.value)
 
 
+def test_violations_keep_their_order(tmp_path):
+    # The exact list, order included: line-level problems, the detector
+    # keys, the four integer keys in turn, then the two matrix sections.
+    text = """\
+means = 49 50
+sigma = 0.2 0.3
+k = 0
+trials = 0
+seed = 18446744073709551616
+horizon = -1
+
+[transitions]
+0.2 0.7 0.1
+0.1 0.8 0.1
+0.1 0.7 0.5
+
+[emission_matrix]
+0.9 0.1 0.0
+0.1 0.8 0.1
+0.0 0.2 0.9
+"""
+    with pytest.raises(gh.ConfigError) as info:
+        gh.parse_config(write(tmp_path, text))
+    assert info.value.violations == [
+        "'means' needs 3 values, got 2",
+        "'sigma' takes a single value",
+        "'k' must be >= 1, got 0",
+        "'trials' must be >= 1, got 0",
+        "'seed' must fit in an unsigned 64-bit integer, got 18446744073709551616",
+        "'horizon' must be >= 0, got -1",
+        "[transitions] row 2 sums to 1.3, off by 3.000e-01 (> 1e-09)",
+        "[emission_matrix] column 1 sums to 1.1, off by 1.000e-01 (> 1e-09)",
+    ]
+
+
 def test_duplicate_key_cited_with_line(tmp_path):
     with pytest.raises(gh.ConfigError) as info:
         gh.parse_config(write(tmp_path, "means = 49 50 51\nsigma = 0.2\nsigma = 0.3\n"))

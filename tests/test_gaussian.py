@@ -341,6 +341,28 @@ def test_interleaved_draws_equal_the_oracle(seed, index, piece, draws):
     assert oracle.bit_generator.state == oracle_generator(seed, index, stream._offset).bit_generator.state
 
 
+_NEGATIVE_SIZES = [-1, (2, -3), (-1,)]
+
+
+@pytest.mark.parametrize("kind", ["random", "standard_normal", "sample_categorical"])
+@pytest.mark.parametrize("size", [*_NEGATIVE_SIZES, (), 0, (2, 0)])
+def test_draw_sizes_follow_numpy(kind, size):
+    # A negative dimension is rejected as numpy rejects it, before any word
+    # is taken; every other size, empty ones too, draws what numpy draws.
+    stream, oracle = gh.RngStream(1), oracle_generator(1)
+    stream.random(3), oracle.random(3)
+    if size in _NEGATIVE_SIZES:
+        for draw, source in ((_draw, stream), (_oracle_draw, oracle)):
+            with pytest.raises(ValueError, match="^negative dimensions are not allowed$"):
+                draw(source, kind, size)
+        assert stream._offset == 3
+    else:
+        got, want = _draw(stream, kind, size), _oracle_draw(oracle, kind, size)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    assert np.array_equal(stream.random(5), oracle.random(5))
+
+
 def test_library_draws_leave_numpy_random_unloaded(tmp_path):
     # One engine: no draw of the library or the CLI builds numpy's Generator.
     config = tmp_path / "run.cfg"

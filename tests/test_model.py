@@ -186,3 +186,85 @@ def test_stationary_random_positive_chains(seed):
         return
     pi = stationary_distribution(p)
     assert np.max(np.abs(pi @ p - pi)) <= 1e-10
+
+
+# --- the exact shape and stochasticity errors of every site that checks a 3-state law ---
+
+_R = np.array([[0.9, 0.1, 0.0], [0.1, 0.8, 0.1], [0.0, 0.1, 0.9]])
+_PI = np.array([0.1, 0.8, 0.1])
+
+
+def _with(matrix, i, j, value):
+    out = matrix.copy()
+    out[i, j] = value
+    return out
+
+
+_ROW_2_HIGH = _with(REFERENCE_P, 2, 2, 0.5)
+
+
+def _rng():
+    return gh.RngStream(0, 0)
+
+
+_LAW_ERRORS = {
+    "model-transitions-shape": (lambda: gh.HmmModel(np.eye(2), _R, _PI), gh.InvalidModelError,
+                                "transitions must be 3x3, got shape (2, 2)"),
+    "model-emissions-shape": (lambda: gh.HmmModel(REFERENCE_P, _R[0], _PI), gh.InvalidModelError,
+                              "emissions must be 3x3, got shape (3,)"),
+    "model-initial-shape": (lambda: gh.HmmModel(REFERENCE_P, _R, _PI[:2]), gh.InvalidModelError,
+                            "initial must have 3 entries, got shape (2,)"),
+    "model-emissions-before-initial": (lambda: gh.HmmModel(REFERENCE_P, np.eye(4), [1.0]), gh.InvalidModelError,
+                                       "emissions must be 3x3, got shape (4, 4)"),
+    "stationary-shape": (lambda: stationary_distribution(np.eye(2)), gh.InvalidModelError,
+                         "transitions must be 3x3, got shape (2, 2)"),
+    "stationary-non-finite": (lambda: stationary_distribution(_with(REFERENCE_P, 1, 1, np.nan)),
+                              gh.InvalidModelError, "transitions has a non-finite entry"),
+    "stationary-outside": (lambda: stationary_distribution(_with(REFERENCE_P, 0, 1, -0.1)), gh.InvalidModelError,
+                           "transitions[0, 1] = -0.1 is outside [0, 1]"),
+    "stationary-row-sum": (lambda: stationary_distribution(_ROW_2_HIGH), gh.InvalidModelError,
+                           "transitions row 2 sums to 1.3, off by 3.000e-01 (> 1e-09)"),
+    "emit-shape": (lambda: gh.emit_symbols([0, 1], _R[:, :2], _rng()), gh.InvalidModelError,
+                   "emissions must be 3x3, got shape (3, 2)"),
+    "emit-column-sum-before-hidden": (lambda: gh.emit_symbols([0, 5], _with(_R, 2, 1, 0.2), _rng()),
+                                      gh.InvalidModelError,
+                                      "emissions column 1 sums to 1.1, off by 1.000e-01 (> 1e-09)"),
+    "emit-orientation": (lambda: gh.emit_symbols([0, 1], REFERENCE_P, _rng()), gh.InvalidModelError,
+                         "emissions column 0 sums to 0.4, off by 6.000e-01 (> 1e-09)"),
+    "predict-transitions-shape": (lambda: gh.predict(np.eye(2), [0.5, 0.5], -1), gh.InvalidModelError,
+                                  "transitions must be 3x3, got shape (2, 2)"),
+    "predict-transitions-before-initial": (lambda: gh.predict(_ROW_2_HIGH, [0.5, 0.5], -1), gh.InvalidModelError,
+                                           "transitions row 2 sums to 1.3, off by 3.000e-01 (> 1e-09)"),
+    "predict-initial-shape": (lambda: gh.predict(REFERENCE_P, [0.5, 0.5], -1), gh.InvalidModelError,
+                              "initial must have 3 entries, got shape (2,)"),
+    "predict-initial-non-finite": (lambda: gh.predict(REFERENCE_P, [0.5, np.nan, 0.5], -1), gh.InvalidModelError,
+                                   "initial has a non-finite entry"),
+    "predict-initial-negative": (lambda: gh.predict(REFERENCE_P, [0.6, 0.6, -0.2], -1), gh.InvalidModelError,
+                                 "initial[2] = -0.2 is negative"),
+    "predict-initial-above-1": (lambda: gh.predict(REFERENCE_P, [1.5, 0.0, 0.0], -1), gh.InvalidModelError,
+                                "initial[0] = 1.5 exceeds 1"),
+    "predict-initial-sum": (lambda: gh.predict(REFERENCE_P, [0.5, 0.6, 0.1], -1), gh.InvalidModelError,
+                            "initial sums to 1.2, off by 2.000e-01 (> 1e-09)"),
+    "predict-horizon": (lambda: gh.predict(REFERENCE_P, _PI, -1), ValueError, "horizon must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAW_ERRORS))
+def test_three_state_law_errors_are_pinned(case):
+    # Each site checks its arrays in argument order, shape before
+    # stochasticity, and before any other argument.
+    call, cls, message = _LAW_ERRORS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+def test_model_converts_every_array_before_checking_a_shape():
+    ragged = [[1.0], [1.0, 2.0]]
+    with pytest.raises(ValueError) as want:
+        np.array(ragged, dtype=float)
+    with pytest.raises(ValueError) as got:
+        gh.HmmModel(np.eye(2), _R, ragged)
+    assert type(got.value) is ValueError
+    assert str(got.value) == str(want.value)

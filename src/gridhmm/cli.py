@@ -57,31 +57,55 @@ def _fmt_index(value: float) -> str:
     return format(value, ".17g")
 
 
-# Rows per chunk.  2**13 writes a little faster but adds about 1 MB to peak RSS.
+# Rows per chunk.  2**13 writes no faster and adds about 1 MB to peak RSS.
 _ROWS = 2**12
 
 # A float cell in fixed notation is a sign and at most 22 characters
 # ("0.000" and 17 digits); any other '%.17g' cell has at most 24.
 _FLOAT_WIDTH = 24
-_POW5 = np.array([5**p for p in range(21)], dtype=np.uint64)
+
+# 10**p for 0 <= p <= 20, exact doubles.
+_SCALE = np.array([10**p for p in range(21)], dtype=np.float64)
 # A magnitude has 1 + (the number of _TENS it reaches) digits.
 _TENS = np.array([10**i for i in range(1, 20)], dtype=np.uint64)
 # _SUFFIX[n] marks the last n of 20 places: where an n-digit magnitude prints.
 _SUFFIX = np.arange(19, -1, -1) < np.arange(21)[:, None]
-# _PREFIX[n] marks the first n of the 23 places after a float cell's sign.
-_PREFIX = np.arange(23) < np.arange(23)[:, None]
-# The two digit characters of 0..99, as one uint16 each.
-_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+# _PREFIX[n] marks the first n of the _FLOAT_WIDTH places of a float cell.
+_PREFIX = np.arange(_FLOAT_WIDTH) < np.arange(_FLOAT_WIDTH)[:, None]
+# The two digit characters of 0..99 as one uint16 each, and the four of
+# 0..9999 as one uint32 each: two pairs side by side.
+_PAIRS = np.frombuffer(("%02d" * 100 % tuple(range(100))).encode(), dtype=np.uint16)
+_QUADS = np.column_stack((np.repeat(_PAIRS, 100), np.tile(_PAIRS, 100))).view(np.uint32).ravel()
+# The '%3d' cells of -99..99, NUL-padded, at index v + 99.
+_NARROW = np.frombuffer(
+    ("%3d" * 199 % tuple(range(-99, 100))).encode().replace(b" ", b"\0"), dtype=np.uint8
+).reshape(199, 3)
 
 
-def _digits(magnitude: np.ndarray, pairs: int) -> np.ndarray:
-    """The last ``2 * pairs`` decimal digits of uint64 ``magnitude``, as (rows x 2 pairs) bytes."""
-    out = np.empty((magnitude.size, pairs), dtype=np.uint16)
-    for i in range(pairs - 1, -1, -1):
-        rest = magnitude // 100
-        out[:, i] = _PAIRS.take(magnitude - rest * 100)
+def _digits(magnitude: np.ndarray, quads: int, nuls: int = 0) -> np.ndarray:
+    """The last ``4 * quads`` digits of uint64 ``magnitude``, then ``4 * nuls`` NULs, as rows of bytes.
+
+    Each group of four digits is one lookup in ``_QUADS``, taken a column
+    at a time.  The first group is ``magnitude // 10**(4 * (quads - 1))``,
+    which must be below 10**4.
+    """
+    text = np.zeros((magnitude.size, quads + nuls), dtype=np.uint32)
+    for i in range(quads - 1, 0, -1):
+        rest = magnitude // 10**4
+        _QUADS.take(magnitude - rest * 10**4, out=text[:, i])
         magnitude = rest
-    return out.view(np.uint8)
+    _QUADS.take(magnitude, out=text[:, 0])
+    return text.view(np.uint8)
+
+
+def _put(cells: np.ndarray, rows, start: int, text: np.ndarray) -> None:
+    """The rows x n bytes ``text`` into ``cells[:, start:start + n]``, at ``rows`` of both.
+
+    The copy runs over n-byte void items, one a row, which numpy moves
+    faster than n bytes of each row.
+    """
+    n = text.shape[1]
+    cells[:, start : start + n].view(f"V{n}")[rows, 0] = text.view(f"V{n}")[rows, 0]
 
 
 def _fill_text(strings: list, cells: np.ndarray) -> None:
@@ -98,42 +122,49 @@ def _fill_text(strings: list, cells: np.ndarray) -> None:
 def _fill_ints(v: np.ndarray, cells: np.ndarray) -> None:
     """Integers ``v`` as '%d' into ``cells``: a sign or NUL, then NULs and right-aligned digits.
 
-    ``v`` is of any integer dtype, its values of magnitude below 2**63;
-    it is converted to int64 here.
+    ``v`` is of any integer dtype, its values of magnitude below 2**63,
+    and ``cells`` has a place for the sign and one for each digit of the
+    largest magnitude.  A chunk of magnitudes up to 99 takes each cell
+    whole from ``_NARROW``.  Any other is converted to int64 and laid
+    out in the digits of :func:`_digits`, whose leading zeros turn NUL
+    by a mask a row when some magnitude has fewer digits than the largest.
     """
+    width = cells.shape[1]
+    if width <= 3:
+        _put(cells, slice(None), 0, _NARROW.take(v.astype(np.intp) + 99, axis=0)[:, 3 - width :])
+        return
     v = np.ascontiguousarray(v, dtype=np.int64)
-    negative = v < 0
-    u = v.view(np.uint64)
-    magnitude = np.where(negative, np.uint64(0) - u, u)  # exact for -2**63 too
-    cells[:, 0] = negative * ord("-")
-    places = cells.shape[1] - 1
-    digits = 1 + _TENS[: places - 1].searchsorted(magnitude, side="right")
-    cells[:, 1:] = _digits(magnitude, places // 2) * _SUFFIX[:, -places:].take(digits, axis=0)
+    magnitude = np.abs(v).view(np.uint64)  # exact for -2**63 too
+    text = _digits(magnitude, (width + 3) // 4)[:, -width:]  # the sign's place, then the digits
+    text[:, 0] = (v < 0) * np.uint8(ord("-"))
+    places = width - 1
+    if magnitude.min() < 10 ** (places - 1):
+        digits = 1 + _TENS[: places - 1].searchsorted(magnitude, side="right")
+        text[:, 1:] *= _SUFFIX[:, -places:].take(digits, axis=0)
+    _put(cells, slice(None), 0, text)
 
 
-def _round17(m: np.ndarray, e: np.ndarray, x: np.ndarray):
-    """Truncated and half-even rounded ``m * 2**e * 10**(16 - x)``, both uint64.
+def _halves(x):
+    """Veltkamp's split of doubles ``x`` into two halves of 26 bits each, whose products are exact."""
+    t = x * (2.0**27 + 1)
+    high = t - (t - x)
+    return high, x - high
 
-    ``m`` < 2**53 and ``0 <= 16 - x <= 20``, so ``m * 5**(16 - x)`` fits in
-    two 64-bit limbs built from 32-bit partial products; it is then
-    shifted by ``e + 16 - x``, right by less than 64 bits or left.
+
+def _round17(a: np.ndarray, p) -> np.ndarray:
+    """``a * 10**p`` rounded half to even, as uint64, for ``0 <= p <= 20``.
+
+    Dekker's product gives ``a * 10**p`` exactly as the sum of the double
+    ``h = fl(a * 10**p)`` and the double ``l``, from the products of the
+    26-bit halves of both factors.  Where the product is at least 2**53,
+    ``h`` is an even integer, so ``h + rint(l)`` rounds it half to even.
     """
-    p = 16 - x
-    f = _POW5[p]
-    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
-    f_lo, f_hi = f & 0xFFFFFFFF, f >> 32
-    low = m_lo * f_lo
-    mid = m_lo * f_hi + m_hi * f_lo
-    lo = low + (mid << 32)
-    hi = m_hi * f_hi + (mid >> 32) + (lo < low)
-    shift = e + p
-    right = np.maximum(-shift, 0).astype(np.uint64)
-    left = np.maximum(shift, 0).astype(np.uint64)
-    truncated = ((lo >> right) | (hi << (64 - right))) << left
-    rest = lo & ((np.uint64(1) << right) - 1)
-    half = np.uint64(1) << (np.maximum(right, 1) - 1)
-    up = (rest > half) | ((rest == half) & (truncated & 1).astype(bool))
-    return truncated, truncated + up
+    scale = _SCALE[p]
+    h = a * scale
+    a_high, a_low = _halves(a)
+    high, low = _halves(scale)
+    l = (((a_high * high - h) + a_low * high) + a_high * low) + a_low * low
+    return h.astype(np.uint64) + np.rint(l).astype(np.int64).view(np.uint64)
 
 
 def _fill_floats(v: np.ndarray, cells: np.ndarray) -> None:
@@ -149,36 +180,39 @@ def _fill_floats(v: np.ndarray, cells: np.ndarray) -> None:
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e17)
     a = np.where(fast, a, 1.0)  # keeps the arithmetic of the other rows in range
-    bits = a.view(np.uint64)
-    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
-    e = (bits >> 52).astype(np.int64) - 1075
     x = np.floor(np.log10(a)).astype(np.int64).clip(-4, 16)
-    truncated, n = _round17(m, e, x)
-    # N holds the 17 digits exactly when X is the exponent (N truncated has
-    # 17 digits) and rounding did not carry into an 18th.  Near a power of
-    # ten log10 can be off by one; such rows take the per-cell path.
-    fast &= (truncated >= 10**16) & (n < 10**17)
+    lowest, highest = int(x.min()), int(x.max())
+    n = _round17(a, 16 - x if lowest < highest else 16 - lowest)
+    # N holds the 17 digits exactly when it has 17 digits: near a power of
+    # ten log10 can be off by one, and such rows take the per-cell path.
+    # An X one too large gives N < 10**16, because the double below 10**X
+    # lies more than half a unit of N below it for every X in -4..16; one
+    # too small, or a carry into an 18th digit, gives N >= 10**17.
+    fast &= (n >= 10**16) & (n < 10**17)
 
-    # The 17 digits of N, laid out for one value of X at a time: "ddd.dddd"
-    # for X >= 0, "0.000dddd" (-X-1 zeros) for X < 0.
-    digits = _digits(n, 9)[:, 1:]
-    zeros = np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # trailing zero digits
-    body = cells[:, 1:]
-    counts = np.bincount(x + 4, minlength=21)
-    for ex in np.flatnonzero(counts) - 4:
-        rows = slice(None) if counts[ex + 4] == x.size else x == ex
+    # The digits of N behind 7 zeros, then 8 NULs: each row's text is
+    # copied from these bytes, one value of X at a time.  "ddd.dddd" for
+    # X >= 0 is two pieces around the point; "0.000dddd" (-X-1 zeros)
+    # for X < 0 is one.
+    text = _digits(n, 6, nuls=2)
+    for ex in range(lowest, highest + 1):
+        rows = slice(None) if lowest == highest else x == ex
         if ex >= 0:
-            body[rows, : ex + 1] = digits[rows, : ex + 1]
-            body[rows, ex + 1] = ord(".")
-            body[rows, ex + 2 : 18] = digits[rows, ex + 1 :]
+            _put(cells, rows, 1, text[:, 7 : ex + 8])
+            cells[rows, ex + 2] = ord(".")
+            _put(cells, rows, ex + 3, text[:, ex + 8 : 29])
         else:
-            body[rows, :2] = np.frombuffer(b"0.", dtype=np.uint8)
-            body[rows, 2 : 1 - ex] = ord("0")
-            body[rows, 1 - ex : 18 - ex] = digits[rows]
-    fraction = 16 - x - zeros  # digits after the point that are kept
-    length = np.maximum(x, 0) + 1 + np.where(fraction > 0, fraction + 1, 0)
-    cells[:, 0] = np.signbit(v) * ord("-")
-    body *= _PREFIX.take(length, axis=0)
+            text[rows, 7 + ex] = ord(".")
+            _put(cells, rows, 1, text[:, 6 + ex : 29 + ex])
+    cells[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    # A row whose last digit is 0 drops its trailing zero digits, and the
+    # point if no digit follows it; X = 16 has no digit after the point.
+    short = np.flatnonzero((text[:, 23] == ord("0")) | (x == 16))
+    if short.size:
+        zeros = np.argmax(text[short, 23:6:-1] != ord("0"), axis=1)
+        fraction = 16 - x[short] - zeros  # digits after the point that are kept
+        length = 2 + np.maximum(x[short], 0) + np.where(fraction > 0, fraction + 1, 0)
+        cells[short] *= _PREFIX.take(length, axis=0)
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = cells[slow]
@@ -191,14 +225,13 @@ def _format(column: np.ndarray):
 
     Floats print as '%.17g', integers as '%d' in slots as wide as the
     chunk's extremes need, anything else through ``str``.  Numeric rows
-    are converted to contiguous float64 or int64 as they are written, so
-    no whole-chunk copy is made.
+    are converted as they are written, so no whole-chunk copy is made.
     """
     if column.dtype.kind == "f":
         return _FLOAT_WIDTH, _fill_floats
     if column.dtype.kind in "iu":
         digits = len(str(max(-int(column.min()), int(column.max()))))
-        return 1 + digits + digits % 2, _fill_ints
+        return 1 + digits, _fill_ints
     width = max(len(str(c).encode()) for c in column.tolist()) or 1
 
     def fill(values, cells):
@@ -217,10 +250,11 @@ def _write_csv(target: str, header: list[str], chunks) -> None:
     one (rows x line width) byte matrix: every cell in a fixed-width
     slot, then a comma, the last one a newline.  A fill writes NUL into
     the bytes of its slots that its cells leave, so those rows' text is
-    the nonzero bytes of the block, written as one string.  The matrix
-    is kept from chunk to chunk and reallocated only for a chunk that
-    needs more bytes, so what a write holds beside its chunks is bounded
-    by _ROWS rows of its widest line.
+    the block's bytes without their NULs: ``bytes.translate`` drops them
+    from at most 64 KiB of whole lines at a time.  The matrix is kept
+    from chunk to chunk and reallocated only for a chunk that needs more
+    bytes, so what a write holds beside its chunks is bounded by _ROWS
+    rows of its widest line.
     """
     lines = np.empty(0, dtype=np.uint8)
     to_stdout = target in ("-", "stdout")
@@ -234,6 +268,7 @@ def _write_csv(target: str, header: list[str], chunks) -> None:
             if lines.size < size:
                 lines = np.empty(size, dtype=np.uint8)
             matrix = lines[:size].reshape(-1, ends[-1])
+            step = max(1, 2**16 // ends[-1])  # lines in at most 64 KiB, or one
             matrix.fill(ord(","))  # the fills overwrite all but the bytes between slots
             matrix[:, -1] = ord("\n")
             for lo in range(0, total, _ROWS):
@@ -241,7 +276,8 @@ def _write_csv(target: str, header: list[str], chunks) -> None:
                 for (width, fill), end, column in zip(formats, ends, chunk):
                     fill(column[lo : lo + rows], matrix[:rows, end - 1 - width : end - 1])
                 block = matrix[:rows]
-                out.write(block[block != 0].tobytes().decode())
+                for start in range(0, rows, step):  # whole lines, so no character is cut
+                    out.write(block[start : start + step].tobytes().translate(None, b"\0").decode())
 
 
 def _summary(command: str, **fields) -> None:

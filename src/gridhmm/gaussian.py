@@ -574,6 +574,8 @@ def sample_gaussian(mean, sigma: float, rng: RngStream, size=None):
     mean = np.asarray(mean, dtype=float)
     if not np.all(np.isfinite(mean)):
         raise ValueError("mean must be finite")
+    if size is not None:
+        _count(size)  # a negative dimension fails as in numpy, before any word is taken
     shape = mean.shape if size is None else size
     out = np.broadcast_to(mean, shape) + sigma * rng.standard_normal(shape)
     return float(out) if size is None and mean.ndim == 0 else out

@@ -39,7 +39,7 @@ from .detector import (
     compute_thresholds,
     detection_probabilities,
 )
-from .gaussian import RngStream, _check_seed, _cumulative, _stream_draws, _vector_violation
+from .gaussian import RngStream, _check_seed, _cumulative, _stream_draws
 from .gaussian import sample_gaussian
 from .model import HmmModel, _law, _matrix, require_valid
 from .viterbi import _CHUNK, _Memo, _follow, _paths, _symbol_indices
@@ -375,10 +375,7 @@ class PredictionVector:
     horizon: int
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        problem = _vector_violation(p, "probs")
-        if problem is not None:
-            raise ValueError(problem)
+        p = _law(self.probs, "probs", stochastic=True)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
         if self.horizon < 0:

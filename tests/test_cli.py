@@ -290,7 +290,7 @@ def _peak_per_row(command, cfg, tmp_path, index_name="k", offset=0, first=None):
 
 
 def test_decode_peak_memory_per_row(cfg, tmp_path):
-    # Traced peak of a whole decode run, output included: about 8.4 B a
+    # Traced peak of a whole decode run, output included: about 7.4 B a
     # row.  The loaded float columns wait in the spill file, not in
     # memory; what is held is int8, 1 B a row an array (the symbols, the
     # decoder's copies and codes, the path), and the rest is made one
@@ -302,7 +302,7 @@ def test_decode_peak_memory_per_row(cfg, tmp_path):
 
 def test_detect_peak_memory_per_row(cfg, tmp_path):
     # detect classifies like decode, one chunk at a time into int8, and
-    # holds only the symbols: about 7.2 B a row, 23 with the loaded
+    # holds only the symbols: about 6.1 B a row, 23 with the loaded
     # columns.  Classifying the whole column at once would add its int64
     # result, 8 B a row.
     assert _peak_per_row("detect", cfg, tmp_path, "k", 0) < 10
@@ -310,24 +310,25 @@ def test_detect_peak_memory_per_row(cfg, tmp_path):
 
 def test_decode_peak_memory_per_row_with_a_fractional_index(cfg, tmp_path):
     # A timestamp such as 1.5 prints through '%.17g', one chunk of rows
-    # at a time (about 7.9 B a row); formatting the whole column up front
+    # at a time (about 6.9 B a row); formatting the whole column up front
     # held a string and an object pointer a row, about 90 B more.
     assert _peak_per_row("decode", cfg, tmp_path, "timestamp", 0.5) < 12
 
 
 def test_decode_peak_memory_with_one_wide_timestamp(cfg, tmp_path):
     # A first timestamp of -1e301 prints as 303 characters, so for that
-    # chunk the writer's line matrix and its `block != 0` compaction
-    # widen by 303 B a row each: at most 2.5 MB, 12.4 B a row of the
-    # 2e5, and 10.1 measured.  Its text cells go straight into the
-    # matrix.
+    # chunk the writer's line matrix widens by 303 B a row: at most 1.3
+    # MB, 6.2 B a row of the 2e5, and 6.4 measured.  Its text cells go
+    # straight into the matrix, and its NULs are dropped from at most
+    # 64 KiB of it at a time; a `block != 0` compaction of the whole
+    # block doubled the cost (10.1 measured).
     wide = _peak_per_row("decode", cfg, tmp_path, "timestamp", 0, first=-1e301)
     assert wide - _peak_per_row("decode", cfg, tmp_path, "timestamp", 0) < 16
 
 
 def test_simulate_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
     # simulate draws, classifies and writes one chunk of rows at a time,
-    # so its traced peak, about 2.3 MB, does not grow with K.  Under 15 B
+    # so its traced peak, about 1.5 MB, does not grow with K.  Under 15 B
     # a row is under 3 MB in all.  Holding the whole columns (uniforms,
     # states, measurements, symbols and k) took 7 MB at K=2e5.
     assert _peak_per_row("simulate", cfg, tmp_path) < 15
@@ -335,7 +336,7 @@ def test_simulate_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
 
 def test_predict_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
     # predict takes its forecasts from the v·P generator one chunk of rows
-    # at a time: about 8.5 B a row at horizon 2e5, output included, and
+    # at a time: about 7.1 B a row at horizon 2e5, output included, and
     # flat in the horizon.  Holding all horizon + 1 of them, as a list of
     # small arrays and then one (horizon + 1, 3) array, took about 200.
     assert _peak_per_row("predict", cfg, tmp_path) < 15

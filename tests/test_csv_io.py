@@ -12,6 +12,7 @@ the ``%``-format row writer, writes it.
 """
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -487,10 +488,69 @@ def test_float_cells_at_powers_of_ten_and_range_ends():
     _assert_float_cells(values + [-v for v in values])
 
 
+@pytest.mark.parametrize("exponent", range(-4, 17))
+def test_no_double_rounds_up_to_a_power_of_ten(exponent):
+    # The float cells take X from log10, which can overshoot by one just
+    # below a power of ten, and reject X when N = round(|v| * 10**(16 - X))
+    # falls short of 17 digits.  That needs the largest double below
+    # 10**X to lie over half a unit of N below it.
+    power = Fraction(10) ** exponent
+    below = float(power)
+    if Fraction(below) >= power:
+        below = math.nextafter(below, 0.0)
+    assert (power - Fraction(below)) * Fraction(10) ** (16 - exponent) > Fraction(1, 2)
+
+
 @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
 def test_int_cells_match_percent_d(values):
     values += [0, -1, 2**63 - 1, -(2**63)]
     assert _cells(values, np.int64) == ["%d" % v for v in values]
+
+
+# Chunks whose extremes are at most 99 in magnitude: every symbol and
+# state column.  Their cells are one digit pair wide after the sign.
+NARROW_INTS = st.lists(st.integers(0, 99), min_size=1, max_size=40).flatmap(
+    lambda m: st.sampled_from([m, [-v - 1 for v in m], [v * (-1) ** i for i, v in enumerate(m)]])
+)
+
+
+@settings(max_examples=300)
+@given(NARROW_INTS, st.sampled_from([np.int8, np.int64]))
+def test_narrow_int_cells_match_percent_d(values, dtype):
+    assert _cells(values, dtype) == ["%d" % v for v in values]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("values", [[0], [99], [-99], [100], [-100], [0, 99, -99], [99, -100], [-99, 100]])
+def test_int_cells_at_the_narrow_boundaries(values, dtype):
+    assert _cells(values, dtype) == ["%d" % v for v in values]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 19), st.data())
+def test_int_cells_of_one_digit_count(digits, data):
+    # Every magnitude of the chunk has as many digits, an odd or even
+    # count, so its leading places are NUL in every row alike.
+    magnitudes = st.integers(10 ** (digits - 1), min(10**digits - 1, 2**63 - 1))
+    values = data.draw(st.lists(st.builds(lambda m, s: m * s, magnitudes, st.sampled_from([1, -1])), min_size=1))
+    assert _cells(values, np.int64) == ["%d" % v for v in values]
+
+
+# Values whose 17th significant digit is 0, so their text ends before the
+# slot does, and values of decimal exponent 16, which print with no point.
+SHORT_FLOATS = st.one_of(
+    st.builds(lambda k, m: k / 2**m, st.integers(1, 2**53), st.integers(0, 60)),
+    st.integers(0, 10**16).map(float),
+    st.integers(10**16, 10**17 - 1).map(float),
+    st.floats(1e-4, 1.0, exclude_max=True),
+    st.integers(1, 10**6).map(lambda k: k / 1000),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(SHORT_FLOATS, min_size=1, max_size=40))
+def test_float_cells_with_short_digits_or_no_point(values):
+    _assert_float_cells(values + [-v for v in values])
 
 
 def _ulps_from(base, steps):
@@ -562,6 +622,47 @@ def test_writer_chunks_of_changing_widths_match_percent_format_rows():
         _write_csv("-", header, chunks)
     whole = [np.concatenate(column) for column in zip(*chunks)]
     assert out.getvalue() == reference_write(header, *whole)
+
+
+class _Sha256Sink:
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+
+
+def _trace_chunks(rows, seed):
+    """simulate-like chunks of ``k``, ``z_hz`` and two int8 symbol columns, in changing sizes."""
+    gen = np.random.default_rng(seed)
+    lo = 0
+    while lo < rows:
+        size = min(int(gen.choice([1, _ROWS - 1, _ROWS, 3 * _ROWS + 5, 50_000])), rows - lo)
+        normal = gen.normal(50.0, 0.35, size)
+        bits = gen.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+        scale = 2.0 ** gen.integers(0, 12, size)  # few binary places: trailing zero digits
+        short = np.round(normal * scale) / scale * gen.choice([1.0, 2.0**-12, 1e5], size)
+        z = np.choose(gen.choice(3, size, p=[0.8, 0.1, 0.1]), [normal, bits, short])
+        x, s = gen.integers(-1, 2, (2, size)).astype(np.int8)
+        yield np.arange(lo + 1, lo + size + 1), z, x, s
+        lo += size
+
+
+@pytest.mark.slow
+def test_writer_matches_percent_format_rows_at_full_size():
+    # 1e6 rows of a simulate-like trace, hashed as they are written: the
+    # writer against the row-by-row '%' format, neither output held whole.
+    rows, header = 1_000_000, ["k", "z_hz", "x", "s"]
+    got = _Sha256Sink()
+    with contextlib.redirect_stdout(got):
+        _write_csv("-", header, _trace_chunks(rows, 29))
+    want = hashlib.sha256((",".join(header) + "\n").encode())
+    for chunk in _trace_chunks(rows, 29):
+        lines = map("%d,%.17g,%d,%d\n".__mod__, zip(*(c.tolist() for c in chunk)))
+        want.update("".join(lines).encode())
+    assert got.hash.hexdigest() == want.hexdigest()
 
 
 CFG = """\

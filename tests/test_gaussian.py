@@ -301,13 +301,14 @@ _DRAWS = st.lists(
 
 
 def _means(size):
-    return 50.0 if size is None else 49.0 + np.arange(size) % 3
+    """One mean a draw for a count ``size``, else one mean that broadcasts to any shape."""
+    return 49.0 + np.arange(size) % 3 if type(size) is int and size >= 0 else 50.0
 
 
 def _draw(stream, kind, size):
     """One draw of the library from ``stream``."""
     if kind == "sample_gaussian":
-        return gh.sample_gaussian(_means(size), 0.35, stream)
+        return gh.sample_gaussian(_means(size), 0.35, stream, size)
     if kind == "sample_categorical":
         return gh.sample_categorical(_WEIGHTS, stream, size)
     return getattr(stream, kind)(size)
@@ -316,7 +317,7 @@ def _draw(stream, kind, size):
 def _oracle_draw(oracle, kind, size):
     """The same draw as numpy's Generator ``oracle`` makes it."""
     if kind == "sample_gaussian":
-        return oracle.normal(_means(size), 0.35)
+        return oracle.normal(_means(size), 0.35, size)
     if kind == "sample_categorical":
         u = np.asarray(oracle.random(size))
         return (np.cumsum(_WEIGHTS) <= u[..., None]).sum(axis=-1)
@@ -344,7 +345,7 @@ def test_interleaved_draws_equal_the_oracle(seed, index, piece, draws):
 _NEGATIVE_SIZES = [-1, (2, -3), (-1,)]
 
 
-@pytest.mark.parametrize("kind", ["random", "standard_normal", "sample_categorical"])
+@pytest.mark.parametrize("kind", ["random", "standard_normal", "sample_gaussian", "sample_categorical"])
 @pytest.mark.parametrize("size", [*_NEGATIVE_SIZES, (), 0, (2, 0)])
 def test_draw_sizes_follow_numpy(kind, size):
     # A negative dimension is rejected as numpy rejects it, before any word

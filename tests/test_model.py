@@ -246,6 +246,12 @@ _LAW_ERRORS = {
     "predict-initial-sum": (lambda: gh.predict(REFERENCE_P, [0.5, 0.6, 0.1], -1), gh.InvalidModelError,
                             "initial sums to 1.2, off by 2.000e-01 (> 1e-09)"),
     "predict-horizon": (lambda: gh.predict(REFERENCE_P, _PI, -1), ValueError, "horizon must be >= 0, got -1"),
+    "prediction-probs-shape": (lambda: gh.PredictionVector(probs=[1.0], horizon=0), gh.InvalidModelError,
+                               "probs must have 3 entries, got shape (1,)"),
+    "prediction-probs-column": (lambda: gh.PredictionVector(probs=np.ones((2, 1)) / 2, horizon=0),
+                                gh.InvalidModelError, "probs must have 3 entries, got shape (2, 1)"),
+    "prediction-probs-before-horizon": (lambda: gh.PredictionVector(probs=[0.5, 0.6, 0.1], horizon=-1),
+                                        gh.InvalidModelError, "probs sums to 1.2, off by 2.000e-01 (> 1e-09)"),
 }
 
 

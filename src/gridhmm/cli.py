@@ -428,11 +428,10 @@ def _cmd_simulate(args) -> int:
     noise._skip(cfg.length)
 
     def rows():
-        lo = 0
-        for hidden in _chain(tables, chain, cfg.length):
+        for lo, path in _chain(tables, lambda lo, n: chain.random(n)[:, None], cfg.length):
+            hidden = path[:, 0]
             z = means[hidden] + cfg.params.sigma * noise.standard_normal(hidden.size)
             yield np.arange(lo + 1, lo + hidden.size + 1), hidden - 1, z, _symbols(z, thresholds)
-            lo += hidden.size
 
     _write_csv(args.output, ["k", "s", "z_hz", "x"], rows())
     _summary("simulate", k=cfg.length, seed=seed)

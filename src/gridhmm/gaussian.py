@@ -190,6 +190,7 @@ def _consts(const: int, mult: int, count: int) -> list[int]:
     return consts
 
 
+@functools.lru_cache(maxsize=1)  # a Monte Carlo batch seeds the same streams for each chunk it draws
 def _spawn_states(seed: int, first: int, last: int) -> tuple[np.ndarray, ...]:
     """PCG64 seed words ``(s_hi, s_lo, i_hi, i_lo)`` of ``RngStream(seed, t)``, t in ``first..last-1``.
 
@@ -221,7 +222,9 @@ def _spawn_states(seed: int, first: int, last: int) -> tuple[np.ndarray, ...]:
         high = (t >> 32).astype(np.uint32)
         pool = np.where(high > 0, _mix(pool, _hash_words(high, consts[4:])), pool)
     words = _hash_words(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _consts(_INIT_B, _MULT_B, 8)).astype(np.uint64)
-    return tuple(words[0::2] | words[1::2] << 32)
+    seeds = words[0::2] | words[1::2] << 32
+    seeds.flags.writeable = False  # cached: every caller shares it
+    return tuple(seeds)
 
 
 # Elements (steps x streams) per piece of the words.  A piece's uint64
@@ -343,11 +346,11 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def _stream_draws(seed: int, first: int, last: int, count: int) -> np.ndarray:
-    """Uniforms (count, last - first): column i ``RngStream(seed, first + i).random(count)``."""
+def _stream_draws(seed: int, first: int, last: int, count: int, start: int = 0) -> np.ndarray:
+    """Uniforms (count, last - first): column i ``RngStream(seed, first + i).random(count)`` after ``start`` words."""
     u = np.empty((count, last - first))
     row = 0
-    for words in _stream_words(seed, first, last, count):
+    for words in _stream_words(seed, first, last, count, start):
         u[row : row + len(words)] = _uniforms(words)
         row += len(words)
     return u

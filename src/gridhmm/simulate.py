@@ -17,10 +17,11 @@ automaton of :func:`~gridhmm.viterbi.viterbi_decode` decides once per
 (score to go, symbol) pair, one memo serving every batch of a run.
 :func:`~gridhmm.viterbi._follow` turns coded successor maps into paths
 by a prefix scan over their compositions, with no per-step Python loop.
-In a batch each trial draws the uniforms of its own stream in the order
-of :func:`simulate_states` and :func:`emit_symbols`:
-:func:`~gridhmm.gaussian._stream_draws` seeds the batch's streams and
-jumps their PCG64 states ahead in closed form, in exact uint64 array
+A record and a batch alike are sampled by :func:`_chain` a ``_CHUNK``
+of steps at a time, and a batch emits each chunk as it is sampled.  Each
+trial draws its own stream in the order of :func:`simulate_states` and
+:func:`emit_symbols`: :func:`~gridhmm.gaussian._stream_draws` jumps the
+batch's PCG64 states to any word in closed form, in exact uint64 array
 arithmetic, the engine of every :class:`~gridhmm.gaussian.RngStream`.
 Every score is formed in the same order, so each trial equals those two
 functions and ``viterbi_decode`` run on its own stream, bit for bit.
@@ -63,15 +64,14 @@ __all__ = [
 HIST_BINS = 101
 
 # Steps (trials x K) per batch of the Monte Carlo kernel.  Running a
-# batch peaks at 36 bytes per step (traced at K=100 and 1000): the
-# uniforms (16), the hidden and emitted columns (2) and viterbi._follow's
-# int16 prefix scan and take temporaries (18), which also set the chain's
-# peak; the draws alone, in pieces of gaussian._PIECE elements, peak at
-# 42.  So a batch needs about 0.7 MB,
-# while the vector operations across trials (163 of them at K=100)
-# amortise the per-step interpreter overhead.  A batch holds at least one
-# trial, however long; a batch of one trial is decoded by the scalar loop
-# of viterbi_decode.
+# batch peaks at 37 bytes per step (traced at K=100 and 1000), while it
+# draws a chunk's uniforms: 8 bytes a step and 25 of temporaries in
+# pieces of gaussian._PIECE elements, beside the int8 columns and path
+# (3).  viterbi._follow's temporaries (18) stay below that.  So a batch
+# needs about 0.6 MB, while the vector operations across trials (163 of
+# them at K=100) amortise the per-step interpreter overhead.  A batch
+# holds at least one trial, however long, sampled a chunk at a time; a
+# batch of one trial is decoded by the scalar loop of viterbi_decode.
 _BATCH_STEPS = 2**14
 
 
@@ -84,7 +84,8 @@ def simulate_states(model: HmmModel, length: int, rng: RngStream) -> np.ndarray:
     """
     tables = _Tables.of(model)
     length = _check_length(length)
-    states = np.concatenate(list(_chain(tables, rng, length)), dtype=np.int64)
+    chunks = _chain(tables, lambda lo, n: rng.random(n)[:, None], length)
+    states = np.concatenate([path[:, 0] for _, path in chunks], dtype=np.int64)
     states -= 1
     return states
 
@@ -157,55 +158,49 @@ def _invert(cum, u) -> np.ndarray:
     return count
 
 
-def _sample_chain(tables: _Tables, u: np.ndarray, law: np.ndarray) -> np.ndarray:
-    """State paths (K, T) int8 of the chain driven by the (K, T) uniforms ``u``.
+def _chain(tables: _Tables, draw, length: int):
+    """Yield ``(lo, path)``, the state paths (n, T) int8 of steps ``lo .. lo + n - 1``, a ``_CHUNK`` at a time.
 
-    The first step inverts the cumulative law ``law`` (3,), each later
-    one the transition row of the state before it.  Step k's successor
-    map sends state i to ``_invert(cum_trans[i], u[k])``; its code
-    ``f(0) + 3 f(1) + 9 f(2)``, which :func:`~gridhmm.viterbi._follow`
-    walks, is summed one transition row at a time.
-    """
-    codes = sum(3**i * _invert(row, u) for i, row in enumerate(tables.cum_trans))
-    return _follow(codes, _invert(law, u[0]))
-
-
-def _chain(tables: _Tables, rng: RngStream, length: int):
-    """One record's state indices (int8), ``_CHUNK`` steps at a time.
-
-    Takes one uniform a step from ``rng``, a chunk at a time: the same
-    draws, and the same stream state after them, as ``rng.random(length)``.
-    The first chunk starts from the initial law, each later one from the
-    transition row of the state the chunk before ended in, as
-    :func:`~gridhmm.viterbi._follow` carries the state across its chunks:
+    ``draw(lo, n)`` gives those steps' uniforms (n, T), a column a record.
+    Step k's successor map sends state i to ``_invert(cum_trans[i], u[k])``;
+    its code ``f(0) + 3 f(1) + 9 f(2)``, which :func:`~gridhmm.viterbi._follow`
+    walks, is summed one transition row at a time.  The first step inverts
+    the initial law, a later chunk's the transition rows of the states the
+    chunk before ended in, as ``_follow`` carries states across its chunks:
     so the chunks joined are one chunk of ``length`` steps.
     """
     law = tables.cum_init
     for lo in range(0, length, _CHUNK):
-        path = _sample_chain(tables, rng.random(min(_CHUNK, length - lo))[:, None], law)[:, 0]
-        law = tables.cum_trans[path[-1]]
-        yield path
+        u = draw(lo, min(_CHUNK, length - lo))
+        codes = sum(3**i * _invert(row, u) for i, row in enumerate(tables.cum_trans))
+        first = _invert(law, u[0])
+        del u  # so that _follow, and the caller's work on the path, run without it
+        path = _follow(codes, first)
+        law = tables.cum_trans[path[-1]].T
+        yield lo, path
 
 
 def _run_batch(
-    tables: _Tables, u: np.ndarray, memo: _Memo
+    tables: _Tables, draw, length: int, trials: int, memo: _Memo
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hidden, emitted and decoded state indices (K, T) int8 of the trials in the columns of ``u``.
+    """Hidden, emitted and decoded state indices (K, T) int8 of T trials.
 
-    Column t of the uniforms ``u`` (2K, T) holds trial t's K state
-    draws, then its K emission draws, as :func:`simulate_states` and
-    :func:`emit_symbols` consume them from one stream.  Sampling and
-    emitting run through the same :func:`_sample_chain` and
-    :func:`_invert` as those functions.  Decoding is
+    ``draw(lo, n)`` gives the uniforms (n, T) of words ``lo .. lo + n - 1``
+    of the trials' streams: K for the chain, then K for the emissions, as
+    :func:`simulate_states` and :func:`emit_symbols` consume them, through
+    the same :func:`_chain` and :func:`_invert`, a chunk at a time.  Decoding is
     :func:`~gridhmm.viterbi._paths`, the automaton and walk of
     :func:`~gridhmm.viterbi.viterbi_decode`, over the vector of trials
     with ``memo`` (built on the same model); so every path equals
     ``viterbi_decode`` of its record, at any K, and the first infeasible
     trial raises its error.  The model is not validated here.
     """
-    length = len(u) // 2
-    hidden = _sample_chain(tables, u[:length], tables.cum_init)
-    emitted = _invert((row[hidden] for row in tables.cum_emit), u[length:])
+    # Allocated before any draw, so that a batch too large fails at once.
+    hidden, emitted = np.empty((2, length, trials), dtype=np.int8)
+    for lo, path in _chain(tables, draw, length):
+        hi = lo + len(path)
+        hidden[lo:hi] = path
+        emitted[lo:hi] = _invert((row[path] for row in tables.cum_emit), draw(length + lo, hi - lo))
     return hidden, emitted, _paths(memo, emitted)
 
 
@@ -291,9 +286,8 @@ def run_monte_carlo(
     va_counts = np.empty(trials, dtype=np.int64)
     for first in range(0, trials, batch):
         last = min(first + batch, trials)
-        u = _stream_draws(base_seed, first, last, 2 * length)
-        hidden, emitted, decoded = _run_batch(tables, u, memo)
-        del u  # so that the next batch draws without it
+        draw = lambda lo, n: _stream_draws(base_seed, first, last, n, lo)
+        hidden, emitted, decoded = _run_batch(tables, draw, length, last - first, memo)
         ht_counts[first:last] = np.count_nonzero(emitted == hidden, axis=0)
         va_counts[first:last] = np.count_nonzero(decoded == hidden, axis=0)
     ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, length)

@@ -12,6 +12,8 @@ gathering over the vector of records.  On any batch of records its codes
 and first states must equal those of each record decoded alone, whether
 its memo is fresh, shared with an earlier batch, or capped.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,13 +39,20 @@ def reference(model, length, rng):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-@pytest.mark.parametrize("length", [1, 2, 37])
-def test_batch_rows_equal_single_sequence_functions(name, length):
+@pytest.mark.parametrize(
+    "length, chunk", [(1, None), (2, None), (37, None), (37, 7)], ids=["1", "2", "37", "37-seams"]
+)
+def test_batch_rows_equal_single_sequence_functions(name, length, chunk, monkeypatch):
+    if chunk:
+        # The chain in chunks of 7 steps: each of the 11 columns carries its
+        # own state's transition row across 5 seams, which no run_monte_carlo
+        # batch does (its batches of more than one trial fit in one chunk).
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
     model = MODELS[name]
     trials = 11
     tables = simulate._Tables.of(model)
-    u = gaussian._stream_draws(5, 0, trials, 2 * length)
-    batch = simulate._run_batch(tables, u, viterbi._Memo(model))
+    draw = lambda lo, n: gaussian._stream_draws(5, 0, trials, n, lo)
+    batch = simulate._run_batch(tables, draw, length, trials, viterbi._Memo(model))
     for t in range(trials):
         want = reference(model, length, gh.RngStream(5, stream_index=t))
         for got, expected in zip(batch, want):
@@ -76,8 +85,8 @@ _STICKY_BOUNDARIES = sorted({0.0, *np.concatenate([t.ravel() for t in _STICKY]).
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6), st.integers(2, 5), st.data())
-def test_boundary_draws_through_the_chain_and_the_emissions(length, trials, data):
+@given(st.integers(1, 6), st.integers(2, 5), st.sampled_from([2, 3, simulate._CHUNK]), st.data())
+def test_boundary_draws_through_the_chain_and_the_emissions(length, trials, chunk, data):
     cells = st.lists(
         st.sampled_from(_STICKY_BOUNDARIES), min_size=2 * length * trials, max_size=2 * length * trials
     )
@@ -88,9 +97,14 @@ def test_boundary_draws_through_the_chain_and_the_emissions(length, trials, data
     for k in range(1, length):
         for t in range(trials):
             want[k, t] = np.searchsorted(cum_trans[want[k - 1, t]], u[k, t], side="right")
-    assert np.array_equal(simulate._sample_chain(_STICKY, u[:length], _STICKY.cum_init), want)
 
-    hidden, emitted, _ = simulate._run_batch(_STICKY, u, viterbi._Memo(MODELS["sticky"]))
+    # Short chunks put boundary draws on the first step of a chunk, which
+    # inverts the carried transition rows of every column.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_CHUNK", chunk)
+        draw = lambda lo, n: u[lo : lo + n]
+        memo = viterbi._Memo(MODELS["sticky"])
+        hidden, emitted, _ = simulate._run_batch(_STICKY, draw, length, trials, memo)
     assert np.array_equal(hidden, want)
     for k in range(length):
         for t in range(trials):
@@ -118,6 +132,20 @@ def test_monte_carlo_batches_do_not_change_the_summary(name, monkeypatch):
         assert summary.va_std == float(np.std(va))
     assert np.array_equal(whole.histogram_ht, batched.histogram_ht)
     assert np.array_equal(whole.histogram_va, batched.histogram_va)
+
+
+def test_monte_carlo_trial_traces_under_eight_bytes_a_step():
+    # One K=2e5 trial: its hidden, emitted and decoded int8 columns and
+    # temporaries the size of a chunk, about 5.2 B a step traced.  Drawing
+    # the trial's 2K uniforms as one float64 matrix took 27.1.
+    model, length = MODELS["sticky"], 200_000
+    tracemalloc.start()
+    try:
+        gh.run_monte_carlo(model, length, 1, base_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * length
 
 
 def test_monte_carlo_validates_the_model_once(monkeypatch):

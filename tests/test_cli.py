@@ -342,23 +342,42 @@ def test_predict_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
     assert _peak_per_row("predict", cfg, tmp_path) < 15
 
 
-@pytest.mark.slow
-def test_simulate_rss_does_not_grow_with_k(cfg, tmp_path):
-    # Peak RSS of a K=1e7 simulate process, stdout to /dev/null: about
-    # 33.2 MB, against 31.4 at K=100; whole columns took about 285 MB.  A
-    # small helper process starts the CLI, because Linux counts the peak
-    # RSS of the process that starts a child into the child's own.
-    config = tmp_path / "long.cfg"
-    config.write_text(Path(cfg).read_text().replace("k = 20\n", "k = 10000000\n"))
+def _cli_peak_mb(command, config):
+    """Peak RSS in MB of one CLI process, stdout to /dev/null.
+
+    A small helper process starts the CLI, because Linux counts the peak
+    RSS of the process that starts a child into the child's own.
+    """
     probe = (
         "import resource, subprocess, sys\n"
         "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
-    cli = [sys.executable, "-m", "gridhmm", "simulate", "--config", str(config)]
+    cli = [sys.executable, "-m", "gridhmm", command, "--config", str(config)]
     proc = subprocess.run([sys.executable, "-c", probe, *cli], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) / 1024 < 60  # ru_maxrss is in KiB on Linux
+    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.slow
+def test_simulate_rss_does_not_grow_with_k(cfg, tmp_path):
+    # Peak RSS of a K=1e7 simulate process: about 33.2 MB, against 31.4
+    # at K=100; whole columns took about 285 MB.
+    config = tmp_path / "long.cfg"
+    config.write_text(Path(cfg).read_text().replace("k = 20\n", "k = 10000000\n"))
+    assert _cli_peak_mb("simulate", config) < 60
+
+
+@pytest.mark.slow
+def test_montecarlo_rss_of_long_trials(cfg, tmp_path):
+    # Peak RSS of a montecarlo process of 2 trials at K=4e6: about 54.3 MB.
+    # A trial holds about 4 B a step: its hidden, emitted and decoded int8
+    # columns and one comparison of two of them, beside one chunk's draws.
+    # Drawing a trial's 2K uniforms as one float64 matrix took 146 MB.
+    config = tmp_path / "long.cfg"
+    text = Path(cfg).read_text().replace("k = 20\n", "k = 4000000\n")
+    config.write_text(text.replace("trials = 40\n", "trials = 2\n"))
+    assert _cli_peak_mb("montecarlo", config) <= 60
 
 
 @pytest.mark.slow
@@ -588,6 +607,14 @@ def test_montecarlo_trials_override(cfg, capsys):
     assert "trials=10" in err
 
 
+@pytest.mark.parametrize("option", ["--seed", "--trials"])
+def test_montecarlo_rejects_a_non_integer_option(cfg, capsys, option):
+    code, out, err = run_cli(capsys, "montecarlo", "--config", cfg, option, "abc")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: gridhmm montecarlo: argument {option}: 'abc' is not an integer\n"
+
+
 def test_predict_rows(cfg, capsys):
     code, out, _ = run_cli(capsys, "predict", "--config", cfg)
     assert code == 0
@@ -661,9 +688,10 @@ def test_missing_input_file_exits_2(cfg, capsys, tmp_path):
 
 @pytest.mark.parametrize("k, trials", [(20, 10**15), (10**14, 2)])
 def test_montecarlo_out_of_memory_exits_2(tmp_path, capsys, k, trials):
-    # The trial counts (8 B a trial) or one trial's uniforms (16 B a step)
-    # need more than 2**47 bytes, which fails at once on 64-bit Linux
-    # under any overcommit mode.
+    # The trial counts (8 B a trial) or one trial's hidden and emitted
+    # int8 columns (2 B a step), allocated before any draw, need more than
+    # 2**47 bytes, which fails at once on 64-bit Linux under any
+    # overcommit mode.
     path = tmp_path / "run.cfg"
     path.write_text(BASE_CFG.replace("k = 20", f"k = {k}").replace("trials = 40", f"trials = {trials}"))
     code, out, err = run_cli(capsys, "montecarlo", "--config", str(path))

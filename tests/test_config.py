@@ -192,6 +192,33 @@ def test_non_numeric_value_cited(tmp_path):
     assert any("'fifty' is not a number" in v for v in info.value.violations)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("means = 49 50 51\nsigma =\n", "line 2: sigma: no value given"),
+        (MINIMAL + "k = 1.5\n", "line 3: k: '1.5' is not an integer"),
+        (
+            MINIMAL + "[transitions]\n0.2 0.7 0.1\n0.1 0.8 0.1\n0.1 0.7 0.2\n0.1 0.8 0.1\n",
+            "line 7: extra row in [transitions]",
+        ),
+        (
+            MINIMAL + "[transitions]\n0.2 x 0.1\n0.1 0.8 0.1\n0.1 0.7 0.2\n",
+            "line 4: [transitions] row 0: 'x' is not a number",
+        ),
+        (
+            "f0 = 50 51\ndelta_f_min = 1\ndelta_f_max = 1\nsigma = 0.2\n",
+            "'f0', 'delta_f_min', 'delta_f_max' each take a single value",
+        ),
+        ("sigma = 0.2\n", "means are required"),
+        (MINIMAL + "priors = 0.5 0.5\n", "'priors' needs 3 values, got 2"),
+    ],
+)
+def test_each_violation_is_named(tmp_path, text, message):
+    with pytest.raises(gh.ConfigError) as info:
+        gh.parse_config(write(tmp_path, text))
+    assert any(message in v for v in info.value.violations), info.value.violations
+
+
 def test_non_finite_value_rejected(tmp_path):
     with pytest.raises(gh.ConfigError) as info:
         gh.parse_config(write(tmp_path, "means = 49 50 inf\nsigma = 0.2\n"))

@@ -110,6 +110,10 @@ def test_detector_params_validation():
         gh.DetectorParams(m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.1, priors=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         gh.DetectorParams(m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.1, priors=(0.0, 0.9, 0.1))
+    with pytest.raises(ValueError, match="m_neg must be finite, got nan"):
+        gh.DetectorParams(m_neg=float("nan"), m_zero=50.0, m_pos=51.0, sigma=0.1)
+    with pytest.raises(ValueError, match="priors must have three entries, got 2"):
+        gh.DetectorParams(m_neg=49.0, m_zero=50.0, m_pos=51.0, sigma=0.1, priors=(0.5, 0.5))
 
 
 def test_detector_priors_share_the_sum_tolerance():

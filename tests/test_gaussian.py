@@ -131,6 +131,7 @@ def test_stream_validation():
     # The seed hash takes at most two 32-bit words of a stream index.
     with pytest.raises(ValueError, match=r"stream_index must fit in an unsigned 64-bit integer, got 18446744073709551616"):
         gh.RngStream(1, 2**64)
+    assert repr(gh.RngStream(3, 4)) == "RngStream(seed=3, stream_index=4)"
 
 
 # PCG64's default multiplier (O'Neill 2014, HMC-CS-2014-0905).
@@ -288,6 +289,21 @@ def test_stream_normal_whose_words_cross_a_piece_seam(layer, rabs):
     assert np.array_equal(stream.standard_normal(3), want.standard_normal(3))
     assert stream.standard_normal() == want.standard_normal()
     assert want.bit_generator.state == _seam_words(word, inc).advance(stream._offset).state
+
+
+def test_stream_normal_that_needs_more_words_than_a_pass_peeks():
+    # One normal peeks at 9 words first.  A tail attempt (layer 0, rabs at
+    # ki[0] or above) whose first 7 pairs are rejected, each second word 0
+    # giving yy = 0, reads 17: the pass finds no normal, doubles its slack
+    # and looks again.  The 8th pair, two words of uniform 0.5, accepts.
+    # rabs has bit 8 set, so the normal is negative.
+    tail = (2**52 - 1) << 9
+    half = 2**63
+    words = np.array([tail, *[half, 0] * 7, half, half], dtype=np.uint64)
+    stream = gh.RngStream(0)
+    stream._pieces = iter([words[:, None]])
+    assert stream.standard_normal() == -(gaussian._R - gaussian._INV_R * math.log1p(-0.5))
+    assert stream._offset == 17
 
 
 _WEIGHTS = np.array([0.2, 0.0, 0.5, 0.3])

@@ -114,6 +114,36 @@ def test_accuracy_examples():
     assert gh.accuracy([-1, 0, 0, 1], [-1, 0, 1, 1]) == 0.75
     with pytest.raises(ValueError):
         gh.accuracy([0, 1], [0])
+    with pytest.raises(ValueError, match="sequences must be non-empty"):
+        gh.accuracy([], [])
+
+
+def _summary(**changes):
+    hist = np.zeros(HIST_BINS, dtype=np.int64)
+    hist[90] = 2
+    fields = dict(
+        trials=2, ht_mean=90.0, ht_std=0.0, va_mean=90.0, va_std=0.0, histogram_ht=hist, histogram_va=hist
+    )
+    return gh.MonteCarloSummary(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"va_mean": 100.5}, "va_mean must lie in [0, 100], got 100.5"),
+        ({"ht_mean": float("nan")}, "ht_mean must lie in [0, 100], got nan"),
+        ({"ht_std": -1.0}, "ht_std must be non-negative"),
+        ({"va_std": float("nan")}, "va_std must be non-negative"),
+        ({"histogram_ht": np.zeros(100)}, "histogram_ht must have 101 bins, got shape (100,)"),
+        ({"histogram_va": np.zeros(HIST_BINS)}, "histogram_va counts 0 trials, expected 2"),
+    ],
+)
+def test_monte_carlo_summary_checks_each_field(changes, message):
+    _summary()  # the fields that every case but one keeps are valid
+    with pytest.raises(ValueError) as err:
+        _summary(**changes)
+    assert str(err.value) == message
 
 
 def test_monte_carlo_noiseless_channel_is_perfect():
@@ -227,6 +257,10 @@ def test_detection_sweep_grids_and_conversion(ref_params):
         gh.detection_sweep(ref_params, snr_db_grid=[1.0], sigma_grid=[0.5])
     with pytest.raises(ValueError):
         gh.detection_sweep(ref_params, sigma_grid=[-0.1])
+    with pytest.raises(ValueError, match="snr_db_grid entries must be finite"):
+        gh.detection_sweep(ref_params, snr_db_grid=[math.inf])
+    with pytest.raises(ValueError, match="the grid must contain at least one point"):
+        gh.detection_sweep(ref_params, snr_db_grid=[])
 
 
 def test_detection_sweep_threshold_snr():

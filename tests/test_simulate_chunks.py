@@ -6,8 +6,8 @@ Gaussians a chunk at a time from the stream's words after the chain's K
 uniforms, all computed without ``numpy.random``.  The reference here
 draws the same stream in one piece, as ``simulate_states`` and
 ``synthesize_measurements`` once did: ``random(K)``, the chain from
-those uniforms, then ``normal`` around each state's mean.  Lengths sit
-on and around the chunk seams.
+those uniforms by one ``searchsorted`` a step, then ``normal`` around
+each state's mean.  Lengths sit on and around the chunk seams.
 """
 import contextlib
 import io
@@ -64,9 +64,15 @@ def _config(tmp_path, name, length, seed):
 def _reference(cfg, seed):
     """Hidden state indices and measurements drawn whole from the stream by numpy's Generator."""
     generator = oracle_generator(seed, 0)
-    tables = simulate._Tables.of(cfg.model())
+    model = cfg.model()
+    cum_init, cum_trans = np.cumsum(model.initial), np.cumsum(model.transitions, axis=1)
+    cum_init /= cum_init[-1]
+    cum_trans /= cum_trans[:, -1:]
     u = generator.random(cfg.length)
-    hidden = simulate._sample_chain(tables, u[:, None], tables.cum_init)[:, 0]
+    hidden = np.empty(cfg.length, dtype=np.int8)
+    hidden[0] = np.searchsorted(cum_init, u[0], side="right")
+    for k in range(1, cfg.length):
+        hidden[k] = np.searchsorted(cum_trans[hidden[k - 1]], u[k], side="right")
     z = generator.normal(np.asarray(cfg.params.means)[hidden], cfg.params.sigma)
     return hidden, z
 

@@ -244,6 +244,12 @@ def test_decode_input_validation(ref_model):
         gh.viterbi_decode([0.5], ref_model)
 
 
+def test_decode_accepts_integral_floats(ref_model):
+    symbols = [0, 1, -1]
+    want = gh.viterbi_decode(symbols, ref_model)
+    assert np.array_equal(gh.viterbi_decode([0.0, 1.0, -1.0], ref_model), want)
+
+
 def test_decode_rejects_invalid_model(ref_params):
     r = gh.build_emission_matrix(ref_params)
     bad_p = REFERENCE_P.copy()

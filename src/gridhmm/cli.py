@@ -20,12 +20,13 @@ import numpy as np
 
 from .config import ConfigError, _measurement_chunks, parse_config
 from .detector import classify, compute_thresholds
-from .gaussian import RngStream
+from .gaussian import sample_gaussian
 from .model import build_emission_matrix, require_valid
 from .simulate import (
     _chain,
     _expected_ht_accuracy,
     _propagate,
+    _streams,
     _Tables,
     detection_sweep,
     run_monte_carlo,
@@ -413,24 +414,22 @@ def _cmd_simulate(args) -> int:
     """The trace of :func:`simulate_states`, then :func:`synthesize_measurements`, on one stream.
 
     The trace is drawn, classified and written one chunk of rows at a
-    time, so nothing held grows with K.  The chain takes its uniforms
-    from ``RngStream(seed)``, and the Gaussians, ``mean + sigma *
-    standard_normal``, come from a second one moved past the chain's K
-    words: one engine makes every draw.  Every check, those of the
-    parsed config included, runs before the first byte is written.
+    time, so nothing held grows with K: the chain's uniforms from word 0,
+    the Gaussians of :func:`sample_gaussian` from word K
+    (``simulate._streams``).  Every check, those of the parsed config
+    included, runs before the first byte is written.
     """
     cfg = parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     tables = _Tables.of(cfg.model())
     means = np.array(cfg.params.means)
     thresholds = compute_thresholds(cfg.params)
-    chain, noise = RngStream(seed), RngStream(seed)
-    noise._skip(cfg.length)
+    chain, noise = _streams(seed, 0, 1, cfg.length)
 
     def rows():
-        for lo, path in _chain(tables, lambda lo, n: chain.random(n)[:, None], cfg.length):
+        for lo, path in _chain(tables, chain._rows, cfg.length):
             hidden = path[:, 0]
-            z = means[hidden] + cfg.params.sigma * noise.standard_normal(hidden.size)
+            z = sample_gaussian(means[hidden], cfg.params.sigma, noise)
             yield np.arange(lo + 1, lo + hidden.size + 1), hidden - 1, z, _symbols(z, thresholds)
 
     _write_csv(args.output, ["k", "s", "z_hz", "x"], rows())

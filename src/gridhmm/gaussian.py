@@ -4,13 +4,13 @@ Everything downstream of this module draws randomness through
 :class:`RngStream`, which addresses an independent stream by
 ``(seed, stream_index)``.  Identical addresses give bitwise-identical
 draws on every platform, and distinct stream indices give statistically
-independent streams without any shared mutable state.  That property is
-what lets the Monte Carlo harness hand one stream to each trial and stay
-deterministic under any execution order.  One engine makes every draw,
-without ``numpy.random``: :func:`_stream_words` reproduces numpy's
-seeding and raw PCG64 words from any offset in exact uint64 array
-arithmetic, and :func:`_uniforms` and the ziggurat of :func:`_normals`
-make ``Generator.random`` and ``standard_normal`` of them, bit for bit.
+independent streams without any shared mutable state, so Monte Carlo
+trials, each on its own stream, stay deterministic under any batching.
+One engine makes every draw, without ``numpy.random``: :func:`_stream_words`
+reproduces numpy's seeding and raw PCG64 words of one stream or several
+in step, from any word on, in exact uint64 array arithmetic, and
+:func:`_uniforms` and the ziggurat of :func:`_normals` make
+``Generator.random`` and ``standard_normal`` of them, bit for bit.
 """
 from __future__ import annotations
 
@@ -62,10 +62,9 @@ class RngStream:
     """One reproducible random stream addressed by ``(seed, stream_index)``.
 
     It is numpy's PCG64 stream of ``SeedSequence(seed, spawn_key=(stream_index,))``,
-    so creating stream ``t`` never touches stream ``u``.  Its draws are
-    made of the words of :func:`_stream_words`, the one engine of every
-    draw, and equal those of numpy's ``Generator``, bit for bit and word
-    for word.  ``_offset`` counts the words handed out.
+    so creating stream ``t`` never touches stream ``u``.  Its draws take
+    the words of :func:`_stream_words` in order and equal numpy's
+    ``Generator``'s, bit for bit.  ``_offset`` counts the word rows handed out.
 
     A stream is single-owner state: never advance the same stream from
     two threads.  Distinct streams may be advanced concurrently.
@@ -80,41 +79,59 @@ class RngStream:
             raise ValueError(f"stream_index must fit in an unsigned 64-bit integer, got {stream_index}")
         self.seed = seed
         self.stream_index = stream_index
+        self._last = stream_index + 1
         self._offset = 0
         self._skip(0)
+
+    @classmethod
+    def _side_by_side(cls, seed: int, first: int, last: int, start: int) -> "RngStream":
+        """Streams ``first..last-1`` in step from word ``start``: a word row holds one word of each, for :meth:`_rows`."""
+        stream = cls(seed, first)
+        stream._last = last
+        stream._skip(start)
+        return stream
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
 
     def _skip(self, n: int) -> None:
-        """Move the stream past its next ``n`` words without making them."""
+        """Move the stream past its next ``n`` word rows without making them."""
         self._offset += n
-        self._held = np.empty(0, dtype=np.uint64)
-        t = self.stream_index
-        self._pieces = _stream_words(self.seed, t, t + 1, _PERIOD, self._offset)
+        self._held = np.empty((0, self._last - self.stream_index), dtype=np.uint64)
+        self._pieces = _stream_words(self.seed, self.stream_index, self._last, self._offset)
 
     def _peek(self, n: int) -> np.ndarray:
-        """The stream's next ``n`` words, left in the stream."""
+        """The stream's next ``n`` word rows, left in the stream."""
         held, have = [self._held], len(self._held)
         while have < n:
-            held.append(next(self._pieces)[:, 0])
+            held.append(next(self._pieces))
             have += len(held[-1])
         if len(held) > 1:
             self._held = np.concatenate(held)
         return self._held[:n]
 
-    def _take(self, n: int) -> np.ndarray:
-        """The stream's next ``n`` words, handed out."""
-        words = self._peek(n)
-        rest = self._held[n:]
-        self._held = rest.copy() if n > _PIECE else rest  # a view would keep a large draw's words
+    def _take(self, n: int) -> None:
+        """Hand out the stream's next ``n`` word rows, which it holds."""
+        self._held = self._held[n:]
         self._offset += n
-        return words
+
+    def _rows(self, n: int) -> np.ndarray:
+        """Uniforms (n, streams) of the next ``n`` word rows, as ``Generator.random``, a piece at a time."""
+        u = np.empty((n, self._last - self.stream_index))
+        row = 0
+        while row < n:
+            if not len(self._held):
+                self._held = next(self._pieces)
+            words = self._held[: n - row]
+            u[row : row + len(words)] = _uniforms(words)
+            self._take(len(words))
+            row += len(words)
+        return u
 
     def random(self, size=None):
         """Doubles in [0, 1) as ``Generator.random``: one word each, its top 53 bits."""
-        u = _uniforms(self._take(_count(size)))
-        return float(u[0]) if size is None else u.reshape(size)
+        u = self._rows(_count(size))
+        return float(u[0, 0]) if size is None else u.reshape(size)
 
     def standard_normal(self, size=None):
         """Standard normals as ``Generator.standard_normal``: numpy's ziggurat on the words.
@@ -126,7 +143,7 @@ class RngStream:
         out, slack = [np.empty(0)], 8
         while count:
             n = min(count, _PIECE)
-            normals, ends = _normals(self._peek(n + n // 16 + slack))
+            normals, ends = _normals(self._peek(n + n // 16 + slack)[:, 0])
             normals = normals[:count]
             if normals.size:
                 self._take(int(ends[normals.size - 1]))
@@ -190,7 +207,7 @@ def _consts(const: int, mult: int, count: int) -> list[int]:
     return consts
 
 
-@functools.lru_cache(maxsize=1)  # a Monte Carlo batch seeds the same streams for each chunk it draws
+@functools.lru_cache(maxsize=1)  # a Monte Carlo batch's two streams seed the same index range
 def _spawn_states(seed: int, first: int, last: int) -> tuple[np.ndarray, ...]:
     """PCG64 seed words ``(s_hi, s_lo, i_hi, i_lo)`` of ``RngStream(seed, t)``, t in ``first..last-1``.
 
@@ -231,9 +248,6 @@ def _spawn_states(seed: int, first: int, last: int) -> tuple[np.ndarray, ...]:
 # temporaries take about 90 B an element, 0.37 MB in all, which keeps the
 # Monte Carlo draws below the peak of the batch they feed.
 _PIECE = 2**12
-
-# A PCG64 stream repeats after 2**128 words: all the words it has.
-_PERIOD = 2**128
 
 
 def _limbs(values) -> np.ndarray:
@@ -303,57 +317,45 @@ def _mul_add(a, hi, lo, b_hi, b_lo):
     return out_hi, out_lo
 
 
-def _stream_words(seed: int, first: int, last: int, count: int, start: int = 0):
-    """Yield words ``start .. start + count - 1`` of ``RngStream(seed, t)``, t in ``first..last-1``.
+def _stream_words(seed: int, first: int, last: int, start: int):
+    """Yield the words of ``RngStream(seed, t)``, t in ``first..last-1``, from word ``start`` on.
 
-    The words are the raw 64-bit outputs of ``PCG64.random_raw``, in
-    pieces: uint64 arrays (rows, last - first) of about ``_PIECE``
-    elements, column i stream ``first + i``.  PCG64 seeds ``inc = 2 i +
-    1`` and ``state = MULT x + inc`` with ``x = s + inc``; each word steps
-    ``state <- MULT state + inc`` mod 2**128 and is XSL-RR of the new
-    state (O'Neill 2014, HMC-CS-2014-0905).  So word j comes from x
-    advanced m = j + 2 steps, ``MULT**m x + G_m inc``, which is ``x + G_m
-    v`` with ``v = (MULT - 1) x + inc``, since ``MULT**m = 1 + (MULT - 1)
-    G_m`` (Brown 1994, "Random number generation with arbitrary
-    strides").  The kernel first advances x by ``start`` steps; the first
-    piece of ``rows`` words takes that product with the table of
-    :func:`_sums`, and each later piece is the piece before advanced by
-    ``rows`` steps, ``MULT**rows state + G_rows inc``.  All arithmetic is
-    exact uint64, so a word costs the same at any offset.
+    The raw 64-bit outputs of ``PCG64.random_raw``, in pieces: uint64
+    arrays (rows, last - first) of about ``_PIECE`` elements, column i
+    stream ``first + i``.  PCG64 seeds ``inc = 2 i + 1`` and ``state =
+    MULT x + inc`` with ``x = s + inc``; each word steps ``state <- MULT
+    state + inc`` mod 2**128 and is XSL-RR of the new state (O'Neill
+    2014, HMC-CS-2014-0905).  So word j comes from x advanced m = j + 2
+    steps, ``MULT**m x + G_m inc``, which is ``x + G_m v`` with ``v =
+    (MULT - 1) x + inc``, since ``MULT**m = 1 + (MULT - 1) G_m`` (Brown
+    1994, "Random number generation with arbitrary strides").  The first
+    piece, of x advanced ``start`` steps, takes that product with the
+    table of :func:`_sums`; each later piece is the one before advanced
+    ``rows`` steps.  All arithmetic is exact uint64, so the set-up costs
+    the same at any ``start``.
     """
     s_hi, s_lo, i_hi, i_lo = _spawn_states(seed, first, last)
-    rows = max(1, min(count, _PIECE // (last - first)))
+    rows = max(1, _PIECE // (last - first))
     power, total = _powers(start)
     # x advanced start steps: MULT**start (s + inc) + G_start inc = MULT**start s + G_(start+1) inc.
     jump, lead, mult_less_one, advance, step = _limbs([power, power + total, _PCG_MULT - 1, *_powers(rows)]).T
     inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
     x = _mul_add(jump, s_hi, s_lo, *_mul_add(lead, *inc, 0, 0))
     v = _mul_add(mult_less_one, *x, *inc)
-    state = _mul_add(_sums(rows)[:, 2 : rows + 2], *v, *x)
+    hi, lo = _mul_add(_sums(rows)[:, 2 : rows + 2], *v, *x)
     step = _mul_add(step, *inc, 0, 0)
-    for row in range(0, count, rows):
-        if row:
-            n = min(rows, count - row)
-            state = _mul_add(advance, state[0][:n], state[1][:n], *step)
-        hi, lo = state
+    while True:
         bits = hi ^ lo  # XSL-RR: the words' xor, rotated right by the state's top 6 bits
         turn = hi >> 58
-        yield bits >> turn | bits << (64 - turn)
+        bits = bits >> turn | bits << (64 - turn)
+        del turn  # so that the stream holds no more than its state and this piece
+        yield bits
+        hi, lo = _mul_add(advance, hi, lo, *step)
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """The doubles of ``Generator.random``: the top 53 bits of each word, times 2**-53."""
     return (words >> 11) * 2.0**-53
-
-
-def _stream_draws(seed: int, first: int, last: int, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms (count, last - first): column i ``RngStream(seed, first + i).random(count)`` after ``start`` words."""
-    u = np.empty((count, last - first))
-    row = 0
-    for words in _stream_words(seed, first, last, count, start):
-        u[row : row + len(words)] = _uniforms(words)
-        row += len(words)
-    return u
 
 
 # numpy's ziggurat tables for the standard normal: ki_double, wi_double and

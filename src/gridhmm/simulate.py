@@ -4,7 +4,8 @@ Reproducibility convention: every function that draws randomness takes
 an :class:`~gridhmm.gaussian.RngStream` and consumes a documented
 number of variates from it, so callers can reason about stream state.
 The Monte Carlo driver derives one stream per trial index from a base
-seed, which makes results independent of execution order.
+seed, a batch's side by side (:func:`_streams`), which makes results
+independent of execution order.
 
 One core serves a single record and a batch of trials alike.  Every
 three-state draw, of a state or of a symbol, is :func:`_invert`: a
@@ -18,13 +19,9 @@ automaton of :func:`~gridhmm.viterbi.viterbi_decode` decides once per
 :func:`~gridhmm.viterbi._follow` turns coded successor maps into paths
 by a prefix scan over their compositions, with no per-step Python loop.
 A record and a batch alike are sampled by :func:`_chain` a ``_CHUNK``
-of steps at a time, and a batch emits each chunk as it is sampled.  Each
-trial draws its own stream in the order of :func:`simulate_states` and
-:func:`emit_symbols`: :func:`~gridhmm.gaussian._stream_draws` jumps the
-batch's PCG64 states to any word in closed form, in exact uint64 array
-arithmetic, the engine of every :class:`~gridhmm.gaussian.RngStream`.
-Every score is formed in the same order, so each trial equals those two
-functions and ``viterbi_decode`` run on its own stream, bit for bit.
+of steps at a time, a batch emitting each chunk as it is sampled, and a
+trial equals :func:`simulate_states`, :func:`emit_symbols` and
+``viterbi_decode`` run on its own stream, bit for bit.
 """
 from __future__ import annotations
 
@@ -40,8 +37,7 @@ from .detector import (
     compute_thresholds,
     detection_probabilities,
 )
-from .gaussian import RngStream, _check_seed, _cumulative, _stream_draws
-from .gaussian import sample_gaussian
+from .gaussian import RngStream, _check_seed, _cumulative, sample_gaussian
 from .model import HmmModel, _law, _matrix, require_valid
 from .viterbi import _CHUNK, _Memo, _follow, _paths, _symbol_indices
 
@@ -63,13 +59,13 @@ __all__ = [
 # Accuracy histograms bin whole percentage points: [0,1), [1,2), ..., plus {100}.
 HIST_BINS = 101
 
-# Steps (trials x K) per batch of the Monte Carlo kernel.  Running a
-# batch peaks at 37 bytes per step (traced at K=100 and 1000), while it
-# draws a chunk's uniforms: 8 bytes a step and 25 of temporaries in
-# pieces of gaussian._PIECE elements, beside the int8 columns and path
-# (3).  viterbi._follow's temporaries (18) stay below that.  So a batch
-# needs about 0.6 MB, while the vector operations across trials (163 of
-# them at K=100) amortise the per-step interpreter overhead.  A batch
+# Steps (trials x K) per batch of the Monte Carlo kernel.  A batch peaks
+# at 40 bytes a step (traced at K=100 and 1000) while it draws a chunk's
+# emissions: 8 of uniforms and 21 of temporaries in pieces of
+# gaussian._PIECE elements, beside the int8 columns and path (3) and the
+# chain's stream (8); viterbi._follow's temporaries (18) stay below.  So
+# a batch needs about 0.6 MB, while the vector operations across trials
+# (163 at K=100) amortise the per-step interpreter overhead.  A batch
 # holds at least one trial, however long, sampled a chunk at a time; a
 # batch of one trial is decoded by the scalar loop of viterbi_decode.
 _BATCH_STEPS = 2**14
@@ -84,7 +80,7 @@ def simulate_states(model: HmmModel, length: int, rng: RngStream) -> np.ndarray:
     """
     tables = _Tables.of(model)
     length = _check_length(length)
-    chunks = _chain(tables, lambda lo, n: rng.random(n)[:, None], length)
+    chunks = _chain(tables, rng._rows, length)
     states = np.concatenate([path[:, 0] for _, path in chunks], dtype=np.int64)
     states -= 1
     return states
@@ -161,7 +157,7 @@ def _invert(cum, u) -> np.ndarray:
 def _chain(tables: _Tables, draw, length: int):
     """Yield ``(lo, path)``, the state paths (n, T) int8 of steps ``lo .. lo + n - 1``, a ``_CHUNK`` at a time.
 
-    ``draw(lo, n)`` gives those steps' uniforms (n, T), a column a record.
+    ``draw(n)`` gives the next n steps' uniforms (n, T), a column a record.
     Step k's successor map sends state i to ``_invert(cum_trans[i], u[k])``;
     its code ``f(0) + 3 f(1) + 9 f(2)``, which :func:`~gridhmm.viterbi._follow`
     walks, is summed one transition row at a time.  The first step inverts
@@ -171,7 +167,7 @@ def _chain(tables: _Tables, draw, length: int):
     """
     law = tables.cum_init
     for lo in range(0, length, _CHUNK):
-        u = draw(lo, min(_CHUNK, length - lo))
+        u = draw(min(_CHUNK, length - lo))
         codes = sum(3**i * _invert(row, u) for i, row in enumerate(tables.cum_trans))
         first = _invert(law, u[0])
         del u  # so that _follow, and the caller's work on the path, run without it
@@ -181,14 +177,13 @@ def _chain(tables: _Tables, draw, length: int):
 
 
 def _run_batch(
-    tables: _Tables, draw, length: int, trials: int, memo: _Memo
+    tables: _Tables, chain, emissions, length: int, trials: int, memo: _Memo
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hidden, emitted and decoded state indices (K, T) int8 of T trials.
 
-    ``draw(lo, n)`` gives the uniforms (n, T) of words ``lo .. lo + n - 1``
-    of the trials' streams: K for the chain, then K for the emissions, as
-    :func:`simulate_states` and :func:`emit_symbols` consume them, through
-    the same :func:`_chain` and :func:`_invert`, a chunk at a time.  Decoding is
+    ``chain`` and ``emissions`` are each a ``draw(n)``, the next n
+    uniforms (n, T), sampled a chunk at a time as by
+    :func:`simulate_states` and :func:`emit_symbols`.  Decoding is
     :func:`~gridhmm.viterbi._paths`, the automaton and walk of
     :func:`~gridhmm.viterbi.viterbi_decode`, over the vector of trials
     with ``memo`` (built on the same model); so every path equals
@@ -197,11 +192,16 @@ def _run_batch(
     """
     # Allocated before any draw, so that a batch too large fails at once.
     hidden, emitted = np.empty((2, length, trials), dtype=np.int8)
-    for lo, path in _chain(tables, draw, length):
+    for lo, path in _chain(tables, chain, length):
         hi = lo + len(path)
         hidden[lo:hi] = path
-        emitted[lo:hi] = _invert((row[path] for row in tables.cum_emit), draw(length + lo, hi - lo))
+        emitted[lo:hi] = _invert((row[path] for row in tables.cum_emit), emissions(hi - lo))
     return hidden, emitted, _paths(memo, emitted)
+
+
+def _streams(seed: int, first: int, last: int, length: int) -> tuple[RngStream, ...]:
+    """``RngStream(seed, t)``, t in ``first..last-1``, side by side: from word 0, and after the chain's ``length``."""
+    return tuple(RngStream._side_by_side(seed, first, last, start) for start in (0, length))
 
 
 def _check_length(length) -> int:
@@ -269,8 +269,7 @@ def run_monte_carlo(
     Trials go through one batched kernel, about ``_BATCH_STEPS`` steps
     (trials x length) at a time, and each trial equals
     :func:`simulate_states`, :func:`emit_symbols` and
-    :func:`~gridhmm.viterbi.viterbi_decode` run on its stream.  A
-    batch's draws come from :func:`~gridhmm.gaussian._stream_draws`, one
+    :func:`~gridhmm.viterbi.viterbi_decode` run on its stream.  One
     decoder memo serves every batch, and the model is validated once.
     """
     tables = _Tables.of(model)
@@ -286,8 +285,8 @@ def run_monte_carlo(
     va_counts = np.empty(trials, dtype=np.int64)
     for first in range(0, trials, batch):
         last = min(first + batch, trials)
-        draw = lambda lo, n: _stream_draws(base_seed, first, last, n, lo)
-        hidden, emitted, decoded = _run_batch(tables, draw, length, last - first, memo)
+        chain, emissions = (stream._rows for stream in _streams(base_seed, first, last, length))
+        hidden, emitted, decoded = _run_batch(tables, chain, emissions, length, last - first, memo)
         ht_counts[first:last] = np.count_nonzero(emitted == hidden, axis=0)
         va_counts[first:last] = np.count_nonzero(decoded == hidden, axis=0)
     ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, length)

@@ -23,7 +23,7 @@ import gridhmm as gh
 from gridhmm import gaussian, simulate, viterbi
 from gridhmm.gaussian import _cumulative
 
-from conftest import MODELS, feasible_observation, reference_decode, sparse_model
+from conftest import MODELS, feasible_observation, oracle_generator, reference_decode, sparse_model
 
 
 def reference(model, length, rng):
@@ -51,10 +51,10 @@ def test_batch_rows_equal_single_sequence_functions(name, length, chunk, monkeyp
     model = MODELS[name]
     trials = 11
     tables = simulate._Tables.of(model)
-    draw = lambda lo, n: gaussian._stream_draws(5, 0, trials, n, lo)
-    batch = simulate._run_batch(tables, draw, length, trials, viterbi._Memo(model))
+    chain, emissions = (stream._rows for stream in simulate._streams(5, 0, trials, length))
+    batch = simulate._run_batch(tables, chain, emissions, length, trials, viterbi._Memo(model))
     for t in range(trials):
-        want = reference(model, length, gh.RngStream(5, stream_index=t))
+        want = reference(model, length, oracle_generator(5, t))
         for got, expected in zip(batch, want):
             assert got.shape == (length, trials)
             assert np.array_equal(got[:, t] - 1, expected)
@@ -76,6 +76,12 @@ def test_invert_counts_boundaries_like_searchsorted_right(raw, data):
     want = np.searchsorted(cum, u, side="right")
     assert np.array_equal(simulate._invert(cum, u), want)
     assert simulate._invert(cum, u[0]) == want[0]
+
+
+def _reader(rows):
+    """``draw(n)``: the next n of ``rows``."""
+    rows = iter(rows)
+    return lambda n: np.array([next(rows) for _ in range(n)])
 
 
 _STICKY = simulate._Tables.of(MODELS["sticky"])
@@ -102,9 +108,9 @@ def test_boundary_draws_through_the_chain_and_the_emissions(length, trials, chun
     # inverts the carried transition rows of every column.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "_CHUNK", chunk)
-        draw = lambda lo, n: u[lo : lo + n]
+        chain, emissions = _reader(u[:length]), _reader(u[length:])
         memo = viterbi._Memo(MODELS["sticky"])
-        hidden, emitted, _ = simulate._run_batch(_STICKY, draw, length, trials, memo)
+        hidden, emitted, _ = simulate._run_batch(_STICKY, chain, emissions, length, trials, memo)
     assert np.array_equal(hidden, want)
     for k in range(length):
         for t in range(trials):
@@ -132,6 +138,23 @@ def test_monte_carlo_batches_do_not_change_the_summary(name, monkeypatch):
         assert summary.va_std == float(np.std(va))
     assert np.array_equal(whole.histogram_ht, batched.histogram_ht)
     assert np.array_equal(whole.histogram_va, batched.histogram_va)
+
+
+def test_a_batch_sets_up_its_words_twice(monkeypatch):
+    # Two trials of 3 chunks each, a batch each: the chain's stream from
+    # word 0 and the emissions' from word K each set up their words once,
+    # however many chunks they feed.
+    length = 3 * simulate._CHUNK
+    setups = []
+    words = gaussian._stream_words
+
+    def counting(*args):
+        setups.append(args)  # on the first piece, when the set-up runs
+        yield from words(*args)
+
+    monkeypatch.setattr(gaussian, "_stream_words", counting)
+    gh.run_monte_carlo(MODELS["sticky"], length, 2, base_seed=1)
+    assert setups == [(1, 0, 1, 0), (1, 0, 1, length), (1, 1, 2, 0), (1, 1, 2, length)]
 
 
 def test_monte_carlo_trial_traces_under_eight_bytes_a_step():

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import gridhmm as gh
+from gridhmm import cli
 from gridhmm.cli import main
 from gridhmm.config import _LOAD_ROWS
 
@@ -496,6 +497,12 @@ def test_a_full_disk_under_the_spill_exits_2_before_any_output(
     code, out, err = run_cli(capsys, command, "--config", cfg, "--input", str(m))
     assert (code, out) == (2, "")
     assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_spill_cut_short_is_an_os_error():
+    # Two rows of symbols, and the spill holds the measurements of one.
+    with pytest.raises(OSError, match="^the spilled measurements were cut short$"):
+        list(cli._trace(io.BytesIO(bytes(16)), np.ones(2, np.int8)))
 
 
 def test_cli_leaves_numpy_random_unloaded(cfg):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import gridhmm as gh
 from gridhmm import gaussian
-from gridhmm.gaussian import _cumulative, _normals, _spawn_states, _stream_draws, _stream_words
+from gridhmm.gaussian import _cumulative, _normals, _spawn_states, _stream_words
 from gridhmm.gaussian import probability
 
 from conftest import oracle_generator
@@ -159,7 +159,7 @@ def test_vectorised_streams_equal_rng_stream(seed, monkeypatch):
     for piece, count in [(gaussian._PIECE, 1), (gaussian._PIECE, 9), (5, 1), (5, 13)]:
         monkeypatch.setattr(gaussian, "_PIECE", piece)
         for first, last in ranges + [(2**64 - 1, 2**64)]:
-            draws = _stream_draws(seed, first, last, count)
+            draws = gh.RngStream._side_by_side(seed, first, last, 0)._rows(count)
             assert draws.shape == (count, last - first)
             for t, column in zip(range(first, last), draws.T):
                 assert np.array_equal(column, oracle_generator(seed, t).random(count))
@@ -178,13 +178,28 @@ def _pcg64(seed, start=0):
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_stream_words_equal_random_raw(seed, monkeypatch):
-    # Pieces of 5 words make every count but the first cross piece seams.
-    for piece, count in [(gaussian._PIECE, 1), (gaussian._PIECE, 9), (5, 1), (5, 13)]:
+    # The first piece, and with pieces of 5 words, the first 3.
+    for piece, count in [(gaussian._PIECE, 1), (5, 3)]:
         monkeypatch.setattr(gaussian, "_PIECE", piece)
         for start in _OFFSETS:
-            pieces = list(_stream_words(seed, 0, 1, count, start))
-            assert all(p.dtype == np.uint64 and p.shape[1] == 1 for p in pieces)
-            assert np.array_equal(np.concatenate(pieces)[:, 0], _pcg64(seed, start).random_raw(count))
+            pieces = list(itertools.islice(_stream_words(seed, 0, 1, start), count))
+            assert all(p.dtype == np.uint64 and p.shape == (piece, 1) for p in pieces)
+            assert np.array_equal(np.concatenate(pieces)[:, 0], _pcg64(seed, start).random_raw(piece * count))
+
+
+@pytest.mark.parametrize("first, last", [(0, 1), (3, 5), (2**64 - 3, 2**64)])
+@pytest.mark.parametrize("sizes", [(3, 4), (0, 7), (5, 5), (1, 0)])
+def test_side_by_side_draws_in_order(first, last, sizes, monkeypatch):
+    # Pieces of 5 elements: of 5 rows for one stream, of 2 for two and of
+    # 1 for three, so that the draws cross piece seams.  Two draws in turn
+    # equal one draw of both, and each column its stream's numpy draws.
+    monkeypatch.setattr(gaussian, "_PIECE", 5)
+    stream = gh.RngStream._side_by_side(7, first, last, 0)
+    got = np.concatenate([stream._rows(n) for n in sizes])
+    assert stream._offset == sum(sizes)
+    assert np.array_equal(got, gh.RngStream._side_by_side(7, first, last, 0)._rows(sum(sizes)))
+    for t, column in zip(range(first, last), got.T, strict=True):
+        assert np.array_equal(column, oracle_generator(7, t).random(sum(sizes)))
 
 
 @pytest.mark.parametrize("seed", _SEEDS)

@@ -10,7 +10,11 @@ engineered-tie model (several hundred steps where two successors score
 equally, so ``TIE_EPS`` decides them); ``detect`` reads the sticky
 file.  The ``simulate`` cases run the sticky chain and the
 engineered-tie chain for 2**14 + 5 steps, across the first chunk
-boundary of the decoder's choice table.  The ``emission``, ``predict``
+boundary of the decoder's choice table.  The reducible cases run
+``montecarlo`` and ``decode`` (of the sticky file) under the block chain
+``[[.5,.5,0],[.5,.5,0],[0,0,1]]`` and the identity, whose zero-width
+categories the sampler skips and whose scores to go drift apart, so the
+decoder's memo restarts.  The ``emission``, ``predict``
 and ``sweep`` cases print cells that fixed notation does not cover:
 exact 0 and 1, subnormal and tiny probabilities, ``nan``.  A change to
 sampling order, tie handling, summation order or output formatting
@@ -108,6 +112,13 @@ def _tie_measurements(seed):
     return MEANS[symbols]
 
 
+def _measurement_file(tmp_path, z):
+    """A ``k,z_hz`` file of the measurements ``z``."""
+    data = tmp_path / "m.csv"
+    data.write_text("k,z_hz\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(z.tolist(), start=1)))
+    return data
+
+
 DECODE_GOLDEN = [
     (
         "sticky",
@@ -132,13 +143,45 @@ DECODE_GOLDEN = [
 def test_decode_stdout_digest(tmp_path, capsys, name, config, measurements, seed, digest):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(config)
-    data = tmp_path / "m.csv"
-    z = measurements(seed).tolist()
-    data.write_text("k,z_hz\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(z, start=1)))
+    data = _measurement_file(tmp_path, measurements(seed))
     code = main(["decode", "--config", str(cfg), "--input", str(data)])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+REDUCIBLE_GOLDEN = [
+    (
+        "block",
+        "0.5 0.5 0.0\n0.5 0.5 0.0\n0.0 0.0 1.0\n",
+        20187,
+        "4ad19f7249b286ffeb753b43645c4132247bac32e3f79d53c59122b4097e0735",
+        "842e438462595b81c7bade654e3215d5ff7f2ea0d3b235df1037deb9172d672a",
+    ),
+    (
+        "identity",
+        "1.0 0.0 0.0\n0.0 1.0 0.0\n0.0 0.0 1.0\n",
+        20188,
+        "3a64ec7bb9248e02f821675bc1833ac73ab70bd532cfd5e0b07ebd8af63a45fe",
+        "b8b820f1949b6ac8d8716bf6b89c89f4982717f22c442e68b5499927fbc3b9cb",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,transitions,seed,montecarlo,decode", REDUCIBLE_GOLDEN, ids=[g[0] for g in REDUCIBLE_GOLDEN]
+)
+def test_reducible_chain_stdout_digests(tmp_path, capsys, name, transitions, seed, montecarlo, decode):
+    # 300 trials x K=100, and the sticky measurements decoded, under the chain.
+    sticky = STICKY_CFG.format(length=100, trials=300, seed=seed)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(sticky[: sticky.index("[transitions]")] + "[transitions]\n" + transitions)
+    data = _measurement_file(tmp_path, _sticky_measurements(20183))
+    for command, digest in [(["montecarlo"], montecarlo), (["decode", "--input", str(data)], decode)]:
+        code = main([*command, "--config", str(cfg)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command[0]
 
 
 DETECT_DIGEST = "e09c03641e026afff2f3edc3d3eaf7f6f99541a82c96e48ed087d7502b15ddce"
@@ -147,9 +190,7 @@ DETECT_DIGEST = "e09c03641e026afff2f3edc3d3eaf7f6f99541a82c96e48ed087d7502b15ddc
 def test_detect_stdout_digest(tmp_path, capsys):
     cfg = tmp_path / "sticky.cfg"
     cfg.write_text(STICKY_CFG.format(length=DECODE_ROWS, trials=1, seed=0))
-    data = tmp_path / "m.csv"
-    z = _sticky_measurements(20183).tolist()
-    data.write_text("k,z_hz\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(z, start=1)))
+    data = _measurement_file(tmp_path, _sticky_measurements(20183))
     code = main(["detect", "--config", str(cfg), "--input", str(data)])
     out = capsys.readouterr().out
     assert code == 0

@@ -413,11 +413,14 @@ def _cmd_decode(args) -> int:
 def _cmd_simulate(args) -> int:
     """The trace of :func:`simulate_states`, then :func:`synthesize_measurements`, on one stream.
 
-    The trace is drawn, classified and written one chunk of rows at a
-    time, so nothing held grows with K: the chain's uniforms from word 0,
-    the Gaussians of :func:`sample_gaussian` from word K
-    (``simulate._streams``).  Every check, those of the parsed config
-    included, runs before the first byte is written.
+    The chain is sampled a ``simulate._CHUNK`` of steps at a time, its
+    uniforms from word 0 (``simulate._streams``).  Each chunk's states
+    are then taken one write block of _ROWS rows at a time: the block's
+    Gaussians of :func:`sample_gaussian`, from word K on in order, its
+    symbols, and its rows for :func:`_write_csv`.  So no float or
+    integer column longer than a write block is made, and nothing held
+    grows with K.  Every check, those of the parsed config included,
+    runs before the first byte is written.
     """
     cfg = parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
@@ -428,9 +431,11 @@ def _cmd_simulate(args) -> int:
 
     def rows():
         for lo, path in _chain(tables, chain._rows, cfg.length):
-            hidden = path[:, 0]
-            z = sample_gaussian(means[hidden], cfg.params.sigma, noise)
-            yield np.arange(lo + 1, lo + hidden.size + 1), hidden - 1, z, _symbols(z, thresholds)
+            for at in range(0, len(path), _ROWS):
+                hidden = path[at : at + _ROWS, 0]
+                z = sample_gaussian(means[hidden], cfg.params.sigma, noise)
+                k = np.arange(lo + at + 1, lo + at + hidden.size + 1)
+                yield k, hidden - 1, z, _symbols(z, thresholds)
 
     _write_csv(args.output, ["k", "s", "z_hz", "x"], rows())
     _summary("simulate", k=cfg.length, seed=seed)

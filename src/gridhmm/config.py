@@ -48,9 +48,10 @@ _K_LIMIT = 2.0**53
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 # Lines per ``np.loadtxt`` call of the body reader.  A chunk's lines are
-# held as ``str``, about 75 B a line; 2e5 rows load as fast with 2**12
-# lines per call as with 2**14.
-_LOAD_ROWS = 2**12
+# held as ``str``, about 75 B a line, and that shows in a ``decode``
+# process's peak RSS: 2**11 lines peak about 0.15 MB below 2**12 and load
+# 2e5 rows as fast; 2**10 saves 0.23 MB but loads 3-9 % slower.
+_LOAD_ROWS = 2**11
 
 # The message of each rule of :func:`_first_bad`, worded from the row.
 _RULES = (

@@ -60,14 +60,15 @@ __all__ = [
 HIST_BINS = 101
 
 # Steps (trials x K) per batch of the Monte Carlo kernel.  A batch peaks
-# at 40 bytes a step (traced at K=100 and 1000) while it draws a chunk's
+# at 33 bytes a step (traced at K=100 and 1000) while it draws a chunk's
 # emissions: 8 of uniforms and 21 of temporaries in pieces of
-# gaussian._PIECE elements, beside the int8 columns and path (3) and the
-# chain's stream (8); viterbi._follow's temporaries (18) stay below.  So
-# a batch needs about 0.6 MB, while the vector operations across trials
-# (163 at K=100) amortise the per-step interpreter overhead.  A batch
-# holds at least one trial, however long, sampled a chunk at a time; a
-# batch of one trial is decoded by the scalar loop of viterbi_decode.
+# gaussian._PIECE elements, beside the int8 columns and path (3); the
+# chain's stream (7) is freed after its last draw, and viterbi._follow's
+# temporaries (18) stay below.  So a batch needs about 0.55 MB, while
+# the vector operations across trials (163 at K=100) amortise the
+# per-step interpreter overhead.  A batch holds at least one trial,
+# however long, sampled a chunk at a time; a batch of one trial is
+# decoded by the scalar loop of viterbi_decode.
 _BATCH_STEPS = 2**14
 
 
@@ -168,6 +169,8 @@ def _chain(tables: _Tables, draw, length: int):
     law = tables.cum_init
     for lo in range(0, length, _CHUNK):
         u = draw(min(_CHUNK, length - lo))
+        if lo + _CHUNK >= length:
+            del draw  # the last draw: the caller may free its stream while it works on the path
         codes = sum(3**i * _invert(row, u) for i, row in enumerate(tables.cum_trans))
         first = _invert(law, u[0])
         del u  # so that _follow, and the caller's work on the path, run without it
@@ -177,25 +180,32 @@ def _chain(tables: _Tables, draw, length: int):
 
 
 def _run_batch(
-    tables: _Tables, chain, emissions, length: int, trials: int, memo: _Memo
+    tables: _Tables, draws, length: int, trials: int, memo: _Memo
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hidden, emitted and decoded state indices (K, T) int8 of T trials.
 
-    ``chain`` and ``emissions`` are each a ``draw(n)``, the next n
-    uniforms (n, T), sampled a chunk at a time as by
-    :func:`simulate_states` and :func:`emit_symbols`.  Decoding is
-    :func:`~gridhmm.viterbi._paths`, the automaton and walk of
-    :func:`~gridhmm.viterbi.viterbi_decode`, over the vector of trials
-    with ``memo`` (built on the same model); so every path equals
+    ``draws`` is the pair ``(chain, emissions)``, each a ``draw(n)``, the
+    next n uniforms (n, T), sampled a chunk at a time as by
+    :func:`simulate_states` and :func:`emit_symbols`.  The chain's is
+    dropped after its last draw, before the last chunk's emissions are
+    drawn, and the emissions' before the decode: so a caller that passes
+    the only references frees each stream's state and words by then.
+    Decoding is :func:`~gridhmm.viterbi._paths`, the automaton and walk
+    of :func:`~gridhmm.viterbi.viterbi_decode`, over the vector of
+    trials with ``memo`` (built on the same model); so every path equals
     ``viterbi_decode`` of its record, at any K, and the first infeasible
     trial raises its error.  The model is not validated here.
     """
     # Allocated before any draw, so that a batch too large fails at once.
     hidden, emitted = np.empty((2, length, trials), dtype=np.int8)
-    for lo, path in _chain(tables, chain, length):
+    chain, emissions = draws
+    chunks = _chain(tables, chain, length)
+    del draws, chain  # _chain drops its draw after the last one
+    for lo, path in chunks:
         hi = lo + len(path)
         hidden[lo:hi] = path
         emitted[lo:hi] = _invert((row[path] for row in tables.cum_emit), emissions(hi - lo))
+    del emissions
     return hidden, emitted, _paths(memo, emitted)
 
 
@@ -285,8 +295,14 @@ def run_monte_carlo(
     va_counts = np.empty(trials, dtype=np.int64)
     for first in range(0, trials, batch):
         last = min(first + batch, trials)
-        chain, emissions = (stream._rows for stream in _streams(base_seed, first, last, length))
-        hidden, emitted, decoded = _run_batch(tables, chain, emissions, length, last - first, memo)
+        # The draws go unnamed: _run_batch holds their only references and drops them to decode.
+        hidden, emitted, decoded = _run_batch(
+            tables,
+            tuple(stream._rows for stream in _streams(base_seed, first, last, length)),
+            length,
+            last - first,
+            memo,
+        )
         ht_counts[first:last] = np.count_nonzero(emitted == hidden, axis=0)
         va_counts[first:last] = np.count_nonzero(decoded == hidden, axis=0)
     ht_mean, ht_std, ht_hist = _percent_stats(ht_counts, length)

@@ -52,7 +52,7 @@ def test_batch_rows_equal_single_sequence_functions(name, length, chunk, monkeyp
     trials = 11
     tables = simulate._Tables.of(model)
     chain, emissions = (stream._rows for stream in simulate._streams(5, 0, trials, length))
-    batch = simulate._run_batch(tables, chain, emissions, length, trials, viterbi._Memo(model))
+    batch = simulate._run_batch(tables, (chain, emissions), length, trials, viterbi._Memo(model))
     for t in range(trials):
         want = reference(model, length, oracle_generator(5, t))
         for got, expected in zip(batch, want):
@@ -110,7 +110,7 @@ def test_boundary_draws_through_the_chain_and_the_emissions(length, trials, chun
         patch.setattr(simulate, "_CHUNK", chunk)
         chain, emissions = _reader(u[:length]), _reader(u[length:])
         memo = viterbi._Memo(MODELS["sticky"])
-        hidden, emitted, _ = simulate._run_batch(_STICKY, chain, emissions, length, trials, memo)
+        hidden, emitted, _ = simulate._run_batch(_STICKY, (chain, emissions), length, trials, memo)
     assert np.array_equal(hidden, want)
     for k in range(length):
         for t in range(trials):
@@ -169,6 +169,24 @@ def test_monte_carlo_trial_traces_under_eight_bytes_a_step():
     finally:
         tracemalloc.stop()
     assert peak < 8 * length
+
+
+def test_a_batch_drops_its_draws_before_the_last_emissions():
+    # One batch of 163 trials x K=100.  Its traced peak comes while it
+    # draws the emissions: about 33 B a step, once the chain's stream (its
+    # state and last piece of words, about 7 B a step) is freed after the
+    # chain's last draw.  With the caller and the kernel holding both
+    # streams to the end, the batch traced about 40.
+    model, length, trials = MODELS["sticky"], 100, 163
+    assert max(1, simulate._BATCH_STEPS // length) == trials
+    gh.run_monte_carlo(model, length, trials, base_seed=1)  # fills the set-up caches
+    tracemalloc.start()
+    try:
+        gh.run_monte_carlo(model, length, trials, base_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * length * trials
 
 
 def test_monte_carlo_validates_the_model_once(monkeypatch):

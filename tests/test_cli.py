@@ -328,11 +328,14 @@ def test_decode_peak_memory_with_one_wide_timestamp(cfg, tmp_path):
 
 
 def test_simulate_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):
-    # simulate draws, classifies and writes one chunk of rows at a time,
-    # so its traced peak, about 1.5 MB, does not grow with K.  Under 15 B
-    # a row is under 3 MB in all.  Holding the whole columns (uniforms,
-    # states, measurements, symbols and k) took 7 MB at K=2e5.
-    assert _peak_per_row("simulate", cfg, tmp_path) < 15
+    # simulate samples the chain a chunk of 2**14 steps at a time and
+    # draws, classifies and writes one write block of 4096 rows at a
+    # time, so its traced peak does not grow with K: about 1.25 MB at
+    # K=2e5 (6.3 B a row).  Drawing and classifying a whole chain chunk
+    # before the writer cut it into blocks traced about 1.46 MB (7.3),
+    # and holding the whole columns (uniforms, states, measurements,
+    # symbols and k) took 7 MB.
+    assert _peak_per_row("simulate", cfg, tmp_path) < 6.8
 
 
 def test_predict_peak_memory_is_bounded_by_the_chunk(cfg, tmp_path):

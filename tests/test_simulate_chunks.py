@@ -1,13 +1,15 @@
 """The chunked ``simulate`` trace against the whole-array draws it replaces.
 
 ``gridhmm simulate`` samples the chain ``simulate._CHUNK`` steps at a
-time, carrying the last state into the next chunk, and draws the
-Gaussians a chunk at a time from the stream's words after the chain's K
-uniforms, all computed without ``numpy.random``.  The reference here
-draws the same stream in one piece, as ``simulate_states`` and
-``synthesize_measurements`` once did: ``random(K)``, the chain from
-those uniforms by one ``searchsorted`` a step, then ``normal`` around
-each state's mean.  Lengths sit on and around the chunk seams.
+time, carrying the last state into the next chunk.  Within a chain
+chunk it takes one write block of ``cli._ROWS`` rows at a time: the
+block's Gaussians, from the stream's words after the chain's K uniforms,
+its symbols and its CSV rows, all computed without ``numpy.random``.
+The reference here draws the same stream in one piece, as
+``simulate_states`` and ``synthesize_measurements`` once did:
+``random(K)``, the chain from those uniforms by one ``searchsorted`` a
+step, then ``normal`` around each state's mean.  Lengths sit on and
+around the chain-chunk seams and the write-block seams inside a chunk.
 """
 import contextlib
 import io
@@ -16,13 +18,14 @@ import numpy as np
 import pytest
 
 import gridhmm as gh
-from gridhmm import simulate
+from gridhmm import cli, simulate
 from gridhmm.cli import main
 from gridhmm.config import parse_config
 
 from conftest import oracle_generator, reference_write
 
 ROWS = simulate._CHUNK
+BLOCK = cli._ROWS
 
 CHAINS = {
     "sticky": """\
@@ -53,6 +56,8 @@ priors = 0.5 0.2 0.3
 }
 
 LENGTHS = [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1]
+# Write-block seams inside the first chain chunk and inside the second.
+BLOCK_LENGTHS = [BLOCK - 1, BLOCK, BLOCK + 1, ROWS + BLOCK + 1]
 
 
 def _config(tmp_path, name, length, seed):
@@ -78,7 +83,7 @@ def _reference(cfg, seed):
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
-@pytest.mark.parametrize("length", LENGTHS)
+@pytest.mark.parametrize("length", LENGTHS + BLOCK_LENGTHS)
 def test_cli_trace_equals_whole_array_draws(tmp_path, name, length):
     seed = 7000 + length
     cfg, path = _config(tmp_path, name, length, seed)
@@ -110,3 +115,31 @@ def test_simulate_states_draws_as_one_array(tmp_path, name, length):
     whole.random(length)
     assert oracle_generator(seed, 0, rng._offset).bit_generator.state == whole.bit_generator.state
     assert np.array_equal(rng.random(5), whole.random(5))
+
+
+def test_simulate_draws_and_writes_one_block_at_a_time(tmp_path, monkeypatch):
+    # Two chain chunks and 5 steps: no Gaussian draw and no chunk of rows
+    # handed to the writer is longer than one write block.
+    length = 2 * ROWS + 5
+    _, path = _config(tmp_path, "sticky", length, 3)
+    draws, blocks = [], []
+    sample, write = cli.sample_gaussian, cli._write_csv
+
+    def spy_sample(mean, *args, **kwargs):
+        draws.append(np.size(mean))
+        return sample(mean, *args, **kwargs)
+
+    def spy_write(target, header, chunks):
+        def seen():
+            for chunk in chunks:
+                blocks.append(len(chunk[0]))
+                yield chunk
+
+        write(target, header, seen())
+
+    monkeypatch.setattr(cli, "sample_gaussian", spy_sample)
+    monkeypatch.setattr(cli, "_write_csv", spy_write)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", path]) == 0
+    assert sum(draws) == length and max(draws) <= BLOCK
+    assert sum(blocks) == length and max(blocks) <= BLOCK

@@ -110,16 +110,15 @@ def export(rev: str, target: Path) -> str:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run of ``checkout``: its JSON summary and machine line."""
+    """One ``bench/run.py`` run of ``checkout``: its JSON summary, with its machine line as ``machine``."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    machine = next((json.loads(l.split(":", 1)[1]) for l in lines if l.startswith("machine:")), None)
+    lines = subprocess.run(argv, cwd=checkout, capture_output=True, text=True).stdout.splitlines()
+    machine = next((json.loads(line.split(":", 1)[1]) for line in lines if line.startswith("machine:")), None)
     try:
         summary = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+    except (IndexError, json.JSONDecodeError):  # a run that died before its summary
         summary = {"correct": False, "metrics": {}}
-    return {"code": proc.returncode, "machine": machine, **summary}
+    return {"machine": machine, **summary}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             for pair in range(1, args.pairs + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
                 done = {side: run(checkouts[side], args.workload, seed, args.seconds) for side in order}
-                runs.append({"first": order[0], **done})
+                runs.append(done)
                 print(f"seed {seed} pair {pair}/{args.pairs}: "
                       + " ".join(f"{s} correct={done[s].get('correct')}" for s in SIDES), file=sys.stderr)
             report["machine"] = runs[0]["change"]["machine"]

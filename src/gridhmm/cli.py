@@ -31,7 +31,7 @@ from .simulate import (
     detection_sweep,
     run_monte_carlo,
 )
-from .viterbi import _log_params, _log_prob, _Memo, _paths
+from .viterbi import _log_prob, _Memo, _paths
 
 __all__ = ["main"]
 
@@ -58,7 +58,9 @@ def _fmt_index(value: float) -> str:
     return format(value, ".17g")
 
 
-# Rows per chunk.  2**13 writes no faster and adds about 1 MB to peak RSS.
+# Rows per chunk of the streaming commands (``detect``, ``decode``,
+# ``simulate``, ``predict``), each chunk one block of :func:`_write_csv`.
+# 2**13 writes no faster and adds about 1 MB to peak RSS.
 _ROWS = 2**12
 
 # A float cell in fixed notation is a sign and at most 22 characters
@@ -247,38 +249,33 @@ def _write_csv(target: str, header: list[str], chunks) -> None:
     ``chunks`` is an iterable of tuples of equal-length column arrays,
     taken one at a time; each column of a chunk prints in the
     :func:`_format` of that chunk.  ``target`` is a path, or
-    '-'/'stdout' for stdout.  Each _ROWS rows of a chunk are laid out in
-    one (rows x line width) byte matrix: every cell in a fixed-width
-    slot, then a comma, the last one a newline.  A fill writes NUL into
-    the bytes of its slots that its cells leave, so those rows' text is
-    the block's bytes without their NULs: ``bytes.translate`` drops them
-    from at most 64 KiB of whole lines at a time.  The matrix is kept
-    from chunk to chunk and reallocated only for a chunk that needs more
-    bytes, so what a write holds beside its chunks is bounded by _ROWS
-    rows of its widest line.
+    '-'/'stdout' for stdout.  Each chunk is laid out as one block, a
+    (rows x line width) byte matrix: every cell in a fixed-width slot,
+    then a comma, the last one a newline.  So the caller sets the block
+    size: the streaming commands pass _ROWS rows at a time.  A fill
+    writes NUL into the bytes of its slots that its cells leave, so the
+    rows' text is the block's bytes without their NULs:
+    ``bytes.translate`` drops them from at most 64 KiB of whole lines at
+    a time.  The matrix, with its commas and newlines, is kept for the
+    next chunk while the slot widths and the row count stay the same.
     """
-    lines = np.empty(0, dtype=np.uint8)
+    layout = None
     to_stdout = target in ("-", "stdout")
     with nullcontext(sys.stdout) if to_stdout else open(target, "w", newline="") as out:
         out.write(",".join(header) + "\n")
         for chunk in chunks:
             formats = [_format(c) for c in chunk]
-            ends = np.cumsum([width + 1 for width, _ in formats])
-            total = len(chunk[0])
-            size = min(total, _ROWS) * ends[-1]
-            if lines.size < size:
-                lines = np.empty(size, dtype=np.uint8)
-            matrix = lines[:size].reshape(-1, ends[-1])
-            step = max(1, 2**16 // ends[-1])  # lines in at most 64 KiB, or one
-            matrix.fill(ord(","))  # the fills overwrite all but the bytes between slots
-            matrix[:, -1] = ord("\n")
-            for lo in range(0, total, _ROWS):
-                rows = min(_ROWS, total - lo)
-                for (width, fill), end, column in zip(formats, ends, chunk):
-                    fill(column[lo : lo + rows], matrix[:rows, end - 1 - width : end - 1])
-                block = matrix[:rows]
-                for start in range(0, rows, step):  # whole lines, so no character is cut
-                    out.write(block[start : start + step].tobytes().translate(None, b"\0").decode())
+            shape = [width for width, _ in formats], len(chunk[0])
+            if shape != layout:
+                layout = shape
+                ends = np.cumsum([width + 1 for width, _ in formats])
+                matrix = np.full((len(chunk[0]), ends[-1]), ord(","), dtype=np.uint8)
+                matrix[:, -1] = ord("\n")  # the fills overwrite all but the bytes between slots
+                step = max(1, 2**16 // ends[-1])  # lines in at most 64 KiB, or one
+            for (width, fill), end, column in zip(formats, ends, chunk):
+                fill(column, matrix[:, end - 1 - width : end - 1])
+            for start in range(0, len(matrix), step):  # whole lines, so no character is cut
+                out.write(matrix[start : start + step].tobytes().translate(None, b"\0").decode())
 
 
 def _summary(command: str, **fields) -> None:
@@ -321,14 +318,6 @@ def _cmd_emission(args) -> int:
     return 0
 
 
-def _symbols(z_hz: np.ndarray, thresholds) -> np.ndarray:
-    """The detector's symbols of ``z_hz`` as int8, classified one chunk of rows at a time."""
-    symbols = np.empty(z_hz.size, dtype=np.int8)
-    for lo in range(0, symbols.size, _ROWS):  # classify's int64 stays one chunk long
-        symbols[lo : lo + _ROWS] = classify(z_hz[lo : lo + _ROWS], thresholds)
-    return symbols
-
-
 def _index_cells(index: np.ndarray) -> np.ndarray:
     """A chunk of the index as cells that print as :func:`_fmt_index` prints it.
 
@@ -358,9 +347,7 @@ def _spill(path, thresholds, spill) -> tuple[str, np.ndarray]:
     indices = bytearray()
     with _measurement_chunks(path) as (index_name, chunks):
         for index, z in chunks:
-            x = _symbols(z, thresholds)
-            x += 1
-            indices += x.data
+            indices += (classify(z, thresholds).astype(np.int8) + 1).data
             spill.write(np.column_stack((index, z)))
     return index_name, np.frombuffer(indices, dtype=np.int8)
 
@@ -397,15 +384,16 @@ def _cmd_decode(args) -> int:
     cfg = parse_config(args.config)
     model = cfg.model()
     require_valid(model)
+    memo = _Memo(model)
     with tempfile.TemporaryFile() as spill:
         index_name, x = _spill(args.input, compute_thresholds(cfg.params), spill)
-        states = _paths(_Memo(model), x[:, None])[:, 0]
+        states = _paths(memo, x[:, None])[:, 0]
         header = [index_name, "z_hz", "x", "s_star"]
         _write_csv(args.output, header, _trace(spill, x, states))
     corrected = 0  # a chunk at a time: comparing whole columns would hold 1 B a row more
     for lo in range(0, x.size, _ROWS):
         corrected += np.count_nonzero(states[lo : lo + _ROWS] != x[lo : lo + _ROWS])
-    log_prob = _log_prob(x, states, _log_params(model))
+    log_prob = _log_prob(x, states, memo.logs)
     _summary("decode", rows=x.size, log_prob=log_prob, corrected=corrected)
     return 0
 
@@ -435,7 +423,7 @@ def _cmd_simulate(args) -> int:
                 hidden = path[at : at + _ROWS, 0]
                 z = sample_gaussian(means[hidden], cfg.params.sigma, noise)
                 k = np.arange(lo + at + 1, lo + at + hidden.size + 1)
-                yield k, hidden - 1, z, _symbols(z, thresholds)
+                yield k, hidden - 1, z, classify(z, thresholds)
 
     _write_csv(args.output, ["k", "s", "z_hz", "x"], rows())
     _summary("simulate", k=cfg.length, seed=seed)

@@ -178,23 +178,19 @@ def parse_config(path) -> RunConfig:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
+        rows = matrices.get(section, [])  # the open section's rows
         if line.startswith("[") and line.endswith("]"):
             close_section()
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                violations.append(f"line {lineno}: unknown section [{name}]")
-                section = None
-                continue
-            if name in matrices:
-                violations.append(f"line {lineno}: duplicate section [{name}]")
-                section = None
-                continue
-            matrices[name] = []
-            section = name
-            section_line = lineno
-            continue
-        if "=" in line:
-            if section is not None and len(matrices[section]) < 3:
+            section = name if name in _SECTIONS and name not in matrices else None
+            if section is None:
+                kind = "duplicate" if name in matrices else "unknown"
+                violations.append(f"line {lineno}: {kind} section [{name}]")
+            else:
+                matrices[name] = []
+                section_line = lineno
+        elif "=" in line:
+            if section is not None and len(rows) < 3:
                 violations.append(
                     f"line {lineno}: assignment inside incomplete section [{section}]"
                 )
@@ -202,32 +198,22 @@ def parse_config(path) -> RunConfig:
             section = None
             key, _, raw_val = line.partition("=")
             key = key.strip()
-            raw_val = raw_val.strip()
             if key not in _SCALAR_KEYS:
                 violations.append(f"line {lineno}: unknown key {key!r}")
-                continue
-            if key in assigned:
+            elif key in assigned:
                 violations.append(f"line {lineno}: duplicate key {key!r}")
-                continue
-            assigned[key] = (raw_val, lineno)
-            continue
-        if section is not None:
-            rows = matrices[section]
-            if len(rows) >= 3:
-                violations.append(f"line {lineno}: extra row in [{section}]")
-                continue
-            row = _parse_floats(line, f"[{section}] row {len(rows)}", lineno, violations)
-            if row is None:
-                rows.append([math.nan, math.nan, math.nan])
-            elif len(row) != 3:
-                violations.append(
-                    f"line {lineno}: [{section}] rows need 3 entries, got {len(row)}"
-                )
-                rows.append([math.nan, math.nan, math.nan])
             else:
-                rows.append(row)
-            continue
-        violations.append(f"line {lineno}: expected 'key = value', a [section], or a matrix row")
+                assigned[key] = (raw_val.strip(), lineno)
+        elif section is None:
+            violations.append(f"line {lineno}: expected 'key = value', a [section], or a matrix row")
+        elif len(rows) >= 3:
+            violations.append(f"line {lineno}: extra row in [{section}]")
+        else:
+            row = _parse_floats(line, f"[{section}] row {len(rows)}", lineno, violations)
+            if row is not None and len(row) != 3:
+                violations.append(f"line {lineno}: [{section}] rows need 3 entries, got {len(row)}")
+                row = None
+            rows.append(row or [math.nan] * 3)
     close_section()
 
     def value_of(key: str, parse=_parse_floats):
@@ -236,68 +222,55 @@ def parse_config(path) -> RunConfig:
         raw_val, lineno = assigned[key]
         return parse(raw_val, key, lineno, violations)
 
-    means_val = value_of("means")
-    f0_val = value_of("f0")
-    dmin_val = value_of("delta_f_min")
-    dmax_val = value_of("delta_f_max")
-    sigma_val = value_of("sigma")
-    priors_val = value_of("priors")
-
+    # Each detector key's values, or None when it is not given or breaks a rule.
+    means, f0, dmin, dmax, sigma, priors = map(
+        value_of, ("means", "f0", "delta_f_min", "delta_f_max", "sigma", "priors")
+    )
     offset_keys = [k for k in ("f0", "delta_f_min", "delta_f_max") if k in assigned]
-    means: tuple[float, float, float] | None = None
     if "means" in assigned and offset_keys:
         violations.append(
             "give either 'means' or 'f0'/'delta_f_min'/'delta_f_max', not both conventions"
         )
-    elif means_val is not None:
-        if len(means_val) == 3:
-            means = (means_val[0], means_val[1], means_val[2])
-        else:
-            violations.append(f"'means' needs 3 values, got {len(means_val)}")
+        means = None
     elif offset_keys:
         if len(offset_keys) != 3:
             violations.append(
                 "'f0', 'delta_f_min', and 'delta_f_max' must be given together, "
                 f"got only {', '.join(repr(k) for k in offset_keys)}"
             )
-        elif f0_val is not None and dmin_val is not None and dmax_val is not None:
-            if any(len(v) != 1 for v in (f0_val, dmin_val, dmax_val)):
+        elif f0 and dmin and dmax:
+            if any(len(v) != 1 for v in (f0, dmin, dmax)):
                 violations.append("'f0', 'delta_f_min', 'delta_f_max' each take a single value")
-            elif dmin_val[0] <= 0 or dmax_val[0] <= 0:
+            elif dmin[0] <= 0 or dmax[0] <= 0:
                 violations.append(
-                    f"deviation offsets must be positive, got delta_f_min={dmin_val[0]}, "
-                    f"delta_f_max={dmax_val[0]}"
+                    f"deviation offsets must be positive, got delta_f_min={dmin[0]}, "
+                    f"delta_f_max={dmax[0]}"
                 )
             else:
-                f0 = f0_val[0]
-                means = (f0 - dmin_val[0], f0, f0 + dmax_val[0])
+                means = [f0[0] - dmin[0], f0[0], f0[0] + dmax[0]]
     elif "means" not in assigned:
         violations.append("means are required: give 'means' or 'f0'/'delta_f_min'/'delta_f_max'")
+    elif means and len(means) != 3:
+        violations.append(f"'means' needs 3 values, got {len(means)}")
+        means = None
 
-    sigma: float | None = None
-    if sigma_val is not None:
-        if len(sigma_val) == 1:
-            sigma = sigma_val[0]
-        else:
-            violations.append("'sigma' takes a single value")
-    elif "sigma" not in assigned:
+    if "sigma" not in assigned:
         violations.append("'sigma' is required")
+    elif sigma and len(sigma) != 1:
+        violations.append("'sigma' takes a single value")
+        sigma = None
 
-    priors: tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    if priors_val is not None:
-        if len(priors_val) == 3:
-            priors = (priors_val[0], priors_val[1], priors_val[2])
-        else:
-            violations.append(f"'priors' needs 3 values, got {len(priors_val)}")
-    elif "priors" not in assigned:
+    if "priors" not in assigned:
         logger.info("priors not given; assuming the uniform distribution")
+    elif priors and len(priors) != 3:
+        violations.append(f"'priors' needs 3 values, got {len(priors)}")
+        priors = None
 
     params: DetectorParams | None = None
-    if means is not None and sigma is not None:
+    if means and sigma:
         try:
-            params = DetectorParams(
-                m_neg=means[0], m_zero=means[1], m_pos=means[2], sigma=sigma, priors=priors
-            )
+            # Priors not given, or rejected, are uniform.
+            params = DetectorParams(*means, sigma[0], priors or [1.0 / 3.0] * 3)
         except ValueError as exc:
             violations.append(str(exc))
 

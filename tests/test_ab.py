@@ -77,3 +77,18 @@ def test_summarize_pairs_the_runs_that_report_a_metric():
     table = ab.summarize(single, "simulate", METRICS)
     assert list(table) == ["simulate"] and list(table["simulate"]) == ["steps_per_s"]
     assert table["simulate"]["steps_per_s"]["relative_change"] == 0.5
+
+
+def test_startup_bootstrap_is_seeded_and_brackets_the_difference_of_medians():
+    parent = [10.0, 12.0, 11.0, 15.0, 13.0, 20.0, 9.0, 14.0]
+    change = [11.0, 10.0, 12.0, 14.0, 9.0, 16.0, 10.0, 11.0]
+    assert ab.bootstrap_difference(parent, change) == (-3.0, 1.0)
+    assert ab.bootstrap_difference(parent, change) == ab.bootstrap_difference(parent, change)
+    got = ab.startup(parent, change)
+    assert got["pairs"] == 8
+    assert got["parent"] == {"median": 12.5, "q1": 10.75, "q3": 14.25}
+    assert got["change"] == {"median": 11.0, "q1": 10.0, "q3": 12.5}
+    assert got["difference"] == {"median": -1.5, "low": -3.0, "high": 1.0}
+    assert got["runs"] == {"parent": parent, "change": change}
+    # A shift of every pair by the same amount has no spread to resample.
+    assert ab.bootstrap_difference(parent, [p + 0.5 for p in parent]) == (0.5, 0.5)

@@ -180,6 +180,37 @@ horizon = -1
     ]
 
 
+def test_violations_keep_their_order_under_the_offsets_convention(tmp_path):
+    # The detector keys in turn (offsets, sigma, priors), the integer
+    # keys, a grid value that is not a number, then the matrix section.
+    text = """\
+f0 = 50
+delta_f_min = -0.6
+delta_f_max = 0.7
+sigma = 0.2 0.3
+priors = 0.2 0.8
+k = 0
+seed = -1
+snr_db = 1 x
+
+[transitions]
+0.2 0.7 0.1
+0.1 0.8 0.1
+0.1 0.7 0.5
+"""
+    with pytest.raises(gh.ConfigError) as info:
+        gh.parse_config(write(tmp_path, text))
+    assert info.value.violations == [
+        "deviation offsets must be positive, got delta_f_min=-0.6, delta_f_max=0.7",
+        "'sigma' takes a single value",
+        "'priors' needs 3 values, got 2",
+        "'k' must be >= 1, got 0",
+        "'seed' must fit in an unsigned 64-bit integer, got -1",
+        "line 8: snr_db: 'x' is not a number",
+        "[transitions] row 2 sums to 1.3, off by 3.000e-01 (> 1e-09)",
+    ]
+
+
 def test_duplicate_key_cited_with_line(tmp_path):
     with pytest.raises(gh.ConfigError) as info:
         gh.parse_config(write(tmp_path, "means = 49 50 51\nsigma = 0.2\nsigma = 0.3\n"))

@@ -599,17 +599,36 @@ def test_writer_matches_percent_format_rows(rows):
     assert _written(header, *columns) == reference_write(header, *columns)
 
 
-def test_writer_chunks_of_changing_widths_match_percent_format_rows():
-    # Each chunk prints in its own formats.  The int column grows from 1
-    # to 19 digits; the text column narrows from 30 characters to 1, then
-    # widens to 40.  So the line matrix is regrown, reused for a narrower
-    # line of the next chunk (_ROWS rows of 43 B after _ROWS - 1 of 48 B),
-    # then regrown again.
+# Chunk plans of the writer: (rows, digits of the largest int, words of the text column).
+WRITER_PLANS = {
+    # The int column grows from 1 to 19 digits; the text column narrows
+    # from 30 characters to 1, then widens to 40: every chunk has a
+    # layout of its own.
+    "changing": [
+        (1, 1, ["x" * 30]),
+        (_ROWS - 1, 7, ["y" * 12, "", "ab"]),
+        (_ROWS + 1, 13, ["z", ""]),
+        (2 * _ROWS + 3, 19, ["w" * 40, "q"]),
+    ],
+    # Two chunks of one layout, so the second is laid out in the first
+    # one's matrix; then the int column crosses 9999 -> 10000 (the widths
+    # change); then fewer rows of the same widths (the row count changes).
+    "kept": [
+        (_ROWS, 4, ["ab", "c"]),
+        (_ROWS, 4, ["ab", "c"]),
+        (_ROWS, 5, ["ab", "c"]),
+        (100, 5, ["ab", "c"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("plan", sorted(WRITER_PLANS))
+def test_writer_chunks_of_changing_widths_match_percent_format_rows(plan):
+    # Each chunk prints in its own formats, and no byte of one chunk's
+    # cells shows in a later chunk's lines.
     gen = np.random.default_rng(11)
-    sizes = [1, _ROWS - 1, _ROWS + 1, 2 * _ROWS + 3]
-    texts = [["x" * 30], ["y" * 12, "", "ab"], ["z", ""], ["w" * 40, "q"]]
     chunks = []
-    for rows, digits, words in zip(sizes, [1, 7, 13, 19], texts):
+    for rows, digits, words in WRITER_PLANS[plan]:
         ints = gen.integers(-(10 ** (digits - 1)), 10 ** (digits - 1), rows)
         ints[-1] = 10 ** (digits - 1)
         text = np.array(gen.choice(words, rows).tolist(), dtype=object)

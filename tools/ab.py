@@ -17,22 +17,33 @@ resolved: the medians differ by more than the parent's interquartile
 range.  A gain is met when the change is better in at least nine tenths
 of the pairs and resolved.  A metric's direction and bound come from the
 change's ``BENCHMARK.json``.  Every run's values are kept as well.
-Only the standard library and ``git`` are used.
+
+Every run also times start-up alone: ``python -m gridhmm emission`` of
+each checkout on a small config that the driver writes, in
+``STARTUP_PAIRS`` interleaved pairs, parent first in odd pairs.  The
+``startup`` entry holds each side's median and quartiles and the change
+minus parent difference of the medians, with a seeded bootstrap 95 %
+interval over the pairs.  Only the standard library and ``git`` are used.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import os
+import random
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")  # equally long names, so equally long paths
+STARTUP_PAIRS = 40
+STARTUP_CONFIG = "means = 49 50 51\nsigma = 0.35\npriors = 0.1 0.8 0.1\n"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -64,6 +75,45 @@ def compare(parent: list[float], change: list[float], better: str, bound: float 
         out["bound"] = bound
         out["within_bound"] = not (-sign * relative > bound)
     return out
+
+
+def bootstrap_difference(parent: list[float], change: list[float], resamples: int = 2000, seed: int = 0):
+    """The 2.5 % and 97.5 % points of median(change) - median(parent) over pairs drawn with replacement."""
+    rng = random.Random(seed)
+    differences = []
+    for _ in range(resamples):
+        drawn = rng.choices(range(len(parent)), k=len(parent))
+        differences.append(
+            statistics.median(change[i] for i in drawn) - statistics.median(parent[i] for i in drawn)
+        )
+    cuts = statistics.quantiles(differences, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
+def startup(parent: list[float], change: list[float]) -> dict:
+    """The ``startup`` entry of the report: the emission walls of ``STARTUP_PAIRS`` pairs."""
+    sides = {}
+    for side, values in zip(SIDES, (parent, change)):
+        q1, median, q3 = quartiles(values)
+        sides[side] = {"median": median, "q1": q1, "q3": q3}
+    low, high = bootstrap_difference(parent, change)
+    return {
+        "command": "python -m gridhmm emission",
+        "pairs": len(parent),
+        **sides,
+        "difference": {"median": sides["change"]["median"] - sides["parent"]["median"], "low": low, "high": high},
+        "runs": {"parent": parent, "change": change},
+    }
+
+
+def time_emission(checkout: Path, config: Path) -> float:
+    """The wall seconds of one ``python -m gridhmm emission`` process of ``checkout``."""
+    path = [str(checkout / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    argv = [sys.executable, "-m", "gridhmm", "emission", "--config", str(config)]
+    start = time.perf_counter()
+    subprocess.run(argv, cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return time.perf_counter() - start
 
 
 def metrics_of(summary: dict, workload: str) -> dict[str, dict[str, float]]:
@@ -144,6 +194,13 @@ def main(argv: list[str] | None = None) -> int:
             "pairs": args.pairs,
             "seeds": {},
         }
+        config = Path(work) / "startup.cfg"
+        config.write_text(STARTUP_CONFIG)
+        walls: dict[str, list[float]] = {side: [] for side in SIDES}
+        for pair in range(1, STARTUP_PAIRS + 1):
+            for side in SIDES if pair % 2 else SIDES[::-1]:
+                walls[side].append(time_emission(checkouts[side], config))
+        report["startup"] = startup(walls["parent"], walls["change"])
         for seed in args.seeds:
             runs = []
             for pair in range(1, args.pairs + 1):

@@ -88,6 +88,7 @@ def test_startup_bootstrap_is_seeded_and_brackets_the_difference_of_medians():
     assert got["pairs"] == 8
     assert got["parent"] == {"median": 12.5, "q1": 10.75, "q3": 14.25}
     assert got["change"] == {"median": 11.0, "q1": 10.0, "q3": 12.5}
+    assert got["change_better"] == "5/8" and not got["resolved"]
     assert got["difference"] == {"median": -1.5, "low": -3.0, "high": 1.0}
     assert got["runs"] == {"parent": parent, "change": change}
     # A shift of every pair by the same amount has no spread to resample.

@@ -21,9 +21,9 @@ change's ``BENCHMARK.json``.  Every run's values are kept as well.
 Every run also times start-up alone: ``python -m gridhmm emission`` of
 each checkout on a small config that the driver writes, in
 ``STARTUP_PAIRS`` interleaved pairs, parent first in odd pairs.  The
-``startup`` entry holds each side's median and quartiles and the change
-minus parent difference of the medians, with a seeded bootstrap 95 %
-interval over the pairs.  Only the standard library and ``git`` are used.
+``startup`` entry holds the statistics above and the change minus
+parent difference of the medians, with a seeded bootstrap 95 % interval
+over the pairs.  Only the standard library and ``git`` are used.
 """
 from __future__ import annotations
 
@@ -91,17 +91,15 @@ def bootstrap_difference(parent: list[float], change: list[float], resamples: in
 
 
 def startup(parent: list[float], change: list[float]) -> dict:
-    """The ``startup`` entry of the report: the emission walls of ``STARTUP_PAIRS`` pairs."""
-    sides = {}
-    for side, values in zip(SIDES, (parent, change)):
-        q1, median, q3 = quartiles(values)
-        sides[side] = {"median": median, "q1": q1, "q3": q3}
+    """The ``startup`` entry of the report: :func:`compare` of the emission walls, and the bootstrap."""
+    entry = compare(parent, change, "lower")
     low, high = bootstrap_difference(parent, change)
+    difference = entry["change"]["median"] - entry["parent"]["median"]
     return {
         "command": "python -m gridhmm emission",
         "pairs": len(parent),
-        **sides,
-        "difference": {"median": sides["change"]["median"] - sides["parent"]["median"], "low": low, "high": high},
+        **entry,
+        "difference": {"median": difference, "low": low, "high": high},
         "runs": {"parent": parent, "change": change},
     }
 
